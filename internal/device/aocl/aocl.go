@@ -238,6 +238,8 @@ type plan struct {
 
 	issueGBps     float64 // sustained pipeline issue, after all efficiencies
 	coalesceBytes uint32
+
+	memo device.Memo
 }
 
 // Compile implements device.Device.
@@ -332,8 +334,14 @@ func (p *plan) Resources() (fabric.Resources, bool) { return p.synth.Res, true }
 // FmaxMHz implements device.Compiled.
 func (p *plan) FmaxMHz() (float64, bool) { return p.synth.FmaxMHz, true }
 
-// Seconds implements device.Compiled.
-func (p *plan) Seconds(e device.Exec) (float64, error) {
+// Seconds implements device.Compiled. The model keeps no state between
+// invocations — the DRAM model services every window from cold — so
+// the answer depends on e alone and repeated invocations reuse the
+// first one.
+func (p *plan) Seconds(e device.Exec) (float64, error) { return p.memo.Do(e, p.simulate) }
+
+// simulate predicts one invocation over e.
+func (p *plan) simulate(e device.Exec) (float64, error) {
 	k := p.k
 	if err := e.Validate(k); err != nil {
 		return 0, err
@@ -348,11 +356,11 @@ func (p *plan) Seconds(e device.Exec) (float64, error) {
 	issueSec := totalBytes / (p.issueGBps * 1e9)
 
 	totalTxns := device.TxnCount(k.Op, elems, elemB, e.Pattern, p.coalesceBytes)
+	if _, err := device.KernelSource(k.Op, elems, elemB, e.Pattern, p.coalesceBytes); err != nil {
+		return 0, fmt.Errorf("aocl: %s: %w", k.Name(), err)
+	}
 	runner := func(maxTxns uint64) sample.Measurement {
-		src, err := device.KernelSource(k.Op, elems, elemB, e.Pattern, p.coalesceBytes)
-		if err != nil {
-			return sample.Measurement{}
-		}
+		src, _ := device.KernelSource(k.Op, elems, elemB, e.Pattern, p.coalesceBytes) // checked above
 		res := p.dev.mem.ServiceBounded(src, maxTxns)
 		return sample.Measurement{Txns: res.Txns, Seconds: res.Seconds}
 	}

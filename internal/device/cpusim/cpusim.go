@@ -162,8 +162,10 @@ func (d *Device) coreConcurrencyGBps(cores int) float64 {
 
 // plan is a compiled CPU kernel.
 type plan struct {
-	dev *Device
-	k   kernel.Kernel
+	dev    *Device
+	k      kernel.Kernel
+	window uint32 // write-combining coalescer window
+	memo   device.Memo
 }
 
 // Compile implements device.Device. The CPU runtime ignores FPGA vendor
@@ -175,7 +177,7 @@ func (d *Device) Compile(k kernel.Kernel) (device.Compiled, error) {
 	if k.Op == kernel.Chase {
 		return nil, fmt.Errorf("cpu: chase is a latency probe, not a throughput kernel; run it through the surface subsystem")
 	}
-	return &plan{dev: d, k: k}, nil
+	return &plan{dev: d, k: k, window: max(d.cfg.LLC.LineBytes, k.ElemBytes())}, nil
 }
 
 // Kernel implements device.Compiled.
@@ -187,13 +189,29 @@ func (p *plan) Resources() (fabric.Resources, bool) { return fabric.Resources{},
 // FmaxMHz implements device.Compiled: not an FPGA.
 func (p *plan) FmaxMHz() (float64, bool) { return 0, false }
 
-// Seconds implements device.Compiled.
+// Seconds implements device.Compiled. An exact run sees the LLC the
+// previous invocation left warm, so every repetition is simulated. A
+// sampled run's windows start cold, so its answer depends on e alone
+// and repeated invocations reuse the first one.
 func (p *plan) Seconds(e device.Exec) (float64, error) {
-	k := p.k
-	cfg := p.dev.cfg
-	if err := e.Validate(k); err != nil {
+	if err := e.Validate(p.k); err != nil {
 		return 0, err
 	}
+	if sample.Exact(p.txns(e), p.dev.cfg.SampleWindowTxns) {
+		return p.simulate(e)
+	}
+	return p.memo.Do(e, p.simulate)
+}
+
+// txns counts the transactions one invocation over e issues.
+func (p *plan) txns(e device.Exec) uint64 {
+	return device.TxnCount(p.k.Op, e.Elems(p.k), p.k.ElemBytes(), e.Pattern, p.window)
+}
+
+// simulate predicts one invocation over a validated e.
+func (p *plan) simulate(e device.Exec) (float64, error) {
+	k := p.k
+	cfg := p.dev.cfg
 	if need := int64(k.Op.Streams()) * e.ArrayBytes; need > cfg.MemBytes {
 		return 0, fmt.Errorf("cpu: %d bytes exceed memory %d", need, cfg.MemBytes)
 	}
@@ -210,18 +228,11 @@ func (p *plan) Seconds(e device.Exec) (float64, error) {
 	}
 
 	// Memory path: word stream, write-combining coalescer, LLC, DDR3.
-	window := uint32(cfg.LLC.LineBytes)
-	if elemB > window {
-		window = elemB
+	if _, err := device.KernelSource(k.Op, elems, elemB, e.Pattern, p.window); err != nil {
+		return 0, fmt.Errorf("cpu: %s: %w", k.Name(), err)
 	}
-	totalTxns := device.TxnCount(k.Op, elems, elemB, e.Pattern, window)
-
-	exact := totalTxns <= 2*cfg.SampleWindowTxns
 	runner := func(maxTxns uint64) sample.Measurement {
-		src, err := device.KernelSource(k.Op, elems, elemB, e.Pattern, window)
-		if err != nil {
-			return sample.Measurement{}
-		}
+		src, _ := device.KernelSource(k.Op, elems, elemB, e.Pattern, p.window) // checked above
 		bounded := mem.Source(src)
 		if maxTxns > 0 {
 			bounded = mem.NewLimit(src, int(maxTxns))
@@ -249,18 +260,12 @@ func (p *plan) Seconds(e device.Exec) (float64, error) {
 		return sample.Measurement{Txns: st.Accesses, Seconds: sec}
 	}
 
-	var memSec float64
-	if exact {
-		memSec = runner(0).Seconds
-	} else {
-		est, err := sample.Run(runner, totalTxns, cfg.SampleWindowTxns)
-		if err != nil {
-			return 0, fmt.Errorf("cpu: %s: %w", k.Name(), err)
-		}
-		memSec = est.Seconds
+	est, err := sample.Run(runner, p.txns(e), cfg.SampleWindowTxns)
+	if err != nil {
+		return 0, fmt.Errorf("cpu: %s: %w", k.Name(), err)
 	}
 
-	sec := memSec
+	sec := est.Seconds
 	if threadCap > 0 {
 		totalBytes := float64(k.Op.Streams()) * float64(e.ArrayBytes)
 		sec = math.Max(sec, totalBytes/(threadCap*1e9))

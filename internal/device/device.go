@@ -12,6 +12,7 @@ package device
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"mpstream/internal/fabric"
 	"mpstream/internal/kernel"
@@ -165,6 +166,39 @@ type Compiled interface {
 	// FmaxMHz reports the synthesized clock; ok is false for non-FPGA
 	// devices.
 	FmaxMHz() (mhz float64, ok bool)
+}
+
+// Memo remembers the answer of a plan's last Seconds call. A plan whose
+// answer depends only on the plan and the Exec — every simulated window
+// starts from cold device state — routes Seconds through one, so the
+// NTIMES repetitions of a STREAM kernel simulate it once. A Memo holds
+// one answer, not a cache: a call for another Exec replaces it. The
+// zero value is empty; a Memo is safe for concurrent use and must not
+// be copied after first use.
+type Memo struct {
+	mu  sync.Mutex
+	ok  bool
+	e   Exec
+	sec float64
+	err error
+}
+
+// Do returns the remembered answer when the last call was for e, and
+// otherwise runs seconds(e), remembers its answer under e, and returns
+// it. seconds runs without the lock held.
+func (m *Memo) Do(e Exec, seconds func(Exec) (float64, error)) (float64, error) {
+	m.mu.Lock()
+	if m.ok && m.e == e {
+		sec, err := m.sec, m.err
+		m.mu.Unlock()
+		return sec, err
+	}
+	m.mu.Unlock()
+	sec, err := seconds(e)
+	m.mu.Lock()
+	m.ok, m.e, m.sec, m.err = true, e, sec, err
+	m.mu.Unlock()
+	return sec, err
 }
 
 // Device is one benchmark target.

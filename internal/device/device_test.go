@@ -1,6 +1,9 @@
 package device
 
 import (
+	"errors"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"mpstream/internal/kernel"
@@ -236,4 +239,57 @@ func TestMBPerJoule(t *testing.T) {
 	if (Info{}).MBPerJoule(10) != 0 {
 		t.Error("zero watts must yield 0 efficiency")
 	}
+}
+
+// Memo runs seconds once per run of equal Execs, again for a new one,
+// remembers errors like answers, and serves concurrent callers the one
+// answer (run under -race).
+func TestMemo(t *testing.T) {
+	var calls atomic.Int64
+	errBig := errors.New("too big")
+	seconds := func(e Exec) (float64, error) {
+		calls.Add(1)
+		if e.ArrayBytes > 1<<20 {
+			return 0, errBig
+		}
+		return float64(e.ArrayBytes), nil
+	}
+	var m Memo
+	a := Exec{ArrayBytes: 64, Pattern: mem.ContiguousPattern()}
+	b := Exec{ArrayBytes: 64, Pattern: mem.StridedPattern(2)}
+	big := Exec{ArrayBytes: 2 << 20, Pattern: mem.ContiguousPattern()}
+	steps := []struct {
+		e     Exec
+		want  float64
+		err   error
+		calls int64
+	}{
+		{a, 64, nil, 1},
+		{a, 64, nil, 1},
+		{b, 64, nil, 2},
+		{a, 64, nil, 3},
+		{big, 0, errBig, 4},
+		{big, 0, errBig, 4},
+	}
+	for i, s := range steps {
+		got, err := m.Do(s.e, seconds)
+		if got != s.want || !errors.Is(err, s.err) || calls.Load() != s.calls {
+			t.Errorf("step %d: Do(%+v) = %v, %v after %d calls; want %v, %v after %d",
+				i, s.e, got, err, calls.Load(), s.want, s.err, s.calls)
+		}
+	}
+
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(e Exec) {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				if got, err := m.Do(e, seconds); got != float64(e.ArrayBytes) || err != nil {
+					t.Errorf("concurrent Do(%+v) = %v, %v", e, got, err)
+				}
+			}
+		}(Exec{ArrayBytes: int64(64 * (1 + w%2)), Pattern: mem.ContiguousPattern()})
+	}
+	wg.Wait()
 }

@@ -175,6 +175,8 @@ type plan struct {
 	portGBps   float64 // AXI port ceiling
 	portBytes  uint32
 	perPortLSU bool // max_memory_ports: one port per array argument
+
+	memo device.Memo
 }
 
 // Compile implements device.Device.
@@ -249,8 +251,14 @@ func (p *plan) Resources() (fabric.Resources, bool) { return p.synth.Res, true }
 // FmaxMHz implements device.Compiled.
 func (p *plan) FmaxMHz() (float64, bool) { return p.synth.FmaxMHz, true }
 
-// Seconds implements device.Compiled.
-func (p *plan) Seconds(e device.Exec) (float64, error) {
+// Seconds implements device.Compiled. The model keeps no state between
+// invocations — the DRAM model services every window from cold — so
+// the answer depends on e alone and repeated invocations reuse the
+// first one.
+func (p *plan) Seconds(e device.Exec) (float64, error) { return p.memo.Do(e, p.simulate) }
+
+// simulate predicts one invocation over e.
+func (p *plan) simulate(e device.Exec) (float64, error) {
 	k := p.k
 	if err := e.Validate(k); err != nil {
 		return 0, err
@@ -289,11 +297,11 @@ func (p *plan) Seconds(e device.Exec) (float64, error) {
 		window = p.dev.cfg.BurstBytes
 	}
 	totalTxns := device.TxnCount(k.Op, elems, elemB, e.Pattern, window)
+	if _, err := device.KernelSource(k.Op, elems, elemB, e.Pattern, window); err != nil {
+		return 0, fmt.Errorf("sdaccel: %s: %w", k.Name(), err)
+	}
 	runner := func(maxTxns uint64) sample.Measurement {
-		src, err := device.KernelSource(k.Op, elems, elemB, e.Pattern, window)
-		if err != nil {
-			return sample.Measurement{}
-		}
+		src, _ := device.KernelSource(k.Op, elems, elemB, e.Pattern, window) // checked above
 		res := p.dev.mem.ServiceBounded(src, maxTxns)
 		return sample.Measurement{Txns: res.Txns, Seconds: res.Seconds}
 	}

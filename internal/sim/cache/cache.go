@@ -387,13 +387,6 @@ func (c *Cache) invalidate(lineID uint64) {
 	}
 }
 
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // MissFilter adapts a Cache into a mem.Source transformer: it pulls from
 // an upstream source, services each request against the cache, and yields
 // only the memory-side traffic. Feed it to a dram.Model to time the

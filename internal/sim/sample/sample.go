@@ -39,10 +39,16 @@ type Estimate struct {
 	Rate float64
 }
 
+// Exact reports whether Run simulates totalTxns transactions whole
+// rather than sampling them with the given window.
+func Exact(totalTxns, window uint64) bool {
+	return totalTxns == 0 || window == 0 || totalTxns <= 2*window
+}
+
 // Run produces an estimate of the full-run time. window must be positive
 // for sampled runs; totalTxns of 0 runs exactly.
 func Run(run Runner, totalTxns, window uint64) (Estimate, error) {
-	if totalTxns == 0 || window == 0 || totalTxns <= 2*window {
+	if Exact(totalTxns, window) {
 		m := run(0)
 		return Estimate{Seconds: m.Seconds}, nil
 	}

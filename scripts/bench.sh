@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Benchmark trajectory tool: run the benchmark suite, write a
-# machine-readable artifact [{"name", "ns_per_op", "allocs_per_op"}],
-# and report deltas against the previous trajectory point.
+# machine-readable artifact [{"name", "ns_per_op", "allocs_per_op",
+# "metrics"}], and report deltas against the previous trajectory point.
+# "metrics" is optional: it keeps a benchmark's custom units (x-paper,
+# sim-GB/s, ...) keyed by unit, and rows without it still parse.
 #
 # Usage:
 #   ./scripts/bench.sh             # write the next free BENCH_<N>.json
@@ -44,6 +46,10 @@ OUT="$OUT" BASELINE=${BASELINE:-} CHECK=${CHECK:-} WATCH=${WATCH:-} \
 TOLERANCE=${TOLERANCE:-} python3 - "$RAW" <<'EOF'
 import glob, json, os, re, sys
 
+# Units go test -benchmem always reports; any other unit is a custom
+# metric a benchmark reported with b.ReportMetric.
+STANDARD_UNITS = ("ns/op", "B/op", "allocs/op")
+
 def parse(path):
     rows = []
     # Benchmark lines are "name iterations <value unit>..." with the
@@ -59,6 +65,9 @@ def parse(path):
         row = {"name": fields[0], "ns_per_op": float(units["ns/op"])}
         if "allocs/op" in units:
             row["allocs_per_op"] = int(units["allocs/op"])
+        metrics = {u: float(v) for u, v in units.items() if u not in STANDARD_UNITS}
+        if metrics:
+            row["metrics"] = metrics
         rows.append(row)
     assert rows, "no benchmark result lines parsed"
     return rows
@@ -116,6 +125,20 @@ for r in rows:
         delta(r["ns_per_op"], o["ns_per_op"]),
         r.get("allocs_per_op", ""), o.get("allocs_per_op", ""),
         delta(r.get("allocs_per_op"), o.get("allocs_per_op"))))
+custom = [
+    "",
+    "| benchmark | metric | value | was | Δ |",
+    "|---|---|---|---|---|",
+]
+for r in rows:
+    was = old.get(r["name"], {}).get("metrics", {})
+    for unit, value in sorted(r.get("metrics", {}).items()):
+        custom.append("| %s | %s | %.4g | %s | %s |" % (
+            r["name"], unit, value,
+            "%.4g" % was[unit] if unit in was else "—",
+            delta(value, was.get(unit))))
+if len(custom) > 3:
+    lines += custom
 table = "\n".join(lines)
 print(table)
 summary = os.environ.get("GITHUB_STEP_SUMMARY")
