@@ -24,7 +24,6 @@ import (
 	"os/signal"
 	"strings"
 	"syscall"
-	"time"
 
 	"mpstream/internal/cluster"
 	"mpstream/internal/core"
@@ -32,7 +31,6 @@ import (
 	"mpstream/internal/dse"
 	"mpstream/internal/dse/search"
 	"mpstream/internal/kernel"
-	"mpstream/internal/obs"
 	"mpstream/internal/report"
 )
 
@@ -106,7 +104,7 @@ func run(ctx context.Context, target, opName, strategy string, budget int, seed 
 			return err
 		}
 		if timeline {
-			printTimeline(strings.TrimRight(server, "/"), view.ID, "mpopt")
+			cluster.NewClient().PrintTrace(os.Stderr, strings.TrimRight(server, "/"), view.ID, "mpopt")
 		}
 		if view.Status == "failed" {
 			return fmt.Errorf("server: %s", view.Error)
@@ -162,20 +160,6 @@ func submitRemote(ctx context.Context, server, target string, base core.Config, 
 		Async:     true,
 	}
 	return client.SubmitAndWait(ctx, strings.TrimRight(server, "/"), "/v1/optimize", req, nil)
-}
-
-// printTimeline fetches a finished job's span timeline and renders it
-// to stderr, under its own deadline so it still works after Ctrl-C
-// killed the main context.
-func printTimeline(server, id, prog string) {
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	tv, err := cluster.NewClient().JobTrace(ctx, server, id)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "%s: timeline: %v\n", prog, err)
-		return
-	}
-	obs.WriteTimeline(os.Stderr, tv)
 }
 
 // rankingTable renders the ranked exploration, one row per feasible

@@ -32,13 +32,10 @@ import (
 	"strconv"
 	"strings"
 	"syscall"
-	"time"
 
-	"mpstream/internal/baseline"
 	"mpstream/internal/cluster"
 	"mpstream/internal/core"
 	"mpstream/internal/device/targets"
-	"mpstream/internal/obs"
 	"mpstream/internal/report"
 	"mpstream/internal/sim/mem"
 	"mpstream/internal/surface"
@@ -76,8 +73,10 @@ func main() {
 
 	var err error
 	switch {
+	case *check != "" && *server == "":
+		err = fmt.Errorf("-check requires -server")
 	case *check != "":
-		err = runCheck(ctx, os.Stdout, *server, *check, *asJSON)
+		err = cluster.NewClient().Check(ctx, os.Stdout, *server, *check, *asJSON)
 	case *recordBL != "":
 		err = runRecordBaseline(ctx, os.Stdout, *server, *recordBL, *target,
 			*patterns, *ratios, *rates, *size, *window, *probe, *kneeFactor)
@@ -121,7 +120,7 @@ func run(ctx context.Context, w io.Writer, target, patterns, ratios, rates, size
 			return err
 		}
 		if trace {
-			printTrace(client, strings.TrimRight(server, "/"), view.ID, "mpsurf")
+			client.PrintTrace(os.Stderr, strings.TrimRight(server, "/"), view.ID, "mpsurf")
 		}
 		if view.Status == "failed" {
 			return fmt.Errorf("server: %s", view.Error)
@@ -176,40 +175,6 @@ func run(ctx context.Context, w io.Writer, target, patterns, ratios, rates, size
 				return err
 			}
 		}
-	}
-	return nil
-}
-
-// runCheck asks the server to re-measure the named baseline and
-// renders the drift report; a fail verdict exits nonzero.
-func runCheck(ctx context.Context, w io.Writer, server, name string, asJSON bool) error {
-	if server == "" {
-		return fmt.Errorf("-check requires -server")
-	}
-	client := cluster.NewClient()
-	req := cluster.CheckRequest{Name: name, Async: true}
-	view, err := client.SubmitAndWait(ctx, strings.TrimRight(server, "/"), "/v1/check", req, nil)
-	if err != nil {
-		return err
-	}
-	if view.Status == "failed" {
-		return fmt.Errorf("server: %s", view.Error)
-	}
-	if view.Check == nil {
-		return fmt.Errorf("server returned no check report (job %s %s)", view.ID, view.Status)
-	}
-	rep := view.Check
-	if asJSON {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			return err
-		}
-	} else if err := rep.WriteText(w); err != nil {
-		return err
-	}
-	if rep.Verdict == baseline.VerdictFail {
-		return fmt.Errorf("baseline %q drifted out of tolerance (%d violations)", name, len(rep.Violations))
 	}
 	return nil
 }
@@ -324,18 +289,4 @@ func parseFloats(axis, s string) ([]float64, error) {
 		out = append(out, v)
 	}
 	return out, nil
-}
-
-// printTrace fetches a finished job's span timeline and renders it to
-// stderr, under its own deadline so it still works after Ctrl-C killed
-// the main context.
-func printTrace(client *cluster.Client, server, id, prog string) {
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	tv, err := client.JobTrace(ctx, server, id)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "%s: trace: %v\n", prog, err)
-		return
-	}
-	obs.WriteTimeline(os.Stderr, tv)
 }

@@ -41,15 +41,12 @@ import (
 	"os/signal"
 	"strings"
 	"syscall"
-	"time"
 
-	"mpstream/internal/baseline"
 	"mpstream/internal/cluster"
 	"mpstream/internal/core"
 	"mpstream/internal/dse"
 	"mpstream/internal/experiments"
 	"mpstream/internal/kernel"
-	"mpstream/internal/obs"
 	"mpstream/internal/report"
 	"mpstream/internal/runstate"
 )
@@ -90,8 +87,10 @@ func main() {
 
 	var err error
 	switch {
+	case *check != "" && *server == "":
+		err = fmt.Errorf("-check requires -server")
 	case *check != "":
-		err = runCheck(ctx, os.Stdout, *server, *check, *asJSON)
+		err = cluster.NewClient().Check(ctx, os.Stdout, *server, *check, *asJSON)
 	case *recordBL != "":
 		err = runRecordBaseline(ctx, os.Stdout, *server, *recordBL, *target, *size, *ntimes)
 	case *server != "":
@@ -143,7 +142,7 @@ func runServer(ctx context.Context, w io.Writer, server, target, opName, size st
 		return err
 	}
 	if trace {
-		printTrace(client, strings.TrimRight(server, "/"), view.ID, "mpsweep")
+		client.PrintTrace(os.Stderr, strings.TrimRight(server, "/"), view.ID, "mpsweep")
 	}
 	if view.Status == "failed" {
 		return fmt.Errorf("server: %s", view.Error)
@@ -182,41 +181,6 @@ func runServer(ctx context.Context, w io.Writer, server, target, opName, size st
 	return tb.WriteText(w)
 }
 
-// runCheck asks the server to re-measure the named baseline and
-// renders the drift report. A fail verdict is an error — the process
-// exits nonzero — so the command slots into CI and cron.
-func runCheck(ctx context.Context, w io.Writer, server, name string, asJSON bool) error {
-	if server == "" {
-		return fmt.Errorf("-check requires -server")
-	}
-	client := cluster.NewClient()
-	req := cluster.CheckRequest{Name: name, Async: true}
-	view, err := client.SubmitAndWait(ctx, strings.TrimRight(server, "/"), "/v1/check", req, nil)
-	if err != nil {
-		return err
-	}
-	if view.Status == "failed" {
-		return fmt.Errorf("server: %s", view.Error)
-	}
-	if view.Check == nil {
-		return fmt.Errorf("server returned no check report (job %s %s)", view.ID, view.Status)
-	}
-	rep := view.Check
-	if asJSON {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			return err
-		}
-	} else if err := rep.WriteText(w); err != nil {
-		return err
-	}
-	if rep.Verdict == baseline.VerdictFail {
-		return fmt.Errorf("baseline %q drifted out of tolerance (%d violations)", name, len(rep.Violations))
-	}
-	return nil
-}
-
 // runRecordBaseline measures the base configuration on the server (a
 // plain run job: all four kernels plus the pointer chase) and stores
 // the result as a named baseline for later -check runs.
@@ -250,21 +214,6 @@ func runRecordBaseline(ctx context.Context, w io.Writer, server, name, target, s
 	fmt.Fprintf(w, "mpsweep: baseline %q recorded (%s on %s, fingerprint %s)\n",
 		e.Name, e.Kind, e.Target, e.Fingerprint)
 	return nil
-}
-
-// printTrace fetches a finished job's span timeline and renders it to
-// stderr (stderr so -json/-csv stdout stays machine-parseable). It runs
-// under its own deadline: the job is already terminal, and the fetch
-// must still work after a Ctrl-C canceled the main context.
-func printTrace(client *cluster.Client, server, id, prog string) {
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	tv, err := client.JobTrace(ctx, server, id)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "%s: trace: %v\n", prog, err)
-		return
-	}
-	obs.WriteTimeline(os.Stderr, tv)
 }
 
 func run(ctx context.Context, exp string, all, markdown, asJSON, asCSV bool) error {

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
 	"time"
 
 	"mpstream/internal/baseline"
@@ -335,6 +336,53 @@ func (c *Client) JobTrace(ctx context.Context, server, id string) (*obs.TraceVie
 		return nil, err
 	}
 	return &out, nil
+}
+
+// PrintTrace fetches a finished job's span timeline and renders it to
+// w, under its own deadline so it still works after a Ctrl-C canceled
+// the caller's context. A failed fetch is reported on w, prefixed with
+// prog.
+func (c *Client) PrintTrace(w io.Writer, server, id, prog string) {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	tv, err := c.JobTrace(ctx, server, id)
+	if err != nil {
+		fmt.Fprintf(w, "%s: trace: %v\n", prog, err)
+		return
+	}
+	obs.WriteTimeline(w, tv)
+}
+
+// Check asks a server to re-measure the named baseline, follows the
+// check job to its end, and renders the drift report to w — indented
+// JSON, or the text report. A fail verdict is returned as an error,
+// which is how the CLIs exit nonzero on drift.
+func (c *Client) Check(ctx context.Context, w io.Writer, server, name string, asJSON bool) error {
+	req := CheckRequest{Name: name, Async: true}
+	view, err := c.SubmitAndWait(ctx, strings.TrimRight(server, "/"), "/v1/check", req, nil)
+	if err != nil {
+		return err
+	}
+	if view.Status == "failed" {
+		return fmt.Errorf("server: %s", view.Error)
+	}
+	rep := view.Check
+	if rep == nil {
+		return fmt.Errorf("server returned no check report (job %s %s)", view.ID, view.Status)
+	}
+	if asJSON {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(rep); err != nil {
+			return err
+		}
+	} else if err := rep.WriteText(w); err != nil {
+		return err
+	}
+	if rep.Verdict == baseline.VerdictFail {
+		return fmt.Errorf("baseline %q drifted out of tolerance (%d violations)", name, len(rep.Violations))
+	}
+	return nil
 }
 
 // probeHealth is the healthz subset a peer probe reads.

@@ -8,11 +8,7 @@ import (
 	"time"
 
 	"mpstream/internal/baseline"
-	"mpstream/internal/cluster"
 	"mpstream/internal/core"
-	"mpstream/internal/obs"
-	"mpstream/internal/runstate"
-	"mpstream/internal/sim/mem"
 	"mpstream/internal/surface"
 )
 
@@ -227,8 +223,11 @@ func mergeTolerance(base baseline.Tolerance, o baseline.Tolerance) baseline.Tole
 // SubmitCheck validates and enqueues a re-measurement of the named
 // baseline's configuration. The entry is snapshotted at submit time, so
 // a concurrent re-record or delete never changes what a queued check
-// compares against. Checks deliberately bypass the result and surface
-// caches — the whole point of a check is a fresh measurement.
+// compares against. The stored configuration passes the same admission
+// check a /v1/run or /v1/surface request would — limits may have
+// changed since it was recorded. Checks deliberately bypass the result
+// and surface caches: the whole point of a check is a fresh
+// measurement.
 func (s *Server) SubmitCheck(ctx context.Context, name string, tol *baseline.Tolerance, timeout time.Duration) (*Job, error) {
 	e, ok, err := s.opts.Baselines.Get(name)
 	if err != nil {
@@ -237,13 +236,6 @@ func (s *Server) SubmitCheck(ctx context.Context, name string, tol *baseline.Tol
 	if !ok {
 		return nil, fmt.Errorf("%w %q", ErrNoBaseline, name)
 	}
-	if _, err := s.checkTarget(e.Target); err != nil {
-		return nil, err
-	}
-	timeout, err = s.clampTimeout(timeout)
-	if err != nil {
-		return nil, err
-	}
 	resolved := e.Tolerance
 	if tol != nil {
 		if err := tol.Validate(); err != nil {
@@ -251,168 +243,43 @@ func (s *Server) SubmitCheck(ctx context.Context, name string, tol *baseline.Tol
 		}
 		resolved = mergeTolerance(resolved, *tol)
 	}
-	j := s.jobs.add(KindCheck, e.Target, timeout, traceFor(ctx), spanParentFor(ctx))
-	j.mu.Lock()
-	j.bentry = e
-	j.btol = resolved
-	j.view.Fingerprint = e.Fingerprint
-	j.mu.Unlock()
-	if err := s.enqueue(j); err != nil {
-		return nil, err
-	}
-	return j, nil
-}
-
-// executeCheck re-measures a baseline's configuration — across the
-// fleet when a coordinator with alive workers is attached, locally
-// otherwise — and verdicts the fresh measurement against the stored
-// reference. A canceled or deadline-expired surface check still
-// verdicts the rungs it measured (a Partial report); a run check is one
-// evaluation unit and stops without a verdict. A fail verdict is a
-// successfully *completed* check: the job lands in done and the CLI
-// exit code, metrics and alert feed carry the severity.
-func (s *Server) executeCheck(ctx context.Context, j *Job) {
-	switch j.bentry.Kind {
+	var fill func(j *Job)
+	switch e.Kind {
 	case baseline.KindRun:
-		s.executeCheckRun(ctx, j)
+		cfg, err := s.admitRun(e.Target, *e.Config)
+		if err != nil {
+			return nil, err
+		}
+		fill = func(j *Job) { j.cfg = cfg }
 	case baseline.KindSurface:
-		s.executeCheckSurface(ctx, j)
+		cfg, err := s.admitSurface(e.Target, *e.SurfaceConfig)
+		if err != nil {
+			return nil, err
+		}
+		fill = func(j *Job) { j.scfg, j.lo, j.hi = cfg, 0, cfg.CurveCount() }
 	default:
-		j.finish(StatusFailed, func(v *View) {
-			v.Error = fmt.Sprintf("baseline %q has unknown kind %q", j.bentry.Name, j.bentry.Kind)
-		})
+		return nil, fmt.Errorf("service: baseline %q has unknown kind %q", e.Name, e.Kind)
 	}
-}
-
-func (s *Server) executeCheckRun(ctx context.Context, j *Job) {
-	snap := j.Snapshot()
-	e := j.bentry
-	j.prog.SetTotal(1)
-	j.prog.SetPhase("check:run")
-	var res *core.Result
-	if fl := s.opts.Cluster; fl != nil && fl.HasWorkers(snap.Target) {
-		rctx, sp := obs.StartSpan(ctx, "check.eval", "baseline", e.Name, "remote", "true")
-		r, err := fl.Eval(rctx, snap.Target, *e.Config, snap.TimeoutMS)
-		sp.End()
-		switch {
-		case err == nil:
-			res = r
-		case errors.Is(err, cluster.ErrUnavailable):
-			// Fleet drained mid-check: fall through to local measurement.
-		default:
-			if st := runstate.FromErr(err); st != "" || runstate.FromContext(ctx) != "" {
-				j.finishStopped(st, nil)
-				return
-			}
-			j.finish(StatusFailed, func(v *View) { v.Error = err.Error() })
-			return
-		}
-	}
-	if res == nil {
-		dev, err := s.opts.NewDevice(snap.Target)
-		if err != nil {
-			j.finish(StatusFailed, func(v *View) { v.Error = err.Error() })
-			return
-		}
-		rctx, sp := obs.StartSpan(ctx, "check.eval", "baseline", e.Name)
-		res, err = core.RunContext(rctx, dev, *e.Config)
-		sp.End()
-		if err != nil {
-			// A single run is one evaluation unit: a canceled check has
-			// nothing measured, so there is no partial verdict.
-			if st := runstate.FromErr(err); st != "" {
-				j.finishStopped(st, nil)
-				return
-			}
-			j.finish(StatusFailed, func(v *View) { v.Error = err.Error() })
-			return
-		}
-	}
-	j.prog.Step(1)
-	j.prog.Observe(maxKernelGBps(res))
-	j.publishPoint(PointEvent{Label: "check:" + e.Name, GBps: maxKernelGBps(res), Feasible: true})
-	rep := s.verdict(j, baseline.FromResult(res), false)
-	j.finish(StatusDone, func(v *View) {
-		v.Check = &rep
-		v.Result = res
-	})
-}
-
-func (s *Server) executeCheckSurface(ctx context.Context, j *Job) {
-	snap := j.Snapshot()
-	e := j.bentry
-	scfg := *e.SurfaceConfig
-	j.prog.SetTotal(scfg.Points())
-	j.prog.SetPhase("check:surface")
-	var res *surface.Surface
-	if fl := s.opts.Cluster; fl != nil && fl.HasWorkers(snap.Target) {
-		spec := cluster.SurfaceSpec{Target: snap.Target, Config: scfg, TimeoutMS: snap.TimeoutMS}
-		fres, stopped, err := fl.Surface(ctx, spec, s.fleetHooks(j))
-		switch {
-		case err != nil && errors.Is(err, cluster.ErrUnavailable) && stopped == "":
-			// Fall through to local measurement.
-		case err != nil && stopped != "":
-			// Canceled before any shard landed: nothing measured, no verdict.
-			j.finishStopped(stopped, nil)
-			return
-		case err != nil:
-			j.finish(StatusFailed, func(v *View) { v.Error = err.Error() })
-			return
-		default:
-			res = fres
-		}
-	}
-	if res == nil {
-		dev, err := s.opts.NewDevice(snap.Target)
-		if err != nil {
-			j.finish(StatusFailed, func(v *View) { v.Error = err.Error() })
-			return
-		}
-		observe := func(pat mem.Pattern, readFrac float64, p surface.Point) {
-			j.prog.Step(1)
-			j.prog.Observe(p.AchievedGBps)
-			j.publishPoint(PointEvent{
-				Label:     fmt.Sprintf("%s/r%.2g@%.2g", surface.PatternLabel(pat), readFrac, p.Rate),
-				GBps:      p.AchievedGBps,
-				Feasible:  true,
-				LatencyNs: p.LatencyNs,
-			})
-		}
-		res, err = core.RunSurfaceShard(ctx, dev, scfg, 0, scfg.CurveCount(), observe)
-		if err != nil {
-			j.finish(StatusFailed, func(v *View) { v.Error = err.Error() })
-			return
-		}
-	}
-	if res.Stopped != "" {
-		// Canceled or deadlined mid-ladder: verdict the measured subset
-		// as a partial report — missing reference rungs are skipped, not
-		// failed — and land in canceled like every other partial job.
-		rep := s.verdict(j, baseline.FromSurface(res), true)
-		j.finishStopped(res.Stopped, func(v *View) {
-			v.Check = &rep
-			v.Surface = res
-		})
-		return
-	}
-	rep := s.verdict(j, baseline.FromSurface(res), false)
-	j.finish(StatusDone, func(v *View) {
-		v.Check = &rep
-		v.Surface = res
+	return s.submit(ctx, KindCheck, e.Target, timeout, func(j *Job) {
+		fill(j)
+		j.bentry, j.btol, j.fleet = e, resolved, true
+		j.view.Fingerprint = e.Fingerprint
 	})
 }
 
 // verdict compares a check's fresh measurement against its baseline —
 // applying the drift-injection perturbation first, when configured —
 // and records the outcome in the monitor state, metric families, log
-// and (for non-pass verdicts) the alert feed.
-func (s *Server) verdict(j *Job, measured baseline.Reference, partial bool) baseline.Report {
+// and (for non-pass verdicts) the alert feed. A fail verdict is a
+// successfully completed check: the job still lands in done, and the
+// CLI exit code, metrics and alert feed carry the severity.
+func (s *Server) verdict(j *Job, measured baseline.Reference, partial bool) *baseline.Report {
 	if f := s.opts.CheckPerturb; f > 0 && f != 1 {
 		measured = measured.Scale(f)
 	}
 	rep := baseline.Compare(j.bentry, measured, j.btol, partial)
 	s.recordCheck(j.ID(), rep)
-	return rep
+	return &rep
 }
 
 func (s *Server) recordCheck(jobID string, rep baseline.Report) {

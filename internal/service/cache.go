@@ -64,8 +64,9 @@ func newLRU[V any](max int) *lruCache[V] {
 	}
 }
 
-// enabled reports whether the cache stores anything at all.
-func (c *lruCache[V]) enabled() bool { return c.max > 0 }
+// enabled reports whether the cache stores anything at all; a nil cache
+// (the one checks resolve through) never does.
+func (c *lruCache[V]) enabled() bool { return c != nil && c.max > 0 }
 
 // get returns the cached value for key, promoting it to most recent.
 func (c *lruCache[V]) get(key string) (V, bool) {

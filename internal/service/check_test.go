@@ -398,3 +398,53 @@ func TestBaselineBadRequests(t *testing.T) {
 		t.Errorf("unknown baseline check: status %d, want 404", resp.StatusCode)
 	}
 }
+
+// TestCheckObeysSubmitLimits: a stored baseline whose configuration
+// exceeds the server's resource limits is refused when a check is
+// submitted, exactly like the equivalent /v1/run or /v1/surface
+// request. Recording does not enforce the limits, and limits can
+// change across a restart on the same data directory, so the check
+// submission must.
+func TestCheckObeysSubmitLimits(t *testing.T) {
+	e := surfEnv(t, service.Options{MaxNTimes: 5, MaxSurfacePoints: 4})
+
+	cfg := smallConfig()
+	_, data := e.post(t, "/v1/run", service.RunRequest{Target: "cpu", Config: &cfg})
+	run := decodeJob(t, data)
+	if run.Status != service.StatusDone || run.Result == nil {
+		t.Fatalf("run job = %+v", run)
+	}
+	manyReps := cfg
+	manyReps.NTimes = 50
+	resp, data := e.post(t, "/v1/baselines", service.BaselineRequest{
+		Name: "run-over", Target: "cpu", Result: run.Result, Config: &manyReps,
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("record run baseline: status %d: %s", resp.StatusCode, data)
+	}
+
+	scfg := smallSurface()
+	_, data = e.post(t, "/v1/surface", service.SurfaceRequest{Target: "gpu", Config: &scfg})
+	surf := decodeJob(t, data)
+	if surf.Status != service.StatusDone || surf.Surface == nil {
+		t.Fatalf("surface job = %+v", surf)
+	}
+	longLadder := scfg
+	longLadder.Rates = []float64{0.25, 0.5, 0.75, 0.9, 1.0}
+	resp, data = e.post(t, "/v1/baselines", service.BaselineRequest{
+		Name: "surface-over", Target: "gpu", Surface: surf.Surface, SurfaceConfig: &longLadder,
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("record surface baseline: status %d: %s", resp.StatusCode, data)
+	}
+
+	for _, name := range []string{"run-over", "surface-over"} {
+		resp, data := e.post(t, "/v1/check", service.CheckRequest{Name: name})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("check %s: status %d, want 400: %s", name, resp.StatusCode, data)
+		}
+	}
+	if _, total, _ := e.srv.Jobs("", 0); total != 2 {
+		t.Errorf("%d jobs retained, want only the two measurements (refused checks must not enqueue)", total)
+	}
+}

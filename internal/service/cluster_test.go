@@ -11,7 +11,9 @@ import (
 	"testing"
 	"time"
 
+	"mpstream/internal/baseline"
 	"mpstream/internal/cluster"
+	"mpstream/internal/core"
 	"mpstream/internal/device"
 	"mpstream/internal/device/targets"
 	"mpstream/internal/dse"
@@ -508,6 +510,113 @@ func TestFleetOptimizeSharesRunCache(t *testing.T) {
 	}
 	if fe.compiles.Load() != 0 {
 		t.Errorf("cache-hit run compiled on the coordinator")
+	}
+}
+
+// fleetCheckSurface is a two-curve ladder, so a fleet surface check
+// has at least two shards to spread across the workers.
+func fleetCheckSurface() surface.Config {
+	return surface.Config{
+		Patterns:   []mem.Pattern{mem.ContiguousPattern(), mem.StridedPattern(16)},
+		RWRatios:   []float64{1},
+		Rates:      []float64{0.25, 0.9},
+		ArrayBytes: 4 << 20,
+		WindowTxns: 1024,
+		ProbeHops:  64,
+	}
+}
+
+// checkBaselines records a run and a surface baseline on e from inline
+// measurements, checks both, and returns the two check jobs, each of
+// which must have passed.
+func checkBaselines(t *testing.T, e *testEnv, run *core.Result, surf *surface.Surface) (runCheck, surfCheck service.View) {
+	t.Helper()
+	for _, req := range []service.BaselineRequest{
+		{Name: "run", Target: "cpu", Result: run},
+		{Name: "surface", Target: "gpu", Surface: surf},
+	} {
+		if resp, data := e.post(t, "/v1/baselines", req); resp.StatusCode != http.StatusOK {
+			t.Fatalf("record %s: status %d: %s", req.Name, resp.StatusCode, data)
+		}
+	}
+	check := func(name string) service.View {
+		resp, data := e.post(t, "/v1/check", service.CheckRequest{Name: name})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("check %s: status %d: %s", name, resp.StatusCode, data)
+		}
+		job := decodeJob(t, data)
+		if job.Status != service.StatusDone || job.Check == nil {
+			t.Fatalf("check %s job = status %q error %q", name, job.Status, job.Error)
+		}
+		if job.Check.Verdict != baseline.VerdictPass || job.Check.Partial {
+			t.Errorf("check %s: verdict %q partial %v, violations %v",
+				name, job.Check.Verdict, job.Check.Partial, job.Check.Violations)
+		}
+		return job
+	}
+	return check("run"), check("surface")
+}
+
+// TestFleetCheckMatchesSingleNode: on a coordinator with alive workers
+// a run check measures through the remote-eval pool and a surface check
+// shards its ladder across the fleet; both verdict pass and measure
+// exactly what a single-node check measures. A coordinator whose fleet
+// is empty verdicts the same checks through the local fallback.
+func TestFleetCheckMatchesSingleNode(t *testing.T) {
+	cfg := smallConfig()
+	scfg := fleetCheckSurface()
+	single := surfEnv(t, service.Options{})
+	_, data := single.post(t, "/v1/run", service.RunRequest{Target: "cpu", Config: &cfg})
+	run := decodeJob(t, data)
+	_, data = single.post(t, "/v1/surface", service.SurfaceRequest{Target: "gpu", Config: &scfg})
+	surf := decodeJob(t, data)
+	if run.Result == nil || surf.Surface == nil {
+		t.Fatalf("reference measurements: run %+v, surface %+v", run, surf)
+	}
+	wantRun, wantSurf := checkBaselines(t, single, run.Result, surf.Surface)
+	want := func(v service.View) string {
+		b, _ := json.Marshal(struct {
+			R *core.Result
+			S *surface.Surface
+		}{v.Result, v.Surface})
+		return string(b)
+	}
+
+	// Workers need raw devices: the counting wrapper hides the
+	// MemorySystem interface surface shards require. The coordinator
+	// keeps the counting wrapper, so a surface measured on it would fail
+	// and a run measured on it would count a compile.
+	fe := newFleetEnv(t, 2, func(int) service.Options {
+		return service.Options{NewDevice: targets.ByID}
+	})
+	gotRun, gotSurf := checkBaselines(t, fe.testEnv, run.Result, surf.Surface)
+	if got := want(gotRun); got != want(wantRun) {
+		t.Errorf("fleet run check measured\n %s\nwant\n %s", got, want(wantRun))
+	}
+	if got := want(gotSurf); got != want(wantSurf) {
+		t.Errorf("fleet surface check measured\n %s\nwant\n %s", got, want(wantSurf))
+	}
+	if n := fe.compiles.Load(); n != 0 {
+		t.Errorf("coordinator compiled %d kernels, want 0 (checks must run on the fleet)", n)
+	}
+	shardJobs := 0
+	for _, w := range fe.workers {
+		shardJobs += len(workerJobs(t, w))
+	}
+	// One remote run plus at least two surface shards.
+	if shardJobs < 3 {
+		t.Errorf("workers ran %d jobs, want >= 3", shardJobs)
+	}
+
+	coord := cluster.New(cluster.Options{})
+	t.Cleanup(coord.Close)
+	empty := surfEnv(t, service.Options{Cluster: coord})
+	gotRun, gotSurf = checkBaselines(t, empty, run.Result, surf.Surface)
+	if got := want(gotRun); got != want(wantRun) {
+		t.Errorf("local-fallback run check measured\n %s\nwant\n %s", got, want(wantRun))
+	}
+	if got := want(gotSurf); got != want(wantSurf) {
+		t.Errorf("local-fallback surface check measured\n %s\nwant\n %s", got, want(wantSurf))
 	}
 }
 

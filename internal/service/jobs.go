@@ -128,24 +128,26 @@ type Job struct {
 	base  core.Config
 	space dse.Space
 	op    kernel.Op
-	// lo and hi bound a sweep job in the grid's flat enumeration order
-	// (the whole grid for a plain sweep, one shard for a fleet worker's
-	// slice).
-	lo, hi int
 	// optimize parameters (normalized at submit time)
 	sopts search.Options
 	// surface parameters (defaults resolved at submit time)
 	scfg surface.Config
-	// clo and chi bound a surface job's curves in pattern-major order.
-	clo, chi int
+	// lo and hi bound the job's units: grid points in the flat
+	// enumeration order for a sweep, curves in pattern-major order for a
+	// surface (the whole grid or ladder, or one shard of it for a fleet
+	// worker's slice).
+	lo, hi int
 	// check parameters: the baseline entry snapshot taken at submit
 	// time (a concurrent re-record or delete must not change what this
-	// check compares against) and the resolved tolerance.
+	// check compares against) and the resolved tolerance. A check
+	// measures through cfg (run baselines) or scfg (surface baselines).
 	bentry baseline.Entry
 	btol   baseline.Tolerance
-	// fleet marks jobs eligible for distribution: plain sweeps and
-	// surfaces on a coordinator. Shard jobs are never fleet-eligible —
-	// a worker must execute its slice locally, not re-shard it.
+	// fleet marks jobs that may use a coordinator's fleet: plain sweeps
+	// and surfaces are sharded across it, optimize and run checks send
+	// their measurements to its remote-eval pool, surface checks shard
+	// like surfaces. Run jobs and shard jobs never use it — a worker
+	// must execute its slice locally, not re-shard it.
 	fleet bool
 
 	// timeout is the per-job execution deadline, applied when the job
@@ -330,6 +332,17 @@ func (j *Job) finish(status Status, mutate func(v *View)) {
 		j.onFinish(final)
 	}
 	close(j.done)
+}
+
+// fail lands the job in failed with err's message — or, when err is a
+// cancellation or deadline (the job's context ended before a result),
+// in canceled with no payload.
+func (j *Job) fail(err error) {
+	if st := runstate.FromErr(err); st != "" {
+		j.finishStopped(st, nil)
+		return
+	}
+	j.finish(StatusFailed, func(v *View) { v.Error = err.Error() })
 }
 
 // finishStopped lands the job in canceled carrying whatever partial

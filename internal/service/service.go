@@ -261,8 +261,9 @@ type Server struct {
 	rec       *obs.Recorder // span recorder; nil when Options.DisableMetrics
 	log       *slog.Logger  // never nil; NopLogger by default
 
-	// flight deduplicates concurrently executing identical run jobs:
-	// fingerprint -> channel closed when the leading execution finishes.
+	// flight deduplicates concurrently executing identical run, optimize
+	// and surface jobs (see resolve): fingerprint -> channel closed when
+	// the leading execution finishes.
 	flightMu sync.Mutex
 	flight   map[string]chan struct{}
 
@@ -364,19 +365,6 @@ func (s *Server) CancelJob(id string) (*Job, bool) {
 	return j, true
 }
 
-// clampTimeout validates a requested per-job deadline against the
-// server ceiling: negatives are rejected, 0 means none, anything above
-// MaxTimeout is clamped down to it.
-func (s *Server) clampTimeout(timeout time.Duration) (time.Duration, error) {
-	if timeout < 0 {
-		return 0, fmt.Errorf("service: timeout %v must be >= 0 (0 means none)", timeout)
-	}
-	if timeout > s.opts.MaxTimeout {
-		timeout = s.opts.MaxTimeout
-	}
-	return timeout, nil
-}
-
 // traceFor reads the request-scoped trace ID from a submission
 // context, minting a fresh one when the caller carried none — every
 // job has a trace from birth.
@@ -404,30 +392,14 @@ func spanParentFor(ctx context.Context) string {
 // Options.MaxTimeout; 0 means none). ctx scopes the submission itself
 // (its trace ID is inherited by the job), not the job's execution.
 func (s *Server) SubmitRun(ctx context.Context, target string, cfg core.Config, timeout time.Duration) (*Job, error) {
-	info, err := s.checkTarget(target)
+	cfg, err := s.admitRun(target, cfg)
 	if err != nil {
 		return nil, err
 	}
-	timeout, err = s.clampTimeout(timeout)
-	if err != nil {
-		return nil, err
-	}
-	cfg = cfg.Canonical()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if err := s.checkLimits(info, cfg); err != nil {
-		return nil, err
-	}
-	j := s.jobs.add(KindRun, target, timeout, traceFor(ctx), spanParentFor(ctx))
-	j.mu.Lock()
-	j.cfg = cfg
-	j.view.Fingerprint = cfg.Fingerprint(target)
-	j.mu.Unlock()
-	if err := s.enqueue(j); err != nil {
-		return nil, err
-	}
-	return j, nil
+	return s.submit(ctx, KindRun, target, timeout, func(j *Job) {
+		j.cfg = cfg
+		j.view.Fingerprint = cfg.Fingerprint(target)
+	})
 }
 
 // SubmitSweep validates and enqueues a parameter grid on one target.
@@ -449,22 +421,9 @@ func (s *Server) SubmitSweepShard(ctx context.Context, target string, base core.
 }
 
 func (s *Server) submitSweep(ctx context.Context, target string, base core.Config, space dse.Space, op kernel.Op, lo, hi int, timeout time.Duration, fleet bool) (*Job, error) {
-	info, err := s.checkTarget(target)
-	if err != nil {
-		return nil, err
-	}
-	timeout, err = s.clampTimeout(timeout)
-	if err != nil {
-		return nil, err
-	}
 	base.Ops = []kernel.Op{op}
-	base = base.Canonical()
-	if err := base.Validate(); err != nil {
-		return nil, err
-	}
-	// Grid expansion never changes size, repetitions or verification,
-	// so bounding the base bounds every point.
-	if err := s.checkLimits(info, base); err != nil {
+	base, err := s.admitRun(target, base)
+	if err != nil {
 		return nil, err
 	}
 	// The points limit bounds the work this server actually performs:
@@ -472,16 +431,10 @@ func (s *Server) submitSweep(ctx context.Context, target string, base core.Confi
 	if n := hi - lo; n > s.opts.MaxSweepPoints {
 		return nil, fmt.Errorf("service: sweep grid has %d points, limit %d", n, s.opts.MaxSweepPoints)
 	}
-	j := s.jobs.add(KindSweep, target, timeout, traceFor(ctx), spanParentFor(ctx))
-	j.mu.Lock()
-	j.base, j.space, j.op = base, space, op
-	j.lo, j.hi = lo, hi
-	j.fleet = fleet
-	j.mu.Unlock()
-	if err := s.enqueue(j); err != nil {
-		return nil, err
-	}
-	return j, nil
+	return s.submit(ctx, KindSweep, target, timeout, func(j *Job) {
+		j.base, j.space, j.op = base, space, op
+		j.lo, j.hi, j.fleet = lo, hi, fleet
+	})
 }
 
 // SubmitOptimize validates and enqueues a budgeted strategy search
@@ -490,23 +443,9 @@ func (s *Server) submitSweep(ctx context.Context, target string, base core.Confi
 // so the whole grid need not be simulated — but the effective
 // evaluation budget is bounded by MaxOptimizeBudget.
 func (s *Server) SubmitOptimize(ctx context.Context, target string, base core.Config, space dse.Space, op kernel.Op, opts search.Options, timeout time.Duration) (*Job, error) {
-	info, err := s.checkTarget(target)
-	if err != nil {
-		return nil, err
-	}
-	timeout, err = s.clampTimeout(timeout)
-	if err != nil {
-		return nil, err
-	}
 	base.Ops = []kernel.Op{op}
-	base = base.Canonical()
-	if err := base.Validate(); err != nil {
-		return nil, err
-	}
-	// The search mutates the base only along grid axes, which never
-	// change size, repetitions or verification: bounding the base
-	// bounds every evaluated point.
-	if err := s.checkLimits(info, base); err != nil {
+	base, err := s.admitRun(target, base)
+	if err != nil {
 		return nil, err
 	}
 	strat, err := search.Lookup(opts.Strategy)
@@ -533,15 +472,12 @@ func (s *Server) SubmitOptimize(ctx context.Context, target string, base core.Co
 		return nil, fmt.Errorf("service: optimize budget %d exceeds limit %d (pass an explicit budget)",
 			opts.Budget, s.opts.MaxOptimizeBudget)
 	}
-	j := s.jobs.add(KindOptimize, target, timeout, traceFor(ctx), spanParentFor(ctx))
-	j.mu.Lock()
-	j.base, j.space, j.op, j.sopts = base, space, op, opts
-	j.view.Fingerprint = optimizeFingerprint(target, base, space, op, opts)
-	j.mu.Unlock()
-	if err := s.enqueue(j); err != nil {
-		return nil, err
-	}
-	return j, nil
+	return s.submit(ctx, KindOptimize, target, timeout, func(j *Job) {
+		j.base, j.space, j.op, j.sopts = base, space, op, opts
+		// The search stays local; its evaluations may use the fleet.
+		j.fleet = true
+		j.view.Fingerprint = optimizeFingerprint(target, base, space, op, opts)
+	})
 }
 
 // SubmitSurface validates and enqueues a bandwidth–latency surface
@@ -564,42 +500,14 @@ func (s *Server) SubmitSurfaceShard(ctx context.Context, target string, cfg surf
 }
 
 func (s *Server) submitSurface(ctx context.Context, target string, cfg surface.Config, lo, hi int, timeout time.Duration, fleet bool) (*Job, error) {
-	if _, err := s.checkTarget(target); err != nil {
-		return nil, err
-	}
-	timeout, err := s.clampTimeout(timeout)
+	cfg, err := s.admitSurface(target, cfg)
 	if err != nil {
 		return nil, err
 	}
-	cfg = cfg.WithDefaults()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if n := cfg.Points(); n > s.opts.MaxSurfacePoints {
-		return nil, fmt.Errorf("service: surface ladder has %d points, limit %d", n, s.opts.MaxSurfacePoints)
-	}
-	if cfg.WindowTxns > DefaultMaxSurfaceWindowTxns {
-		return nil, fmt.Errorf("service: surface window of %d transactions exceeds limit %d",
-			cfg.WindowTxns, DefaultMaxSurfaceWindowTxns)
-	}
-	// The idle-latency chase is unbounded by the window, so it gets the
-	// same ceiling: without it one request could pin a worker on an
-	// arbitrarily long serial simulation.
-	if cfg.ProbeHops > DefaultMaxSurfaceWindowTxns {
-		return nil, fmt.Errorf("service: surface probe of %d hops exceeds limit %d",
-			cfg.ProbeHops, DefaultMaxSurfaceWindowTxns)
-	}
-	j := s.jobs.add(KindSurface, target, timeout, traceFor(ctx), spanParentFor(ctx))
-	j.mu.Lock()
-	j.scfg = cfg
-	j.clo, j.chi = lo, hi
-	j.fleet = fleet
-	j.view.Fingerprint = surfaceFingerprint(target, cfg, lo, hi)
-	j.mu.Unlock()
-	if err := s.enqueue(j); err != nil {
-		return nil, err
-	}
-	return j, nil
+	return s.submit(ctx, KindSurface, target, timeout, func(j *Job) {
+		j.scfg, j.lo, j.hi, j.fleet = cfg, lo, hi, fleet
+		j.view.Fingerprint = surfaceFingerprint(target, cfg, lo, hi)
+	})
 }
 
 // surfaceFingerprint digests a whole surface request. The generator is
@@ -662,21 +570,81 @@ func (s *Server) checkTarget(id string) (device.Info, error) {
 	return device.Info{}, fmt.Errorf("service: unknown target %q", id)
 }
 
-// checkLimits bounds a canonical configuration's resource cost so a
+// admitRun is the admission check for run units — runs, the bases of
+// sweeps and searches, run checks: the target must be served and the
+// canonical configuration valid, and its resource cost is bounded so a
 // single request cannot exhaust the host or pin a worker indefinitely.
-func (s *Server) checkLimits(info device.Info, cfg core.Config) error {
+// Grid and search axes never change size, repetitions or verification,
+// so bounding a base bounds every point derived from it.
+func (s *Server) admitRun(target string, cfg core.Config) (core.Config, error) {
+	info, err := s.checkTarget(target)
+	if err != nil {
+		return cfg, err
+	}
+	cfg = cfg.Canonical()
+	if err := cfg.Validate(); err != nil {
+		return cfg, err
+	}
 	if cfg.NTimes > s.opts.MaxNTimes {
-		return fmt.Errorf("service: ntimes %d exceeds limit %d", cfg.NTimes, s.opts.MaxNTimes)
+		return cfg, fmt.Errorf("service: ntimes %d exceeds limit %d", cfg.NTimes, s.opts.MaxNTimes)
 	}
 	if info.MemBytes > 0 && cfg.ArrayBytes > info.MemBytes {
-		return fmt.Errorf("service: array bytes %d exceed %s device memory %d",
+		return cfg, fmt.Errorf("service: array bytes %d exceed %s device memory %d",
 			cfg.ArrayBytes, info.ID, info.MemBytes)
 	}
 	if cfg.Verify && cfg.ArrayBytes > s.opts.MaxVerifyArrayBytes {
-		return fmt.Errorf("service: verified arrays are limited to %d bytes (got %d); set verify false for timing-only runs",
+		return cfg, fmt.Errorf("service: verified arrays are limited to %d bytes (got %d); set verify false for timing-only runs",
 			s.opts.MaxVerifyArrayBytes, cfg.ArrayBytes)
 	}
-	return nil
+	return cfg, nil
+}
+
+// admitSurface is the admission check for surface units — surfaces,
+// curve shards, surface checks: the target must be served, the
+// defaulted configuration valid, and the ladder, window and idle probe
+// within the server's limits.
+func (s *Server) admitSurface(target string, cfg surface.Config) (surface.Config, error) {
+	if _, err := s.checkTarget(target); err != nil {
+		return cfg, err
+	}
+	cfg = cfg.WithDefaults()
+	if err := cfg.Validate(); err != nil {
+		return cfg, err
+	}
+	if n := cfg.Points(); n > s.opts.MaxSurfacePoints {
+		return cfg, fmt.Errorf("service: surface ladder has %d points, limit %d", n, s.opts.MaxSurfacePoints)
+	}
+	if cfg.WindowTxns > DefaultMaxSurfaceWindowTxns {
+		return cfg, fmt.Errorf("service: surface window of %d transactions exceeds limit %d",
+			cfg.WindowTxns, DefaultMaxSurfaceWindowTxns)
+	}
+	// The idle-latency chase is unbounded by the window, so it gets the
+	// same ceiling: without it one request could pin a worker on an
+	// arbitrarily long serial simulation.
+	if cfg.ProbeHops > DefaultMaxSurfaceWindowTxns {
+		return cfg, fmt.Errorf("service: surface probe of %d hops exceeds limit %d",
+			cfg.ProbeHops, DefaultMaxSurfaceWindowTxns)
+	}
+	return cfg, nil
+}
+
+// submit is the step every Submit* ends with once its request is
+// admitted: validate the deadline (negatives are rejected, 0 means
+// none, anything above MaxTimeout is clamped down to it), store the
+// job, let fill set its parameters under the job lock, and enqueue it.
+func (s *Server) submit(ctx context.Context, kind Kind, target string, timeout time.Duration, fill func(j *Job)) (*Job, error) {
+	if timeout < 0 {
+		return nil, fmt.Errorf("service: timeout %v must be >= 0 (0 means none)", timeout)
+	}
+	timeout = min(timeout, s.opts.MaxTimeout)
+	j := s.jobs.add(kind, target, timeout, traceFor(ctx), spanParentFor(ctx))
+	j.mu.Lock()
+	fill(j)
+	j.mu.Unlock()
+	if err := s.enqueue(j); err != nil {
+		return nil, err
+	}
+	return j, nil
 }
 
 // enqueue pushes a stored job onto the bounded queue, undoing the store
@@ -744,7 +712,16 @@ func (s *Server) execute(j *Job) {
 			obs.DurationBuckets, "kind", string(snap.Kind)).
 			Observe(snap.Started.Sub(snap.Created).Seconds())
 	}
-	switch snap.Kind {
+	kind := snap.Kind
+	if kind == KindCheck {
+		// A check is its baseline's run or surface measurement with the
+		// caches bypassed and a verdict at the end.
+		kind = KindSurface
+		if j.bentry.Kind == baseline.KindRun {
+			kind = KindRun
+		}
+	}
+	switch kind {
 	case KindRun:
 		s.executeRun(ctx, j)
 	case KindSweep:
@@ -753,8 +730,6 @@ func (s *Server) execute(j *Job) {
 		s.executeOptimize(ctx, j)
 	case KindSurface:
 		s.executeSurface(ctx, j)
-	case KindCheck:
-		s.executeCheck(ctx, j)
 	default:
 		j.finish(StatusFailed, func(v *View) { v.Error = fmt.Sprintf("unknown job kind %q", v.Kind) })
 	}
@@ -791,20 +766,122 @@ func (s *Server) releaseFlight(fp string, ch chan struct{}) {
 	close(ch)
 }
 
-// awaitFlight blocks a single-flight follower until its leader finishes
-// or the follower's own job is canceled. false means the follower must
-// stop: detaching a follower never touches the leader, which keeps
-// simulating for everyone else. Conversely, a canceled *leader*
-// releases its flight without caching, so one woken follower finds the
-// cache still cold, claims the flight, and takes over — followers are
-// never wedged behind a dead leader.
-func awaitFlight(ctx context.Context, ch <-chan struct{}) bool {
-	select {
-	case <-ch:
-		return true
-	case <-ctx.Done():
-		return false
+// resolve answers a job from the whole-result cache c or — as the one
+// leader among concurrent jobs with the same fingerprint fp — from
+// measure, storing the answer when complete approves it (nil approves
+// every answer): partial results never prime a whole-result cache.
+// cached reports a cache hit.
+//
+// A follower waits for its leader and re-reads the cache. A canceled
+// follower returns its context's error and never touches the leader,
+// which keeps measuring for everyone else. Conversely, a leader that
+// fails or stops releases the flight without storing, so one woken
+// follower finds the cache still cold, claims the flight, and takes
+// over — followers are never wedged behind a dead leader. A nil or
+// disabled cache has nothing to hand followers, so measure simply runs:
+// that is how checks bypass the caches, and how identical jobs run in
+// parallel with caching off.
+func resolve[V any](ctx context.Context, s *Server, c *lruCache[V], fp string,
+	measure func() (V, error), complete func(V) bool) (v V, cached bool, err error) {
+	if !c.enabled() {
+		v, err = measure()
+		return v, false, err
 	}
+	for {
+		if hit, ok := c.get(fp); ok {
+			return hit, true, nil
+		}
+		leader, ch := s.claimFlight(fp)
+		if !leader {
+			select {
+			case <-ch:
+				continue
+			case <-ctx.Done():
+				return v, false, ctx.Err()
+			}
+		}
+		// The previous leader may have filled the cache between our miss
+		// and the claim; re-check so a promoted follower never re-measures.
+		if hit, ok := c.get(fp); ok {
+			s.releaseFlight(fp, ch)
+			return hit, true, nil
+		}
+		defer s.releaseFlight(fp, ch)
+		if v, err = measure(); err == nil && (complete == nil || complete(v)) {
+			c.put(fp, v)
+		}
+		return v, false, err
+	}
+}
+
+// runUnit measures one configuration for job j — the fleet-or-local
+// rule for run units. A fleet-eligible job on a coordinator whose fleet
+// serves the target sends the measurement to a worker through the
+// remote-eval pool; a fleet-level failure (no alive workers, transport
+// exhausted) falls back to measuring locally on dev (nil builds a fresh
+// device). A worker-reported error is a real outcome — an infeasible
+// design, or the job's context ending — and is returned as is. sp is
+// the caller's evaluation span; it records where the measurement ran.
+func (s *Server) runUnit(ctx context.Context, sp *obs.ActiveSpan, j *Job, dev device.Device, cfg core.Config) (*core.Result, error) {
+	snap := j.Snapshot()
+	if fl := s.opts.Cluster; j.fleet && fl != nil && fl.HasWorkers(snap.Target) {
+		sp.SetAttr("remote", "true")
+		res, err := fl.Eval(ctx, snap.Target, cfg, snap.TimeoutMS)
+		if err == nil {
+			return rehome(res, cfg), nil
+		}
+		if !errors.Is(err, cluster.ErrUnavailable) {
+			return nil, err
+		}
+		sp.SetAttr("remote", "fallback")
+	}
+	if dev == nil {
+		var err error
+		if dev, err = s.opts.NewDevice(snap.Target); err != nil {
+			return nil, err
+		}
+	}
+	return core.RunContext(ctx, dev, cfg)
+}
+
+// surfaceUnit measures job j's ladder curves [lo, hi) — the
+// fleet-or-local rule for surface units. A fleet-eligible job on a
+// coordinator shards the curves across the fleet's workers; a fleet
+// that turns out unavailable falls back to measuring locally on a fresh
+// device. phase labels the job's progress while it measures locally.
+func (s *Server) surfaceUnit(ctx context.Context, j *Job, phase string) (*surface.Surface, error) {
+	snap := j.Snapshot()
+	if fl := s.opts.Cluster; j.fleet && fl != nil {
+		j.prog.SetPhase(phase + ":fleet")
+		spec := cluster.SurfaceSpec{Target: snap.Target, Config: j.scfg, TimeoutMS: snap.TimeoutMS}
+		res, stopped, err := fl.Surface(ctx, spec, s.fleetHooks(j))
+		switch {
+		case err == nil:
+			return res, nil
+		case stopped != "":
+			// Canceled before any shard landed: nothing was measured.
+			return nil, ctx.Err()
+		case !errors.Is(err, cluster.ErrUnavailable):
+			return nil, err
+		}
+		j.prog.SetPhase(phase)
+	}
+	dev, err := s.opts.NewDevice(snap.Target)
+	if err != nil {
+		return nil, err
+	}
+	// The observer runs on the measuring goroutine, once per ladder rung.
+	observe := func(pat mem.Pattern, readFrac float64, p surface.Point) {
+		j.prog.Step(1)
+		j.prog.Observe(p.AchievedGBps)
+		j.publishPoint(PointEvent{
+			Label:     fmt.Sprintf("%s/r%.2g@%.2g", surface.PatternLabel(pat), readFrac, p.Rate),
+			GBps:      p.AchievedGBps,
+			Feasible:  true,
+			LatencyNs: p.LatencyNs,
+		})
+	}
+	return core.RunSurfaceShard(ctx, dev, j.scfg, j.lo, j.hi, observe)
 }
 
 // maxKernelGBps is the best bandwidth across a run's kernels, the
@@ -819,96 +896,102 @@ func maxKernelGBps(res *core.Result) float64 {
 	return best
 }
 
-// executeRun serves a run job from the cache when possible, otherwise
-// simulates and populates the cache. Concurrent identical runs are
-// deduplicated: one leader simulates, followers wait and then read the
-// cache (if the leader failed — or was canceled — the next follower
-// takes over).
+// executeRun measures one configuration. A run job resolves it from
+// the run-result cache (single-flight) and measures a miss locally; a
+// run check bypasses the cache, measures on the fleet when one is
+// attached, and verdicts the fresh result against its baseline. A
+// canceled or deadline-expired run lands in canceled with no payload —
+// a single run is one evaluation unit.
 func (s *Server) executeRun(ctx context.Context, j *Job) {
 	snap := j.Snapshot()
+	check := snap.Kind == KindCheck
+	cache, phase, label, span := s.cache, "run", dse.ConfigLabel(j.cfg), "run.eval"
+	if check {
+		cache, phase, label, span = nil, "check:run", "check:"+j.bentry.Name, "check.eval"
+	}
 	j.prog.SetTotal(1)
-	j.prog.SetPhase("run")
-	finishCached := func(res *core.Result) {
-		j.prog.Step(1)
-		j.prog.Observe(maxKernelGBps(res))
-		j.publishPoint(PointEvent{Label: dse.ConfigLabel(j.cfg), GBps: maxKernelGBps(res), Feasible: true, Cached: true})
-		j.finish(StatusDone, func(v *View) {
-			v.Cached = true
-			v.Result = rehome(res, j.cfg)
-		})
-	}
-	// Dedup only pays off when the cache can hand followers the leader's
-	// result; with caching disabled, identical runs execute in parallel.
-	if s.cache.enabled() {
-		for {
-			if res, ok := s.cache.get(snap.Fingerprint); ok {
-				finishCached(res)
-				return
-			}
-			leader, ch := s.claimFlight(snap.Fingerprint)
-			if !leader {
-				if !awaitFlight(ctx, ch) {
-					j.finishStopped("", nil)
-					return
-				}
-				continue
-			}
-			// The previous leader may have filled the cache between our
-			// miss and the claim; re-check so a promoted follower never
-			// re-simulates a cached configuration.
-			if res, ok := s.cache.get(snap.Fingerprint); ok {
-				s.releaseFlight(snap.Fingerprint, ch)
-				finishCached(res)
-				return
-			}
-			defer s.releaseFlight(snap.Fingerprint, ch)
-			break
-		}
-	}
-	dev, err := s.opts.NewDevice(snap.Target)
+	j.prog.SetPhase(phase)
+	res, cached, err := resolve(ctx, s, cache, snap.Fingerprint, func() (*core.Result, error) {
+		rctx, sp := obs.StartSpan(ctx, span, "label", label)
+		defer sp.End()
+		return s.runUnit(rctx, sp, j, nil, j.cfg)
+	}, nil)
 	if err != nil {
-		j.finish(StatusFailed, func(v *View) { v.Error = err.Error() })
+		j.fail(err)
 		return
 	}
-	rctx, sp := obs.StartSpan(ctx, "run.eval", "label", dse.ConfigLabel(j.cfg))
-	res, err := core.RunContext(rctx, dev, j.cfg)
-	sp.End()
-	if err != nil {
-		// A canceled or deadline-expired run lands in canceled — a single
-		// run is one evaluation unit, so there is no partial payload.
-		if st := runstate.FromErr(err); st != "" {
-			j.finishStopped(st, nil)
-			return
-		}
-		j.finish(StatusFailed, func(v *View) { v.Error = err.Error() })
-		return
+	if cached {
+		res = rehome(res, j.cfg)
 	}
-	s.cache.put(snap.Fingerprint, res)
+	gbps := maxKernelGBps(res)
 	j.prog.Step(1)
-	j.prog.Observe(maxKernelGBps(res))
-	j.publishPoint(PointEvent{Label: dse.ConfigLabel(j.cfg), GBps: maxKernelGBps(res), Feasible: true})
-	j.finish(StatusDone, func(v *View) { v.Result = res })
+	j.prog.Observe(gbps)
+	j.publishPoint(PointEvent{Label: label, GBps: gbps, Feasible: true, Cached: cached})
+	var rep *baseline.Report
+	if check {
+		rep = s.verdict(j, baseline.FromResult(res), false)
+	}
+	j.finish(StatusDone, func(v *View) { v.Cached, v.Result, v.Check = cached, res, rep })
 }
 
-// executeSweep evaluates a grid (or one shard of it) with per-point
-// cache integration: points already in the result cache are reused,
-// the misses fan out over dse.EvalParallelContext, and fresh feasible
-// results are inserted back so later runs and sweeps hit. The
-// assembled ranking is byte-identical to dse.Explore over the same
-// grid. A canceled or deadline-expired sweep ranks the points
-// evaluated before the stop and lands in canceled. On a coordinator
-// with alive workers, a fleet-eligible sweep is sharded across the
-// fleet instead (local execution is the fallback while the fleet is
-// empty).
+// executeSweep evaluates a grid (or one shard of it) and ranks it. A
+// canceled or deadline-expired sweep ranks the points evaluated before
+// the stop and lands in canceled.
 func (s *Server) executeSweep(ctx context.Context, j *Job) {
-	if j.fleet && s.opts.Cluster != nil && s.executeFleetSweep(ctx, j) {
+	total := j.hi - j.lo
+	j.prog.SetTotal(total)
+	ex, cachedPoints, stopped, err := s.sweepUnits(ctx, j)
+	if err != nil {
+		j.fail(err)
 		return
 	}
-	snap := j.Snapshot()
-	cfgs := j.space.ConfigsRange(j.base, j.lo, j.hi)
-	j.prog.SetTotal(len(cfgs))
-	j.prog.SetPhase("sweep")
+	if stopped != "" {
+		j.finishStopped(stopped, func(v *View) { v.Sweep, v.CachedPoints = ex, cachedPoints })
+		return
+	}
+	// Reconcile aggregate progress: fleet worker event streams are
+	// telemetry (a slow stream drops point events), so the counter can
+	// undershoot; a done job always reads done == total.
+	j.prog.Step(total - j.prog.Snapshot().Done)
+	j.finish(StatusDone, func(v *View) { v.Sweep, v.CachedPoints = ex, cachedPoints })
+}
 
+// sweepUnits evaluates job j's grid points [lo, hi) — the
+// fleet-or-local rule for sweeps — returning the ranking, the points
+// served from the run-result cache, and the stop tag.
+//
+// A fleet-eligible sweep on a coordinator is sharded across the
+// fleet's workers. The merged ranking is byte-identical to a local
+// sweep: shards are contiguous grid ranges, each worker ranks with the
+// same stable sort, and the coordinator's merge preserves
+// equal-bandwidth order. A fleet that turns out unavailable falls back
+// to local evaluation with per-point cache integration: points already
+// in the result cache are reused, the misses fan out over
+// dse.EvalParallelContext, and fresh feasible results are inserted back
+// so later runs and sweeps hit. The assembled ranking is byte-identical
+// to dse.Explore over the same grid.
+func (s *Server) sweepUnits(ctx context.Context, j *Job) (*dse.Exploration, int, string, error) {
+	snap := j.Snapshot()
+	if fl := s.opts.Cluster; j.fleet && fl != nil {
+		j.prog.SetPhase("sweep:fleet")
+		spec := cluster.SweepSpec{Target: snap.Target, Base: j.base, Space: j.space, Op: j.op, TimeoutMS: snap.TimeoutMS}
+		ex, cached, stopped, err := fl.Sweep(ctx, spec, s.fleetHooks(j))
+		if !errors.Is(err, cluster.ErrUnavailable) {
+			// Workers evaluated the points, but the results are canonical,
+			// so priming the coordinator's own run cache makes later runs
+			// and local sweeps over the same territory free.
+			if err == nil && s.cache.enabled() {
+				for _, p := range ex.Ranked {
+					if p.Result != nil {
+						s.cache.put(p.Config.Fingerprint(snap.Target), p.Result)
+					}
+				}
+			}
+			return ex, cached, stopped, err
+		}
+	}
+	j.prog.SetPhase("sweep")
+	cfgs := j.space.ConfigsRange(j.base, j.lo, j.hi)
 	pts := make([]dse.Point, len(cfgs))
 	fps := make([]string, len(cfgs))
 	var missCfgs []core.Config
@@ -917,7 +1000,7 @@ func (s *Server) executeSweep(ctx context.Context, j *Job) {
 	cachedPoints := 0
 	for i, cfg := range cfgs {
 		// With the cache disabled, skip fingerprinting and lookups
-		// entirely — same guard executeRun applies.
+		// entirely.
 		if s.cache.enabled() {
 			fps[i] = cfg.Fingerprint(snap.Target)
 			if res, ok := s.cache.get(fps[i]); ok {
@@ -970,9 +1053,7 @@ func (s *Server) executeSweep(ctx context.Context, j *Job) {
 			// EvalParallelContext marks the claimed point whenever the
 			// factory fails, so a recorded error always means unevaluated
 			// points.
-			err := *errp
-			j.finish(StatusFailed, func(v *View) { v.Error = err.Error() })
-			return
+			return nil, 0, "", *errp
 		}
 		for k, p := range fresh {
 			i := missIdx[k]
@@ -984,20 +1065,11 @@ func (s *Server) executeSweep(ctx context.Context, j *Job) {
 			}
 		}
 	}
-
 	if stopped != "" {
-		ex := dse.Rank(dse.EvaluatedPoints(pts), j.op)
-		j.finishStopped(stopped, func(v *View) {
-			v.Sweep = &ex
-			v.CachedPoints = cachedPoints
-		})
-		return
+		pts = dse.EvaluatedPoints(pts)
 	}
 	ex := dse.Rank(pts, j.op)
-	j.finish(StatusDone, func(v *View) {
-		v.Sweep = &ex
-		v.CachedPoints = cachedPoints
-	})
+	return &ex, cachedPoints, stopped, nil
 }
 
 // fleetHooks adapts a fleet job's coordinator callbacks onto the job's
@@ -1031,248 +1103,133 @@ func (s *Server) fleetHooks(j *Job) cluster.FleetHooks {
 	}
 }
 
-// executeFleetSweep shards a sweep across the coordinator's workers.
-// false means the fleet could not take the job (no alive workers for
-// the target) and the caller must run it locally; any other outcome —
-// done, canceled with partial results, failed — is terminal here. The
-// merged ranking is byte-identical to a local sweep: shards are
-// contiguous grid ranges, each worker ranks with the same stable sort,
-// and the coordinator's merge preserves equal-bandwidth order.
-func (s *Server) executeFleetSweep(ctx context.Context, j *Job) bool {
-	snap := j.Snapshot()
-	total := j.space.Size()
-	j.prog.SetTotal(total)
-	j.prog.SetPhase("sweep:fleet")
-	spec := cluster.SweepSpec{Target: snap.Target, Base: j.base, Space: j.space, Op: j.op, TimeoutMS: snap.TimeoutMS}
-	ex, cached, stopped, err := s.opts.Cluster.Sweep(ctx, spec, s.fleetHooks(j))
-	if err != nil {
-		if errors.Is(err, cluster.ErrUnavailable) {
-			j.prog.SetPhase("sweep")
-			return false
-		}
-		j.finish(StatusFailed, func(v *View) { v.Error = err.Error() })
-		return true
-	}
-	// Workers evaluated the points, but the results are canonical, so
-	// priming the coordinator's own run cache makes later runs and local
-	// sweeps over the same territory free.
-	if s.cache.enabled() {
-		for _, p := range ex.Ranked {
-			if p.Result != nil {
-				s.cache.put(p.Config.Fingerprint(snap.Target), p.Result)
-			}
-		}
-	}
-	if stopped != "" {
-		j.finishStopped(stopped, func(v *View) {
-			v.Sweep = ex
-			v.CachedPoints = cached
-		})
-		return true
-	}
-	// Reconcile aggregate progress: worker event streams are telemetry
-	// (a slow stream drops point events), so the counter can undershoot;
-	// a done job always reads done == total.
-	j.prog.Step(total - j.prog.Snapshot().Done)
-	j.finish(StatusDone, func(v *View) {
-		v.Sweep = ex
-		v.CachedPoints = cached
-	})
-	return true
-}
-
-// executeFleetSurface shards a surface's curves across the fleet; the
-// contract mirrors executeFleetSweep. It runs inside executeSurface's
-// single-flight leader, so a merged fleet surface lands in the same
-// whole-surface cache a local measurement would.
-func (s *Server) executeFleetSurface(ctx context.Context, j *Job) bool {
-	snap := j.Snapshot()
-	total := j.scfg.Points()
-	j.prog.SetTotal(total)
-	j.prog.SetPhase("surface:fleet")
-	spec := cluster.SurfaceSpec{Target: snap.Target, Config: j.scfg, TimeoutMS: snap.TimeoutMS}
-	res, stopped, err := s.opts.Cluster.Surface(ctx, spec, s.fleetHooks(j))
-	if err != nil {
-		if errors.Is(err, cluster.ErrUnavailable) && stopped == "" {
-			j.prog.SetPhase("surface")
-			return false
-		}
-		if stopped != "" {
-			// Canceled before any shard landed: terminal, with no payload.
-			j.finishStopped(stopped, nil)
-			return true
-		}
-		j.finish(StatusFailed, func(v *View) { v.Error = err.Error() })
-		return true
-	}
-	if stopped != "" || res.Stopped != "" {
-		// Partial ladders must not prime the whole-surface cache.
-		j.finishStopped(stopped, func(v *View) { v.Surface = res })
-		return true
-	}
-	s.surfCache.put(snap.Fingerprint, res)
-	j.prog.Step(total - j.prog.Snapshot().Done)
-	j.finish(StatusDone, func(v *View) { v.Surface = res })
-	return true
-}
-
-// executeOptimize runs a budgeted strategy search. Whole-request
-// caching mirrors executeRun: identical optimize requests (same
-// target, base, space, op, strategy, budget and seed — the search is
-// deterministic under that tuple) are served from the optimizer LRU,
-// and concurrent identical requests are single-flighted so only the
-// leader searches. Below that, every unique evaluation shares the
-// per-point run-result cache with /v1/run and /v1/sweep, so an
-// optimizer walks for free over territory any earlier job explored.
+// executeOptimize runs a budgeted strategy search. Identical optimize
+// requests (same target, base, space, op, strategy, budget and seed —
+// the search is deterministic under that tuple) are resolved from the
+// optimizer LRU, single-flighted like runs. Below that, every unique
+// evaluation shares the per-point run-result cache with /v1/run and
+// /v1/sweep, so an optimizer walks for free over territory any earlier
+// job explored.
 func (s *Server) executeOptimize(ctx context.Context, j *Job) {
 	snap := j.Snapshot()
 	j.prog.SetTotal(j.sopts.Budget)
 	j.prog.SetPhase("search:" + j.sopts.Strategy)
-	finishCached := func(res *search.Result) {
-		// A completed strategy may legitimately stop below its budget
-		// (attempt caps in nearly-explored spaces); reconcile the total so
-		// a done job always reads done == total.
-		j.prog.SetTotal(res.Evaluations)
-		j.prog.Step(res.Evaluations)
-		j.prog.Observe(res.BestGBps)
-		j.finish(StatusDone, func(v *View) {
-			v.Cached = true
-			v.Optimize = res
-		})
-	}
-	if s.optCache.enabled() {
-		for {
-			if res, ok := s.optCache.get(snap.Fingerprint); ok {
-				finishCached(res)
-				return
-			}
-			leader, ch := s.claimFlight(snap.Fingerprint)
-			if !leader {
-				if !awaitFlight(ctx, ch) {
-					j.finishStopped("", nil)
-					return
-				}
-				continue
-			}
-			if res, ok := s.optCache.get(snap.Fingerprint); ok {
-				s.releaseFlight(snap.Fingerprint, ch)
-				finishCached(res)
-				return
-			}
-			defer s.releaseFlight(snap.Fingerprint, ch)
-			break
-		}
-	}
-	dev, err := s.opts.NewDevice(snap.Target)
-	if err != nil {
-		j.finish(StatusFailed, func(v *View) { v.Error = err.Error() })
-		return
-	}
-	// The search is sequential on one device (strategies are adaptive:
-	// the next evaluation depends on the last), so unlike sweeps there
-	// is no grid fan-out; parallelism comes from concurrent jobs. The
-	// engine calls eval and then the Observe hook synchronously from one
-	// goroutine, so lastCached needs no lock.
 	cachedPoints := 0
-	lastCached := false
-	eval := func(cfg core.Config, label, fp string) dse.Point {
-		lastCached = false
-		ectx, sp := obs.StartSpan(ctx, "optimize.eval", "label", label)
-		defer sp.End()
-		if s.cache.enabled() {
-			if res, ok := s.cache.get(fp); ok {
-				cachedPoints++
-				lastCached = true
-				sp.SetAttr("cached", "true")
-				return dse.Point{Label: label, Config: cfg, Result: rehome(res, cfg)}
-			}
+	res, cached, err := resolve(ctx, s, s.optCache, snap.Fingerprint, func() (*search.Result, error) {
+		dev, err := s.opts.NewDevice(snap.Target)
+		if err != nil {
+			return nil, err
 		}
-		// On a coordinator, cache misses are farmed out through the
-		// fleet's remote-eval pool — the search stays local (strategies
-		// are adaptive and sequential) while simulations spread over the
-		// workers, all sharing this per-point run cache. A fleet-level
-		// failure (no workers, transport exhausted) falls back to the
-		// local device; a worker-reported evaluation error is a real
-		// outcome (infeasible design, or this job's context ending).
-		if fl := s.opts.Cluster; fl != nil && fl.HasWorkers(snap.Target) {
-			sp.SetAttr("remote", "true")
-			res, err := fl.Eval(ectx, snap.Target, cfg, 0)
-			switch {
-			case err == nil:
-				s.cache.put(fp, res)
-				return dse.Point{Label: label, Config: cfg, Result: rehome(res, cfg)}
-			case !errors.Is(err, cluster.ErrUnavailable):
+		// The search is sequential on one device (strategies are adaptive:
+		// the next evaluation depends on the last), so unlike sweeps there
+		// is no grid fan-out; parallelism comes from concurrent jobs — and,
+		// on a coordinator, from the fleet, which runs each cache miss
+		// while the search itself stays local. The engine calls eval and
+		// then the Observe hook synchronously from one goroutine, so
+		// lastCached needs no lock.
+		lastCached := false
+		eval := func(cfg core.Config, label, fp string) dse.Point {
+			lastCached = false
+			ectx, sp := obs.StartSpan(ctx, "optimize.eval", "label", label)
+			defer sp.End()
+			if s.cache.enabled() {
+				if res, ok := s.cache.get(fp); ok {
+					cachedPoints++
+					lastCached = true
+					sp.SetAttr("cached", "true")
+					return dse.Point{Label: label, Config: cfg, Result: rehome(res, cfg)}
+				}
+			}
+			res, err := s.runUnit(ectx, sp, j, dev, cfg)
+			if err != nil {
 				return dse.Point{Label: label, Config: cfg, Err: err}
 			}
-			sp.SetAttr("remote", "fallback")
+			s.cache.put(fp, res)
+			return dse.Point{Label: label, Config: cfg, Result: res}
 		}
-		res, err := core.RunContext(ectx, dev, cfg)
-		if err != nil {
-			return dse.Point{Label: label, Config: cfg, Err: err}
+		searchEval := search.Evaluator(eval)
+		if j.sopts.Objective == search.ObjectiveKnee {
+			// Each unique point is scored at its loaded-latency knee
+			// ceiling. The knee rides on top of (possibly cached) runs; the
+			// wrapper memoizes the cheap, deterministic surface probe per
+			// traffic shape within this search, and the whole-search LRU
+			// absorbs repeated requests.
+			searchEval = search.WithKneeObjective(dev, searchEval)
 		}
-		s.cache.put(fp, res)
-		return dse.Point{Label: label, Config: cfg, Result: res}
-	}
-	searchEval := search.Evaluator(eval)
-	if j.sopts.Objective == search.ObjectiveKnee {
-		// Each unique point is scored at its loaded-latency knee ceiling.
-		// The knee rides on top of (possibly cached) runs; the wrapper
-		// memoizes the cheap, deterministic surface probe per traffic
-		// shape within this search, and the whole-search LRU above
-		// absorbs repeated requests.
-		searchEval = search.WithKneeObjective(dev, searchEval)
-	}
-	hooks := search.Hooks{
-		Context: ctx,
-		Observe: func(p dse.Point) {
-			j.prog.Step(1)
-			g := p.GBps(j.op)
-			j.prog.Observe(g)
-			pe := PointEvent{Label: p.Label, GBps: g, Feasible: p.Err == nil, Cached: lastCached}
-			if p.Err != nil {
-				pe.Error = p.Err.Error()
-			}
-			j.publishPoint(pe)
-		},
-	}
-	res, err := search.RunWithHooks(searchEval, func(c core.Config) string { return c.Fingerprint(snap.Target) },
-		j.base, j.space, j.op, j.sopts, hooks)
+		hooks := search.Hooks{
+			Context: ctx,
+			Observe: func(p dse.Point) {
+				j.prog.Step(1)
+				g := p.GBps(j.op)
+				j.prog.Observe(g)
+				pe := PointEvent{Label: p.Label, GBps: g, Feasible: p.Err == nil, Cached: lastCached}
+				if p.Err != nil {
+					pe.Error = p.Err.Error()
+				}
+				j.publishPoint(pe)
+			},
+		}
+		// Strategy and budget were validated at submit time, so an error
+		// here is unreachable in practice.
+		return search.RunWithHooks(searchEval, func(c core.Config) string { return c.Fingerprint(snap.Target) },
+			j.base, j.space, j.op, j.sopts, hooks)
+	}, func(r *search.Result) bool { return r.Stopped == "" })
 	if err != nil {
-		// Unreachable in practice: strategy and budget were validated at
-		// submit time.
-		j.finish(StatusFailed, func(v *View) { v.Error = err.Error() })
+		j.fail(err)
 		return
 	}
 	if res.Stopped != "" {
-		// A stopped search still reports the best point found so far,
-		// but the partial result must not prime the whole-search cache.
-		j.finishStopped(res.Stopped, func(v *View) {
-			v.Optimize = res
-			v.CachedPoints = cachedPoints
-		})
+		// A stopped search still reports the best point found so far.
+		j.finishStopped(res.Stopped, func(v *View) { v.Optimize, v.CachedPoints = res, cachedPoints })
 		return
 	}
-	s.optCache.put(snap.Fingerprint, res)
-	// Same reconciliation as the cached path: a strategy that finished
-	// under budget still reports a complete done == total.
+	if cached {
+		j.prog.Step(res.Evaluations)
+		j.prog.Observe(res.BestGBps)
+	}
+	// A completed strategy may legitimately stop below its budget
+	// (attempt caps in nearly-explored spaces); reconcile the total so a
+	// done job always reads done == total.
 	j.prog.SetTotal(res.Evaluations)
-	j.finish(StatusDone, func(v *View) {
-		v.Optimize = res
-		v.CachedPoints = cachedPoints
-	})
+	j.finish(StatusDone, func(v *View) { v.Cached, v.Optimize, v.CachedPoints = cached, res, cachedPoints })
 }
 
-// executeSurface measures a bandwidth–latency surface, mirroring
-// executeRun's whole-result caching and single-flight dedup: identical
-// surface requests (same target and canonical configuration — the
-// generator is deterministic) are served from the surface LRU, and
-// concurrent identical requests measure once.
+// executeSurface measures a bandwidth–latency surface (or a curve shard
+// of one). A surface job resolves it from the whole-surface cache
+// (single-flight; the generator is deterministic, so identical requests
+// measure once); a surface check bypasses the cache and verdicts the
+// fresh measurement against its baseline. Fleet distribution happens
+// inside the single-flight leader, so one merged fleet measurement
+// serves every concurrent duplicate and primes the cache like a local
+// one.
 func (s *Server) executeSurface(ctx context.Context, j *Job) {
 	snap := j.Snapshot()
-	j.prog.SetTotal((j.chi - j.clo) * len(j.scfg.Rates))
-	j.prog.SetPhase("surface")
-	finishCached := func(res *surface.Surface) {
-		j.prog.Step(len(res.Curves) * len(res.Config.Rates))
+	check := snap.Kind == KindCheck
+	cache, phase := s.surfCache, "surface"
+	if check {
+		cache, phase = nil, "check:surface"
+	}
+	total := (j.hi - j.lo) * len(j.scfg.Rates)
+	j.prog.SetTotal(total)
+	j.prog.SetPhase(phase)
+	res, cached, err := resolve(ctx, s, cache, snap.Fingerprint, func() (*surface.Surface, error) {
+		return s.surfaceUnit(ctx, j, phase)
+	}, func(r *surface.Surface) bool { return r.Stopped == "" })
+	if err != nil {
+		j.fail(err)
+		return
+	}
+	// A check stopped mid-ladder verdicts the measured subset as a
+	// partial report: missing reference rungs are skipped, not failed.
+	var rep *baseline.Report
+	if check {
+		rep = s.verdict(j, baseline.FromSurface(res), res.Stopped != "")
+	}
+	if res.Stopped != "" {
+		j.finishStopped(res.Stopped, func(v *View) { v.Surface, v.Check = res, rep })
+		return
+	}
+	if cached {
 		// Mirror the fresh path's per-rung observations so a cache hit
 		// reports the same best_gbps as the measurement that primed it.
 		for _, c := range res.Curves {
@@ -1280,68 +1237,11 @@ func (s *Server) executeSurface(ctx context.Context, j *Job) {
 				j.prog.Observe(p.AchievedGBps)
 			}
 		}
-		j.finish(StatusDone, func(v *View) {
-			v.Cached = true
-			v.Surface = res
-		})
 	}
-	if s.surfCache.enabled() {
-		for {
-			if res, ok := s.surfCache.get(snap.Fingerprint); ok {
-				finishCached(res)
-				return
-			}
-			leader, ch := s.claimFlight(snap.Fingerprint)
-			if !leader {
-				if !awaitFlight(ctx, ch) {
-					j.finishStopped("", nil)
-					return
-				}
-				continue
-			}
-			if res, ok := s.surfCache.get(snap.Fingerprint); ok {
-				s.releaseFlight(snap.Fingerprint, ch)
-				finishCached(res)
-				return
-			}
-			defer s.releaseFlight(snap.Fingerprint, ch)
-			break
-		}
-	}
-	// Fleet distribution happens inside the single-flight leader, so one
-	// merged fleet measurement serves every concurrent duplicate and
-	// primes the whole-surface cache like a local one.
-	if j.fleet && s.opts.Cluster != nil && s.executeFleetSurface(ctx, j) {
-		return
-	}
-	dev, err := s.opts.NewDevice(snap.Target)
-	if err != nil {
-		j.finish(StatusFailed, func(v *View) { v.Error = err.Error() })
-		return
-	}
-	// The observer runs on the measuring goroutine, once per ladder rung.
-	observe := func(pat mem.Pattern, readFrac float64, p surface.Point) {
-		j.prog.Step(1)
-		j.prog.Observe(p.AchievedGBps)
-		j.publishPoint(PointEvent{
-			Label:     fmt.Sprintf("%s/r%.2g@%.2g", surface.PatternLabel(pat), readFrac, p.Rate),
-			GBps:      p.AchievedGBps,
-			Feasible:  true,
-			LatencyNs: p.LatencyNs,
-		})
-	}
-	res, err := core.RunSurfaceShard(ctx, dev, j.scfg, j.clo, j.chi, observe)
-	if err != nil {
-		j.finish(StatusFailed, func(v *View) { v.Error = err.Error() })
-		return
-	}
-	if res.Stopped != "" {
-		// Partial ladders must not prime the whole-surface cache.
-		j.finishStopped(res.Stopped, func(v *View) { v.Surface = res })
-		return
-	}
-	s.surfCache.put(snap.Fingerprint, res)
-	j.finish(StatusDone, func(v *View) { v.Surface = res })
+	// Same reconciliation as sweeps: a cache hit or a fleet measurement
+	// whose worker streams dropped events still reads done == total.
+	j.prog.Step(total - j.prog.Snapshot().Done)
+	j.finish(StatusDone, func(v *View) { v.Cached, v.Surface, v.Check = cached, res, rep })
 }
 
 // clusterHealth is the coordinator block of /v1/healthz: the live
