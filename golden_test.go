@@ -195,7 +195,7 @@ func goldenSurfaceConfig() surface.Config {
 }
 
 // TestGoldenSurface pins the bandwidth-latency surface per target, and
-// with it the whole ServiceLoaded/issue open-loop path.
+// with it the whole Preroute/ServiceLoadedRouted open-loop path.
 func TestGoldenSurface(t *testing.T) {
 	cfg := goldenSurfaceConfig()
 	for _, id := range targets.IDs() {

@@ -95,7 +95,6 @@ func DefaultConfig() Config {
 			RowMissNs:       45,
 			TurnaroundNs:    7.5,
 			BatchSize:       16,
-			MaxOutstanding:  16,
 			ActWindowNs:     40,
 			ActsPerWindow:   4,
 			RefreshLoss:     0.03,
@@ -157,7 +156,6 @@ func HMCConfig() Config {
 		RowMissNs:       15,
 		TurnaroundNs:    3,
 		BatchSize:       16,
-		MaxOutstanding:  64,
 		RefreshLoss:     0.02,
 		InterleaveBytes: 256,
 		HashChannels:    true,

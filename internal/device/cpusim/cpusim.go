@@ -71,7 +71,6 @@ func DefaultConfig() Config {
 			RowMissNs:       48,
 			TurnaroundNs:    6,
 			BatchSize:       16,
-			MaxOutstanding:  10,
 			ActWindowNs:     50,
 			ActsPerWindow:   4,
 			RefreshLoss:     0.035,

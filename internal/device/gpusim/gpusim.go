@@ -89,7 +89,6 @@ func DefaultConfig() Config {
 			RowMissNs:       40,
 			TurnaroundNs:    15,
 			BatchSize:       64,
-			MaxOutstanding:  128,
 			ActWindowNs:     24,
 			ActsPerWindow:   6,
 			RefreshLoss:     0.03,

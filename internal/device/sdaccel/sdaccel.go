@@ -81,7 +81,6 @@ func DefaultConfig() Config {
 			RowMissNs:       48,
 			TurnaroundNs:    25, // 2015-era MIG scheduling
 			BatchSize:       3,
-			MaxOutstanding:  8,
 			ActWindowNs:     40,
 			ActsPerWindow:   4,
 			RefreshLoss:     0.05,

@@ -3,6 +3,7 @@ package service_test
 import (
 	"encoding/json"
 	"net/http"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -196,6 +197,17 @@ func TestCancelSingleFlightLeader(t *testing.T) {
 	}
 	leader := submit()
 	waitStatus(t, e, leader, service.StatusRunning)
+	// Running is not yet inside Compile, and a cancel that lands before
+	// Compile costs the leader its wasted compilation. countingDevice
+	// counts before gatedDevice blocks, so the first count marks the
+	// leader at the gate, holding the flight.
+	deadline := time.Now().Add(10 * time.Second)
+	for compiles.Load() != 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("leader never reached Compile (compiles = %d)", compiles.Load())
+		}
+		runtime.Gosched()
+	}
 	f1, f2 := submit(), submit()
 	waitStatus(t, e, f1, service.StatusRunning)
 	waitStatus(t, e, f2, service.StatusRunning)

@@ -15,8 +15,6 @@
 //     its bank for RowMissNs before data can move;
 //   - the controller batches reads and writes (write buffering) and pays
 //     TurnaroundNs when the bus changes direction between batches;
-//   - at most MaxOutstanding transactions per channel are in flight
-//     (controller queue / MSHR limit), bounding latency overlap;
 //   - refresh steals RefreshOverhead of wall time.
 //
 // Timing uses float64 seconds internally; a Service run is single-threaded
@@ -55,8 +53,7 @@ type Config struct {
 	ActWindowNs   float64
 	ActsPerWindow int
 
-	MaxOutstanding int     // in-flight transactions per channel
-	RefreshLoss    float64 // fraction of time lost to refresh, e.g. 0.03
+	RefreshLoss float64 // fraction of time lost to refresh, e.g. 0.03
 
 	// InterleaveBytes is the channel-interleave granularity. Zero selects
 	// per-stream placement: a request's Stream tag picks its channel,
@@ -118,37 +115,10 @@ func (c Config) withDefaults() Config {
 	if c.ReorderWin == 0 {
 		c.ReorderWin = 2 * c.BatchSize * c.Channels
 	}
-	if c.MaxOutstanding == 0 {
-		c.MaxOutstanding = 16
-	}
 	if c.ActWindowNs > 0 && c.ActsPerWindow == 0 {
 		c.ActsPerWindow = 4
 	}
 	return c
-}
-
-// ChannelOf reports which channel the given request address and stream tag
-// map to. It is exported so placement behaviour (interleaving, hashing,
-// per-stream banking) is directly testable and reportable.
-func (c Config) ChannelOf(addr uint64, stream uint8) int {
-	ch, _ := c.route(addr, stream)
-	return ch
-}
-
-// route resolves a request to (channel index, channel-local address).
-func (c Config) route(addr uint64, stream uint8) (int, uint64) {
-	if c.InterleaveBytes == 0 {
-		return int(stream) % c.Channels, addr
-	}
-	block := addr / uint64(c.InterleaveBytes)
-	sel := block
-	if c.HashChannels {
-		sel = hashBlock(block)
-	}
-	chIdx := int(sel % uint64(c.Channels))
-	chAddr := (block/uint64(c.Channels))*uint64(c.InterleaveBytes) +
-		addr%uint64(c.InterleaveBytes)
-	return chIdx, chAddr
 }
 
 // Result summarizes one Service run.
@@ -418,12 +388,13 @@ func (m *Model) resetState(st *svcState) {
 	}
 }
 
-// LoadedOptions parameterizes an open-loop ServiceLoaded run.
+// LoadedOptions parameterizes an open-loop ServiceLoadedRouted run.
 type LoadedOptions struct {
 	// InterArrivalNs spaces background arrivals: background request i
 	// arrives at i * InterArrivalNs, so it sets the offered injection
-	// rate (request size / InterArrivalNs bytes per ns). It must be
-	// positive when a background source is given.
+	// rate (request size / InterArrivalNs bytes per ns). Zero or a
+	// negative value means back-to-back arrivals, one burst transfer
+	// time apart (the bus speed).
 	InterArrivalNs float64
 	// MaxTxns bounds the run; 0 services both sources fully.
 	MaxTxns uint64
@@ -481,124 +452,8 @@ func (r LoadedResult) AvgOccupancy() float64 {
 	return r.TotalLatencyNs / r.MeasuredSpanNs
 }
 
-// ServiceLoaded measures loaded latency: it services an open-loop
-// background stream (request i arrives at i*InterArrivalNs, setting
-// the offered injection rate) merged by arrival time with a dependent
-// probe chain (a pointer chase: hop n+1 arrives only when hop n's data
-// returned). Requests are serviced first-come first-served in arrival
-// order, and every latency is completion minus arrival.
-//
-// The probe's average latency is the loaded latency of the
-// bandwidth–latency surface methodology: offered background load well
-// below capacity leaves it near the idle round trip; as offered load
-// approaches the sustainable bandwidth, each probe round trip spans
-// more and more background service time and the latency follows the
-// queueing-theory hockey stick, diverging past saturation.
-//
-// Either source may be nil: a nil background measures the idle chase
-// latency, a nil probe measures pure open-loop background service.
-// The open-loop path deliberately skips the closed-loop reorder/batch
-// machinery of Service: a latency probe measures the controller as the
-// traffic presents itself.
-func (m *Model) ServiceLoaded(bg, probe mem.Source, opts LoadedOptions) LoadedResult {
-	st := m.acquire()
-	defer m.release(st)
-	cfg := &m.cfg
-	chans := st.chans
-
-	var res LoadedResult
-	burstNs := float64(cfg.BurstBytes) / cfg.BusGBps
-	start := cfg.InitialLatencyNs
-	inter := opts.InterArrivalNs
-	if inter <= 0 {
-		inter = burstNs // back-to-back at bus speed when unset
-	}
-
-	// Head-of-stream state for the arrival-order merge. Background
-	// arrivals are position-determined (slot * inter), so the stream
-	// prefetches in chunks through the arena — the probe stays strictly
-	// serial, each hop's pull gated on the previous completion.
-	const bgChunk = 256
-	var bgBuf []mem.Request
-	bgPos := 0
-	if bg != nil {
-		st.buf = grow(st.buf, bgChunk)
-		bgBuf = st.buf[:0]
-	}
-	var (
-		bgReq, probeReq         mem.Request
-		bgOK, probeOK           bool
-		bgArrival, probeArrival float64
-		slot                    int
-	)
-	pullBg := func() {
-		if bg == nil {
-			bgOK = false
-			return
-		}
-		if bgPos >= len(bgBuf) {
-			bgBuf = st.buf[:mem.Fill(bg, st.buf[:bgChunk])]
-			bgPos = 0
-			if len(bgBuf) == 0 {
-				bgOK = false
-				return
-			}
-		}
-		bgReq, bgOK = bgBuf[bgPos], true
-		bgPos++
-		bgArrival = start + float64(slot)*inter
-		slot++
-	}
-	pullProbe := func(after float64) {
-		if probe == nil {
-			probeOK = false
-			return
-		}
-		if probeReq, probeOK = probe.Next(); probeOK {
-			probeArrival = after
-		}
-	}
-	pullBg()
-	pullProbe(start)
-
-	// maxEnd tracks the simulated frontier; measureStart marks it when
-	// the warmup completes, bounding the measured span for occupancy.
-	maxEnd, measureStart := start, start
-	for bgOK || probeOK {
-		if opts.MaxTxns > 0 && res.Txns >= opts.MaxTxns {
-			break
-		}
-		// Background goes first on ties: the probe joins the queue behind
-		// traffic already in flight.
-		warm := res.Txns >= opts.WarmupTxns
-		if warm && res.MeasuredTxns == 0 {
-			measureStart = maxEnd
-		}
-		var end float64
-		if bgOK && (!probeOK || bgArrival <= probeArrival) {
-			end = m.issue(&res.Result, st, bgReq, burstNs, bgArrival)
-			if warm {
-				record(&res, end-bgArrival, false)
-			}
-			pullBg()
-		} else {
-			end = m.issue(&res.Result, st, probeReq, burstNs, probeArrival)
-			if warm {
-				record(&res, end-probeArrival, true)
-			}
-			pullProbe(end)
-		}
-		if end > maxEnd {
-			maxEnd = end
-		}
-	}
-	res.MeasuredSpanNs = maxEnd - measureStart
-	finish(&res.Result, chans, start, cfg, !bgOK && !probeOK)
-	return res
-}
-
 // Prerouted is an address-decoded request stream: the output of
-// Preroute, consumable by ServiceLoadedRouted. Because decode is
+// Preroute, consumed by ServiceLoadedRouted. Because decode is
 // timing-independent, one Prerouted stream can be rewound (Reset) and
 // replayed under any number of arrival schedules — the surface
 // generator decodes each curve's background walk once and sweeps the
@@ -658,21 +513,38 @@ func (m *Model) PrerouteInto(p *Prerouted, src mem.Source, max int) *Prerouted {
 	return p
 }
 
-// ServiceLoadedRouted is ServiceLoaded over address-decoded streams:
-// the same open-loop arrival-order merge, minus the per-transaction
-// address decode and source dispatch. Either stream may be nil. It
-// produces float-for-float identical results to ServiceLoaded over the
-// equivalent sources (the routed-parity test holds it to that); the
-// surface generator uses it to sweep an injection ladder over streams
-// decoded once per curve.
+// ServiceLoadedRouted measures loaded latency: it services an open-loop
+// background stream (request i arrives at i*InterArrivalNs, setting the
+// offered injection rate) merged by arrival time with a dependent probe
+// chain (a pointer chase: hop n+1 arrives only when hop n's data
+// returned). Requests are serviced first-come first-served in arrival
+// order, and every latency is completion minus arrival.
 //
-// The transaction loop is the timing half of issue fused in, with the
-// configuration scalars, controller arrays, and result counters all in
-// locals: the compiler cannot prove the per-transaction stores leave
-// m.cfg and res untouched, so the factored-out form reloads every hot
-// field once per transaction. The fused body must mirror issueRouted
-// exactly; the routed-parity and frozen-reference tests in
-// parity_test.go hold the two to float-for-float identical results.
+// The probe's average latency is the loaded latency of the
+// bandwidth–latency surface methodology: offered background load well
+// below capacity leaves it near the idle round trip; as offered load
+// approaches the sustainable bandwidth, each probe round trip spans
+// more and more background service time and the latency follows the
+// queueing-theory hockey stick, diverging past saturation.
+//
+// Both streams come address-decoded from Preroute, so a stream decoded
+// once can be rewound and replayed under every rung of an injection
+// ladder. Either stream may be nil: a nil background measures the idle
+// chase latency, a nil probe measures pure open-loop background
+// service. The open-loop path deliberately skips the closed-loop
+// reorder/batch machinery of Service: a latency probe measures the
+// controller as the traffic presents itself.
+//
+// Every iteration of the merge issues exactly one transaction, so the
+// run always ends: at MaxTxns, or when both streams are spent.
+//
+// The timing body is issueRouted's, inline, with the configuration
+// scalars, controller arrays and result counters all in locals: the
+// compiler cannot prove the per-transaction stores leave m.cfg and res
+// untouched, so a call (issueRouted is too large to inline) would
+// reload every hot field once per transaction. The parity tests in
+// parity_test.go hold both bodies to the frozen reference, float for
+// float.
 func (m *Model) ServiceLoadedRouted(bg, probe *Prerouted, opts LoadedOptions) LoadedResult {
 	st := m.acquire()
 	defer m.release(st)
@@ -702,16 +574,18 @@ func (m *Model) ServiceLoadedRouted(bg, probe *Prerouted, opts LoadedOptions) Lo
 	actsPer := cfg.ActsPerWindow
 	chans, banks, actRing := st.chans, st.banks, st.actRing
 
-	// Local result accumulators, folded into res after the loop.
-	var txns, bytes, busBytes, rowHits, rowMisses, turnarounds uint64
-	var measuredTxns, probeTxns uint64
+	// Local result accumulators, folded into res after the loop. What
+	// follows from them is not counted: row misses are the transactions
+	// that did not hit, the measured ones are those past the warmup, and
+	// the frontier is read off the channels (see frontier).
+	var txns, bytes, busBytes, rowHits, turnarounds, probeTxns uint64
 	var totalLat, maxLat, probeTotal, probeMax float64
 
-	// Arrival bookkeeping mirrors ServiceLoaded: background request i
-	// arrives at start + i*inter (fslot carries i as a float — integer
-	// increments of a float64 are exact far past any stream length, and
-	// keeping it float spares an int conversion per transaction), the
-	// probe's next hop arrives when the previous one completed.
+	// Background request i arrives at start + i*inter (fslot carries i
+	// as a float — integer increments of a float64 are exact far past
+	// any stream length, and keeping it float spares an int conversion
+	// per transaction); the probe's next hop arrives when the previous
+	// one completed.
 	fslot := 0.0
 	bgArrival, probeArrival := start, start
 	maxTxns, warmupTxns := opts.MaxTxns, opts.WarmupTxns
@@ -719,162 +593,91 @@ func (m *Model) ServiceLoadedRouted(bg, probe *Prerouted, opts LoadedOptions) Lo
 		maxTxns = ^uint64(0) // unlimited: fold the cap into one compare
 	}
 
-	// The merge runs probe-transaction-at-a-time on the outside with a
-	// tight inner loop over the background run before the probe's next
-	// arrival — the same per-transaction choice ServiceLoaded makes
-	// (background goes first on ties: the probe joins the queue behind
-	// traffic already in flight), but the stream-selection branch
-	// becomes an almost-always-taken inner-loop bound. The two
-	// specialized copies of the issue body must mirror issueRouted
-	// exactly; the routed-parity tests pin all three to identical floats.
-	maxEnd, measureStart := start, start
+	// measureStart marks the simulated frontier when the warmup
+	// completes, bounding the measured span for occupancy.
+	measureStart := start
 	for (bgOK || prOK) && txns < maxTxns {
-		if prOK && (!bgOK || probeArrival < bgArrival) {
-			// One probe transaction.
-			warm := txns >= warmupTxns
-			if warm && measuredTxns == 0 {
-				measureStart = maxEnd
-			}
-			rr := &prList[prPos]
-			arrival := probeArrival
+		if txns == warmupTxns {
+			measureStart = frontier(chans, start)
+		}
+		warm := txns >= warmupTxns
+		// Background goes first on ties: the probe joins the queue behind
+		// traffic already in flight. The probe is the fallback, so an
+		// unordered (NaN) arrival still issues something.
+		fromBg := bgOK && (!prOK || bgArrival <= probeArrival)
+		var rr *routedReq
+		var arrival float64
+		if fromBg {
+			rr, arrival = &bgList[bgPos], bgArrival
+		} else {
+			rr, arrival = &prList[prPos], probeArrival
+		}
 
-			ch := &chans[rr.chIdx]
-			bank := &banks[rr.bankFlat]
-			if op := int32(rr.op); ch.last != op {
-				if ch.last >= 0 {
-					ch.busFree += turnNs
-					turnarounds++
-				}
-				ch.last = op
+		ch := &chans[rr.chIdx]
+		bank := &banks[rr.bankFlat]
+		if op := int32(rr.op); ch.last != op {
+			if ch.last >= 0 {
+				ch.busFree += turnNs
+				turnarounds++
 			}
-			var ready float64
-			if bank.openRow == rr.row {
-				ready = arrival
-				rowHits++
-			} else {
-				act := bank.freeAt
-				if act < arrival {
-					act = arrival
-				}
-				if actRing != nil {
-					ai := int(rr.chIdx)*actsPer + int(ch.actHead)
-					if g := actRing[ai] + actWinNs; act < g {
-						act = g
-					}
-					actRing[ai] = act
-					if ch.actHead++; int(ch.actHead) == actsPer {
-						ch.actHead = 0
-					}
-				}
-				ready = act + rowMissNs
-				bank.openRow = rr.row
-				rowMisses++
+			ch.last = op
+		}
+		var ready float64
+		if bank.openRow == rr.row {
+			ready = arrival
+			rowHits++
+		} else {
+			act := bank.freeAt
+			if act < arrival {
+				act = arrival
 			}
-			issueAt := ch.busFree
-			if issueAt < ready {
-				issueAt = ready
+			if actRing != nil {
+				ai := int(rr.chIdx)*actsPer + int(ch.actHead)
+				if g := actRing[ai] + actWinNs; act < g {
+					act = g
+				}
+				actRing[ai] = act
+				if ch.actHead++; int(ch.actHead) == actsPer {
+					ch.actHead = 0
+				}
 			}
-			end := issueAt + rr.transfer
-			ch.busFree = end
-			bank.freeAt = end
-			txns++
-			bytes += uint64(rr.size)
-			busBytes += uint64(rr.busBytes)
+			ready = act + rowMissNs
+			bank.openRow = rr.row
+		}
+		issueAt := ch.busFree
+		if issueAt < ready {
+			issueAt = ready
+		}
+		end := issueAt + rr.transfer
+		ch.busFree = end
+		bank.freeAt = end
+		txns++
+		bytes += uint64(rr.size)
+		busBytes += uint64(rr.busBytes)
 
-			if warm {
-				measuredTxns++
-				lat := end - arrival
-				totalLat += lat
-				if lat > maxLat {
-					maxLat = lat
-				}
+		if warm {
+			lat := end - arrival
+			totalLat += lat
+			if lat > maxLat {
+				maxLat = lat
+			}
+			if !fromBg {
 				probeTxns++
 				probeTotal += lat
 				if lat > probeMax {
 					probeMax = lat
 				}
 			}
-			prPos++
-			if prPos < len(prList) {
-				probeArrival = end
-			} else {
-				prOK = false
-			}
-			if end > maxEnd {
-				maxEnd = end
-			}
-			continue
 		}
-		// The background run up to (and tying with) the probe's arrival.
-		for bgOK && txns < maxTxns && (!prOK || bgArrival <= probeArrival) {
-			warm := txns >= warmupTxns
-			if warm && measuredTxns == 0 {
-				measureStart = maxEnd
-			}
-			rr := &bgList[bgPos]
-			arrival := bgArrival
-
-			ch := &chans[rr.chIdx]
-			bank := &banks[rr.bankFlat]
-			if op := int32(rr.op); ch.last != op {
-				if ch.last >= 0 {
-					ch.busFree += turnNs
-					turnarounds++
-				}
-				ch.last = op
-			}
-			var ready float64
-			if bank.openRow == rr.row {
-				ready = arrival
-				rowHits++
-			} else {
-				act := bank.freeAt
-				if act < arrival {
-					act = arrival
-				}
-				if actRing != nil {
-					ai := int(rr.chIdx)*actsPer + int(ch.actHead)
-					if g := actRing[ai] + actWinNs; act < g {
-						act = g
-					}
-					actRing[ai] = act
-					if ch.actHead++; int(ch.actHead) == actsPer {
-						ch.actHead = 0
-					}
-				}
-				ready = act + rowMissNs
-				bank.openRow = rr.row
-				rowMisses++
-			}
-			issueAt := ch.busFree
-			if issueAt < ready {
-				issueAt = ready
-			}
-			end := issueAt + rr.transfer
-			ch.busFree = end
-			bank.freeAt = end
-			txns++
-			bytes += uint64(rr.size)
-			busBytes += uint64(rr.busBytes)
-
-			if warm {
-				measuredTxns++
-				lat := end - arrival
-				totalLat += lat
-				if lat > maxLat {
-					maxLat = lat
-				}
-			}
+		if fromBg {
 			bgPos++
 			fslot++
-			if bgPos < len(bgList) {
-				bgArrival = start + fslot*inter
-			} else {
-				bgOK = false
-			}
-			if end > maxEnd {
-				maxEnd = end
-			}
+			bgArrival = start + fslot*inter
+			bgOK = bgPos < len(bgList)
+		} else {
+			prPos++
+			probeArrival = end
+			prOK = prPos < len(prList)
 		}
 	}
 	if bg != nil {
@@ -884,28 +687,15 @@ func (m *Model) ServiceLoadedRouted(bg, probe *Prerouted, opts LoadedOptions) Lo
 		probe.pos = prPos
 	}
 	res.Txns, res.Bytes, res.BusBytes = txns, bytes, busBytes
-	res.RowHits, res.RowMisses, res.Turnarounds = rowHits, rowMisses, turnarounds
-	res.MeasuredTxns, res.TotalLatencyNs, res.MaxLatencyNs = measuredTxns, totalLat, maxLat
+	res.RowHits, res.RowMisses, res.Turnarounds = rowHits, txns-rowHits, turnarounds
+	if txns > warmupTxns {
+		res.MeasuredTxns = txns - warmupTxns
+	}
+	res.TotalLatencyNs, res.MaxLatencyNs = totalLat, maxLat
 	res.ProbeTxns, res.ProbeTotalNs, res.ProbeMaxNs = probeTxns, probeTotal, probeMax
-	res.MeasuredSpanNs = maxEnd - measureStart
-	finish(&res.Result, st.chans, start, cfg, !bgOK && !prOK)
+	res.MeasuredSpanNs = frontier(chans, start) - measureStart
+	finish(&res.Result, chans, start, cfg, !bgOK && !prOK)
 	return res
-}
-
-// record accumulates one serviced request's latency.
-func record(res *LoadedResult, lat float64, isProbe bool) {
-	res.MeasuredTxns++
-	res.TotalLatencyNs += lat
-	if lat > res.MaxLatencyNs {
-		res.MaxLatencyNs = lat
-	}
-	if isProbe {
-		res.ProbeTxns++
-		res.ProbeTotalNs += lat
-		if lat > res.ProbeMaxNs {
-			res.ProbeMaxNs = lat
-		}
-	}
 }
 
 // ServiceBounded services at most maxTxns transactions (0 = unlimited).
@@ -986,7 +776,8 @@ func (m *Model) ServiceBounded(src mem.Source, maxTxns uint64) Result {
 		}
 		slices.SortFunc(batch, cmpByAddr)
 		for _, r := range batch {
-			m.issue(&res, st, r, burstNs, start)
+			rr := m.decode(r, burstNs)
+			m.issueRouted(&res, st, &rr, start)
 			if maxTxns > 0 && res.Txns >= maxTxns {
 				finish(&res, chans, start, cfg, false)
 				return res
@@ -1111,17 +902,11 @@ func (m *Model) decode(r mem.Request, burstNs float64) routedReq {
 	}
 }
 
-// issue times a single transaction, returning its completion time. All
-// times are nanoseconds; earliest is the first instant the transaction
-// may begin (the run start for closed-loop service, the request's
-// arrival for open-loop service).
-func (m *Model) issue(res *Result, st *svcState, r mem.Request, burstNs, earliest float64) float64 {
-	rr := m.decode(r, burstNs)
-	return m.issueRouted(res, st, &rr, earliest)
-}
-
-// issueRouted is the timing half of issue: pure clock arithmetic over
-// the controller state, one transaction per call.
+// issueRouted times one decoded transaction of closed-loop service,
+// returning its completion time: pure clock arithmetic over the
+// controller state. All times are nanoseconds; earliest is the first
+// instant the transaction may begin (the run start). ServiceLoadedRouted
+// carries the same body inline, with the request's arrival as earliest.
 func (m *Model) issueRouted(res *Result, st *svcState, rr *routedReq, earliest float64) float64 {
 	cfg := &m.cfg
 	ch := &st.chans[rr.chIdx]
@@ -1165,15 +950,17 @@ func (m *Model) issueRouted(res *Result, st *svcState, rr *routedReq, earliest f
 		res.RowMisses++
 	}
 
-	// Two gates the earlier controller carried are provably vacuous and
-	// are reduced away here (the frozen reference in reference_test.go
-	// still simulates both; the parity suite pins bit-identity):
+	// Two gates the earlier controller carried are provably vacuous, so
+	// neither timing body has them (the frozen reference in
+	// reference_test.go still simulates both; the parity suite pins
+	// bit-identity):
 	//
-	//   - The MaxOutstanding completion ring. Issue is in-order per
-	//     channel and issueAt >= ch.busFree, so per-channel completion
-	//     times are monotone non-decreasing; a completion recorded
-	//     MaxOutstanding transactions ago can never exceed ch.busFree
-	//     and the window never binds.
+	//   - A per-channel in-flight limit (a completion ring of any
+	//     depth). Issue is in-order per channel and issueAt >=
+	//     ch.busFree, so per-channel completion times are monotone
+	//     non-decreasing; a completion recorded any number of
+	//     transactions ago can never exceed ch.busFree and the ring
+	//     never binds.
 	//   - The earliest clamp. ready >= earliest on both the hit path
 	//     (ready == earliest) and the miss path (act >= earliest), so
 	//     max(busFree, ready) already dominates it.
@@ -1192,14 +979,21 @@ func (m *Model) issueRouted(res *Result, st *svcState, rr *routedReq, earliest f
 	return end
 }
 
-func finish(res *Result, chans []chanState, start float64, cfg *Config, drained bool) {
+// frontier returns the latest completion so far: each channel's
+// busFree is its last transaction's end, and per-channel ends never
+// decrease.
+func frontier(chans []chanState, start float64) float64 {
 	endNs := start
 	for i := range chans {
 		if chans[i].busFree > endNs {
 			endNs = chans[i].busFree
 		}
 	}
-	elapsedNs := endNs
+	return endNs
+}
+
+func finish(res *Result, chans []chanState, start float64, cfg *Config, drained bool) {
+	elapsedNs := frontier(chans, start)
 	if res.Txns == 0 {
 		elapsedNs = 0
 	}

@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -19,13 +20,18 @@ func testConfig() Config {
 		RowMissNs:       45,
 		TurnaroundNs:    7.5,
 		BatchSize:       16,
-		MaxOutstanding:  16,
 		ActWindowNs:     40,
 		ActsPerWindow:   4,
 		RefreshLoss:     0.03,
 		InterleaveBytes: 1024,
 		HashChannels:    true,
 	}
+}
+
+// channelOf reports the channel the model's decoder routes a request at
+// addr with the given stream tag to.
+func channelOf(m *Model, addr uint64, stream uint8) int {
+	return int(m.decode(mem.Request{Addr: addr, Size: 64, Stream: stream}, 1).chIdx)
 }
 
 func contigReads(t testing.TB, elems int, elemBytes uint32) mem.Source {
@@ -277,9 +283,10 @@ func TestChannelRouting(t *testing.T) {
 
 	// Without hashing, a 4 KB stride (4 interleave blocks, even) camps on
 	// one channel.
+	m := New(cfg)
 	camped := map[int]bool{}
 	for i := 0; i < 64; i++ {
-		camped[cfg.ChannelOf(uint64(i)*4096, 0)] = true
+		camped[channelOf(m, uint64(i)*4096, 0)] = true
 	}
 	if len(camped) != 1 {
 		t.Errorf("unhashed pow2 stride used %d channels, want 1", len(camped))
@@ -287,9 +294,10 @@ func TestChannelRouting(t *testing.T) {
 
 	// With hashing the same stride spreads over both channels.
 	cfg.HashChannels = true
+	m = New(cfg)
 	spread := map[int]bool{}
 	for i := 0; i < 4096; i++ {
-		spread[cfg.ChannelOf(uint64(i)*4096, 0)] = true
+		spread[channelOf(m, uint64(i)*4096, 0)] = true
 	}
 	if len(spread) != 2 {
 		t.Errorf("hashed pow2 stride used %d channels, want 2", len(spread))
@@ -299,9 +307,10 @@ func TestChannelRouting(t *testing.T) {
 func TestChannelRoutingPerStream(t *testing.T) {
 	cfg := testConfig()
 	cfg.InterleaveBytes = 0
+	m := New(cfg)
 	for stream := uint8(0); stream < 4; stream++ {
 		want := int(stream) % cfg.Channels
-		if got := cfg.ChannelOf(0xdeadbeef, stream); got != want {
+		if got := channelOf(m, 0xdeadbeef, stream); got != want {
 			t.Errorf("stream %d -> channel %d, want %d", stream, got, want)
 		}
 	}
@@ -311,9 +320,10 @@ func TestChannelRoutingContiguousAlternates(t *testing.T) {
 	cfg := testConfig()
 	cfg.HashChannels = false
 	// Contiguous blocks alternate channels at InterleaveBytes granularity.
+	m := New(cfg)
 	counts := map[int]int{}
 	for i := 0; i < 128; i++ {
-		counts[cfg.ChannelOf(uint64(i)*1024, 0)]++
+		counts[channelOf(m, uint64(i)*1024, 0)]++
 	}
 	if counts[0] != 64 || counts[1] != 64 {
 		t.Errorf("contiguous interleave uneven: %v", counts)
@@ -388,6 +398,26 @@ func TestHashBanksSpreadsPow2RowStrides(t *testing.T) {
 	}
 }
 
+// serviceLoaded runs the open-loop path the surface runs: each non-nil
+// source prerouted, then one ServiceLoadedRouted. A bounded run
+// preroutes MaxTxns+1 requests per source — the run's one-request
+// lookahead, the surface's own sizing — so Drained still reports
+// whether a source ran dry inside the bound; an unbounded run preroutes
+// each source whole.
+func serviceLoaded(m *Model, bg, probe mem.Source, opts LoadedOptions) LoadedResult {
+	preroute := func(src mem.Source) *Prerouted {
+		if src == nil {
+			return nil
+		}
+		n := src.Remaining()
+		if opts.MaxTxns > 0 && uint64(n) > opts.MaxTxns+1 {
+			n = int(opts.MaxTxns + 1)
+		}
+		return m.Preroute(src, n)
+	}
+	return m.ServiceLoadedRouted(preroute(bg), preroute(probe), opts)
+}
+
 // loadedChase builds a probe chase over elems burst-sized elements.
 func loadedChase(t testing.TB, elems, hops int) mem.Source {
 	t.Helper()
@@ -400,7 +430,7 @@ func loadedChase(t testing.TB, elems, hops int) mem.Source {
 
 func TestServiceLoadedIdleProbeLatency(t *testing.T) {
 	m := New(testConfig())
-	res := m.ServiceLoaded(nil, loadedChase(t, 1<<16, 200), LoadedOptions{})
+	res := serviceLoaded(m, nil, loadedChase(t, 1<<16, 200), LoadedOptions{})
 	if res.ProbeTxns != 200 {
 		t.Fatalf("probe txns = %d, want 200", res.ProbeTxns)
 	}
@@ -424,7 +454,7 @@ func TestServiceLoadedLatencyRisesWithInjectionRate(t *testing.T) {
 		bg := contigReads(t, 1<<16, 64)
 		probe := loadedChase(t, 1<<16, 1<<20)
 		inter := float64(cfg.BurstBytes) / (frac * peakGBps)
-		res := m.ServiceLoaded(bg, probe, LoadedOptions{
+		res := serviceLoaded(m, bg, probe, LoadedOptions{
 			InterArrivalNs: inter,
 			MaxTxns:        1 << 14,
 		})
@@ -451,7 +481,7 @@ func TestServiceLoadedAchievedBandwidthSaturates(t *testing.T) {
 		m := New(cfg)
 		bg := contigReads(t, 1<<16, 64)
 		inter := float64(cfg.BurstBytes) / (frac * peak)
-		res := m.ServiceLoaded(bg, nil, LoadedOptions{InterArrivalNs: inter, MaxTxns: 1 << 14})
+		res := serviceLoaded(m, bg, nil, LoadedOptions{InterArrivalNs: inter, MaxTxns: 1 << 14})
 		return res.RequestedGBps()
 	}
 	low := achieved(0.2)
@@ -474,11 +504,11 @@ func TestServiceLoadedOccupancyAndDeterminism(t *testing.T) {
 		m := New(cfg)
 		bg := contigReads(t, 1<<13, 64)
 		probe := loadedChase(t, 1<<16, 256)
-		return m.ServiceLoaded(bg, probe, LoadedOptions{InterArrivalNs: 8})
+		return serviceLoaded(m, bg, probe, LoadedOptions{InterArrivalNs: 8})
 	}
 	a, b := run(), run()
 	if a != b {
-		t.Errorf("ServiceLoaded is not deterministic: %+v vs %+v", a, b)
+		t.Errorf("open-loop service is not deterministic: %+v vs %+v", a, b)
 	}
 	if a.AvgOccupancy() <= 0 {
 		t.Errorf("occupancy %.3f must be positive", a.AvgOccupancy())
@@ -496,7 +526,7 @@ func TestServiceLoadedOccupancyAndDeterminism(t *testing.T) {
 
 func TestServiceLoadedMaxTxnsBounds(t *testing.T) {
 	m := New(testConfig())
-	res := m.ServiceLoaded(contigReads(t, 1<<14, 64), nil, LoadedOptions{
+	res := serviceLoaded(m, contigReads(t, 1<<14, 64), nil, LoadedOptions{
 		InterArrivalNs: 4, MaxTxns: 100,
 	})
 	if res.Txns != 100 {
@@ -509,7 +539,7 @@ func TestServiceLoadedMaxTxnsBounds(t *testing.T) {
 
 func TestServiceLoadedEmpty(t *testing.T) {
 	m := New(testConfig())
-	res := m.ServiceLoaded(nil, nil, LoadedOptions{})
+	res := serviceLoaded(m, nil, nil, LoadedOptions{})
 	if res.Txns != 0 || res.Seconds != 0 {
 		t.Errorf("empty run produced %+v", res.Result)
 	}
@@ -519,7 +549,7 @@ func TestServiceLoadedWarmupExcludedFromOccupancy(t *testing.T) {
 	cfg := testConfig()
 	run := func(warmup uint64) LoadedResult {
 		m := New(cfg)
-		return m.ServiceLoaded(contigReads(t, 1<<14, 64), nil, LoadedOptions{
+		return serviceLoaded(m, contigReads(t, 1<<14, 64), nil, LoadedOptions{
 			InterArrivalNs: 3,
 			MaxTxns:        8192,
 			WarmupTxns:     warmup,
@@ -540,5 +570,17 @@ func TestServiceLoadedWarmupExcludedFromOccupancy(t *testing.T) {
 	if ratio < 0.8 || ratio > 1.3 {
 		t.Errorf("warmup skews occupancy: %.3f vs %.3f (ratio %.2f)",
 			warm.AvgOccupancy(), cold.AvgOccupancy(), ratio)
+	}
+}
+
+func TestServiceLoadedNaNInterArrivalTerminates(t *testing.T) {
+	// A NaN spacing leaves every background arrival after the first
+	// unordered against the probe's. The merge must still issue one
+	// transaction per iteration and stop at the bound.
+	m := New(testConfig())
+	opts := LoadedOptions{InterArrivalNs: math.NaN(), MaxTxns: 512}
+	res := serviceLoaded(m, contigReads(t, 1<<14, 64), loadedChase(t, 1<<16, 1<<12), opts)
+	if res.Txns != opts.MaxTxns {
+		t.Errorf("serviced %d txns, want %d", res.Txns, opts.MaxTxns)
 	}
 }

@@ -15,8 +15,10 @@ import (
 )
 
 // randomConfig draws a valid configuration exercising the model's
-// geometry and policy space.
-func randomConfig(rng *rand.Rand) Config {
+// geometry and policy space, plus the completion-ring depth (1–32) the
+// frozen references simulate: the live controller has no such ring, and
+// drawing its depth keeps the proof that it never binds under test.
+func randomConfig(rng *rand.Rand) (Config, int) {
 	pow2 := func(lo, hi int) uint32 { return 1 << (lo + rng.Intn(hi-lo+1)) }
 	cfg := Config{
 		Name:            "parity",
@@ -28,9 +30,9 @@ func randomConfig(rng *rand.Rand) Config {
 		RowMissNs:       20 * rng.Float64(),
 		TurnaroundNs:    10 * rng.Float64(),
 		BatchSize:       1 << rng.Intn(5),
-		MaxOutstanding:  1 + rng.Intn(32),
-		RefreshLoss:     0.05 * rng.Float64(),
 	}
+	ring := 1 + rng.Intn(32)
+	cfg.RefreshLoss = 0.05 * rng.Float64()
 	if rng.Intn(2) == 0 {
 		cfg.InterleaveBytes = pow2(6, 10)
 		cfg.HashChannels = rng.Intn(2) == 0
@@ -43,7 +45,7 @@ func randomConfig(rng *rand.Rand) Config {
 	if rng.Intn(2) == 0 {
 		cfg.InitialLatencyNs = 100 * rng.Float64()
 	}
-	return cfg
+	return cfg, ring
 }
 
 // randomStream builds a request source mixing the real generator types;
@@ -85,7 +87,7 @@ func randomStream(rng *rand.Rand, burst uint32) func() mem.Source {
 func TestServiceBoundedMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
-		cfg := randomConfig(rng)
+		cfg, ring := randomConfig(rng)
 		build := randomStream(rng, cfg.BurstBytes)
 		var maxTxns uint64
 		if rng.Intn(2) == 0 {
@@ -93,10 +95,20 @@ func TestServiceBoundedMatchesReference(t *testing.T) {
 		}
 		m := New(cfg)
 		got := m.ServiceBounded(build(), maxTxns)
-		want := refServiceBounded(m, build(), maxTxns)
+		want := refServiceBounded(m, build(), maxTxns, ring)
 		if got != want {
-			t.Fatalf("trial %d (cfg %+v, maxTxns %d):\n got  %+v\n want %+v",
-				trial, m.Config(), maxTxns, got, want)
+			t.Fatalf("trial %d (cfg %+v, ring %d, maxTxns %d):\n got  %+v\n want %+v",
+				trial, m.Config(), ring, maxTxns, got, want)
+		}
+		// The live decoder's strength-reduced router must agree with
+		// the reference router on every request of the stream.
+		src := build()
+		for r, ok := src.Next(); ok; r, ok = src.Next() {
+			refCh, _ := refRoute(m.cfg, r.Addr, r.Stream)
+			if ch := int(m.decode(r, 1).chIdx); ch != refCh {
+				t.Fatalf("trial %d (cfg %+v): request %+v routed to channel %d, reference %d",
+					trial, m.Config(), r, ch, refCh)
+			}
 		}
 	}
 }
@@ -105,10 +117,10 @@ func TestServiceBoundedArenaReuseMatchesReference(t *testing.T) {
 	// Back-to-back runs on one model reuse the arena; every run must
 	// still start cold.
 	rng := rand.New(rand.NewSource(11))
-	cfg := randomConfig(rng)
+	cfg, ring := randomConfig(rng)
 	m := New(cfg)
 	build := randomStream(rng, cfg.BurstBytes)
-	want := refServiceBounded(m, build(), 0)
+	want := refServiceBounded(m, build(), 0, ring)
 	for run := 0; run < 3; run++ {
 		if got := m.ServiceBounded(build(), 0); got != want {
 			t.Fatalf("run %d diverged after arena reuse:\n got  %+v\n want %+v", run, got, want)
@@ -116,52 +128,16 @@ func TestServiceBoundedArenaReuseMatchesReference(t *testing.T) {
 	}
 }
 
-func TestServiceLoadedMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 200; trial++ {
-		cfg := randomConfig(rng)
-		bgBuild := randomStream(rng, cfg.BurstBytes)
-		hops := 32 + rng.Intn(256)
-		elems := 64 + rng.Intn(1024)
-		probeBuild := func() mem.Source {
-			c, _ := mem.NewChaseIter(3<<31, elems, cfg.BurstBytes, hops, 3)
-			return c
-		}
-		opts := LoadedOptions{
-			InterArrivalNs: 5 * rng.Float64(),
-			MaxTxns:        uint64(rng.Intn(1024)),
-			WarmupTxns:     uint64(rng.Intn(64)),
-		}
-		var bg1, bg2, pr1, pr2 mem.Source
-		switch rng.Intn(3) {
-		case 0: // background only
-			bg1, bg2 = bgBuild(), bgBuild()
-		case 1: // probe only
-			pr1, pr2 = probeBuild(), probeBuild()
-		default: // both
-			bg1, bg2 = bgBuild(), bgBuild()
-			pr1, pr2 = probeBuild(), probeBuild()
-		}
-		m := New(cfg)
-		got := m.ServiceLoaded(bg1, pr1, opts)
-		want := refServiceLoaded(m, bg2, pr2, opts)
-		if got != want {
-			t.Fatalf("trial %d (cfg %+v, opts %+v):\n got  %+v\n want %+v",
-				trial, m.Config(), opts, got, want)
-		}
-	}
-}
-
-// TestServiceLoadedRoutedMatchesReference is the routed-parity test:
-// Preroute + ServiceLoadedRouted must reproduce the frozen reference —
-// and therefore ServiceLoaded — float for float, and a rewound or
-// recycled stream must replay identically. The surface sweep leans on
+// TestServiceLoadedRoutedMatchesReference is the open-loop parity test:
+// Preroute + ServiceLoadedRouted must reproduce the frozen reference
+// float for float, and a rewound or recycled stream must replay
+// identically. The surface sweep leans on
 // exactly these three properties.
 func TestServiceLoadedRoutedMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	var scratch *Prerouted // recycled across trials, like the surface sweep's
 	for trial := 0; trial < 200; trial++ {
-		cfg := randomConfig(rng)
+		cfg, ring := randomConfig(rng)
 		bgBuild := randomStream(rng, cfg.BurstBytes)
 		hops := 32 + rng.Intn(256)
 		elems := 64 + rng.Intn(1024)
@@ -188,10 +164,10 @@ func TestServiceLoadedRoutedMatchesReference(t *testing.T) {
 			pr, prRef = m.Preroute(probeBuild(), drain), probeBuild()
 		}
 		got := m.ServiceLoadedRouted(bg, pr, opts)
-		want := refServiceLoaded(m, bgRef, prRef, opts)
+		want := refServiceLoaded(m, bgRef, prRef, opts, ring)
 		if got != want {
-			t.Fatalf("trial %d (cfg %+v, opts %+v):\n got  %+v\n want %+v",
-				trial, m.Config(), opts, got, want)
+			t.Fatalf("trial %d (cfg %+v, ring %d, opts %+v):\n got  %+v\n want %+v",
+				trial, m.Config(), ring, opts, got, want)
 		}
 		// A rewound stream must replay the run exactly, and a stream
 		// decoded into a recycled backing array must match a fresh one.

@@ -15,7 +15,7 @@ import (
 
 func TestConcurrentServiceSharedModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	cfg := randomConfig(rng)
+	cfg, _ := randomConfig(rng)
 	m := New(cfg)
 	build := randomStream(rng, cfg.BurstBytes)
 	want := m.Service(build())
@@ -40,7 +40,7 @@ func TestConcurrentServiceLoadedRoutedSharedModel(t *testing.T) {
 	// The model is shared; each goroutine owns its streams (a Prerouted
 	// carries a read cursor and is single-goroutine by contract).
 	rng := rand.New(rand.NewSource(29))
-	cfg := randomConfig(rng)
+	cfg, _ := randomConfig(rng)
 	m := New(cfg)
 	bgBuild := randomStream(rng, cfg.BurstBytes)
 	probeBuild := func() mem.Source {

@@ -6,8 +6,14 @@ package dram
 // optimized paths and these references over identical configurations
 // and request streams and demand exactly equal Results — float-for-
 // float, counter-for-counter. The references are deliberately naive
-// (per-call allocation, O(n^2) buffer removal, reflection sort) so any
-// behavioural shortcut taken by the optimized code shows up as a diff.
+// (per-call allocation, O(n^2) buffer removal, reflection sort, a
+// hardware-divide router) so any behavioural shortcut taken by the
+// optimized code shows up as a diff.
+//
+// The references still simulate the per-channel completion ring that
+// the live controller proves vacuous and leaves out. Its depth is a
+// parameter, not a Config field, and the parity tests draw it at
+// random so the proof stays under test.
 
 import (
 	"sort"
@@ -49,12 +55,31 @@ func (cs *refChanState) activate(at, windowNs float64) float64 {
 	return at
 }
 
-func refNewChanStates(cfg Config) []refChanState {
+// refRoute is the reference router: it resolves a request to (channel
+// index, channel-local address) with plain divisions.
+func refRoute(cfg Config, addr uint64, stream uint8) (int, uint64) {
+	if cfg.InterleaveBytes == 0 {
+		return int(stream) % cfg.Channels, addr
+	}
+	block := addr / uint64(cfg.InterleaveBytes)
+	sel := block
+	if cfg.HashChannels {
+		sel = hashBlock(block)
+	}
+	chIdx := int(sel % uint64(cfg.Channels))
+	chAddr := (block/uint64(cfg.Channels))*uint64(cfg.InterleaveBytes) +
+		addr%uint64(cfg.InterleaveBytes)
+	return chIdx, chAddr
+}
+
+// refNewChanStates builds cold reference state with a completion ring
+// of depth ring per channel.
+func refNewChanStates(cfg Config, ring int) []refChanState {
 	chans := make([]refChanState, cfg.Channels)
 	for i := range chans {
 		chans[i] = refChanState{
 			banks: make([]bankState, cfg.BanksPerChannel),
-			ring:  make([]float64, cfg.MaxOutstanding),
+			ring:  make([]float64, ring),
 		}
 		if cfg.ActWindowNs > 0 {
 			chans[i].actRing = make([]float64, cfg.ActsPerWindow)
@@ -70,7 +95,7 @@ func refNewChanStates(cfg Config) []refChanState {
 }
 
 func refIssue(cfg Config, res *Result, chans []refChanState, r mem.Request, burstNs, earliest float64) float64 {
-	chIdx, chAddr := cfg.route(r.Addr, r.Stream)
+	chIdx, chAddr := refRoute(cfg, r.Addr, r.Stream)
 	ch := &chans[chIdx]
 
 	rowIdx := chAddr / uint64(cfg.RowBytes)
@@ -158,9 +183,9 @@ func refHasOp(buf []mem.Request, op mem.Op) bool {
 }
 
 // refServiceBounded is the pre-optimization closed-loop service path.
-func refServiceBounded(m *Model, src mem.Source, maxTxns uint64) Result {
+func refServiceBounded(m *Model, src mem.Source, maxTxns uint64, ring int) Result {
 	cfg := m.cfg
-	chans := refNewChanStates(cfg)
+	chans := refNewChanStates(cfg, ring)
 
 	var res Result
 	burstNs := float64(cfg.BurstBytes) / cfg.BusGBps
@@ -222,10 +247,26 @@ func refServiceBounded(m *Model, src mem.Source, maxTxns uint64) Result {
 	return res
 }
 
+// record accumulates one serviced request's latency.
+func record(res *LoadedResult, lat float64, isProbe bool) {
+	res.MeasuredTxns++
+	res.TotalLatencyNs += lat
+	if lat > res.MaxLatencyNs {
+		res.MaxLatencyNs = lat
+	}
+	if isProbe {
+		res.ProbeTxns++
+		res.ProbeTotalNs += lat
+		if lat > res.ProbeMaxNs {
+			res.ProbeMaxNs = lat
+		}
+	}
+}
+
 // refServiceLoaded is the pre-optimization open-loop service path.
-func refServiceLoaded(m *Model, bg, probe mem.Source, opts LoadedOptions) LoadedResult {
+func refServiceLoaded(m *Model, bg, probe mem.Source, opts LoadedOptions, ring int) LoadedResult {
 	cfg := m.cfg
-	chans := refNewChanStates(cfg)
+	chans := refNewChanStates(cfg, ring)
 
 	var res LoadedResult
 	burstNs := float64(cfg.BurstBytes) / cfg.BusGBps

@@ -653,7 +653,8 @@ func (l *Limit) Next() (Request, bool) {
 // deterministic sequence. Each request models one hop of the chase —
 // the address of hop n+1 depends on the data returned by hop n, so a
 // memory model servicing the stream must serialize the hops (the dram
-// package's ServiceLoaded does, via its probe stream tag). That
+// package's ServiceLoadedRouted does: a probe hop arrives only when the
+// previous one completed). That
 // serialization is what turns the request stream into a latency
 // measurement instead of a bandwidth one.
 //

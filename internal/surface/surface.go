@@ -157,14 +157,16 @@ func (c Config) Validate() error {
 	if c.ArrayBytes < 1<<10 {
 		return fmt.Errorf("surface: array bytes %d too small to exercise a memory system", c.ArrayBytes)
 	}
+	// The comparisons below are all false for NaN, so each range check
+	// states what a valid value is and negates it.
 	for _, r := range c.RWRatios {
-		if r < 0 || r > 1 {
+		if !(r >= 0 && r <= 1) {
 			return fmt.Errorf("surface: read fraction %g out of [0,1]", r)
 		}
 	}
 	for _, f := range c.Rates {
-		if f <= 0 {
-			return fmt.Errorf("surface: injection rate fraction %g must be positive", f)
+		if !(f > 0) || math.IsInf(f, 1) {
+			return fmt.Errorf("surface: injection rate fraction %g must be positive and finite", f)
 		}
 	}
 	if c.WindowTxns < 64 {
@@ -173,8 +175,8 @@ func (c Config) Validate() error {
 	if c.ProbeHops < 16 {
 		return fmt.Errorf("surface: %d probe hops too few to measure idle latency", c.ProbeHops)
 	}
-	if c.KneeFactor <= 1 {
-		return fmt.Errorf("surface: knee factor %g must exceed 1 (it multiplies the idle latency)", c.KneeFactor)
+	if !(c.KneeFactor > 1) || math.IsInf(c.KneeFactor, 1) {
+		return fmt.Errorf("surface: knee factor %g must be finite and exceed 1 (it multiplies the idle latency)", c.KneeFactor)
 	}
 	// The element count is device-dependent (the traffic granule is the
 	// DRAM burst size), so only granule-independent pattern properties
@@ -329,7 +331,7 @@ func GenerateShardWith(ctx context.Context, dev device.Device, cfg Config, lo, h
 	// measurement serves every curve.
 	burst := model.Config().BurstBytes
 	_, isp := obs.StartSpan(ctx, "surface.idle", "hops", strconv.Itoa(cfg.ProbeHops))
-	idle := model.ServiceLoaded(nil, chase(elems, burst, cfg.ProbeHops), dram.LoadedOptions{})
+	idle := model.ServiceLoadedRouted(nil, model.Preroute(chase(elems, burst, cfg.ProbeHops), cfg.ProbeHops), dram.LoadedOptions{})
 	idleNs := idle.ProbeAvgNs()
 	isp.End()
 
@@ -371,7 +373,7 @@ type rungJob struct {
 
 // generateParallel measures a shard's rungs with a worker pool. Every
 // rung is an independent simulation (each worker owns a model clone and
-// every ServiceLoaded call starts cold), so the rungs of all curves
+// every ServiceLoadedRouted call starts cold), so the rungs of all curves
 // fan out freely; the collector then observes and assembles them in
 // strict ladder order, which keeps the output — including partial,
 // canceled output — identical to the sequential path's.

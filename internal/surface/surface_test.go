@@ -2,6 +2,7 @@ package surface
 
 import (
 	"encoding/json"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -36,6 +37,13 @@ func TestValidate(t *testing.T) {
 		{WindowTxns: 8},
 		{ProbeHops: 2},
 		{KneeFactor: 0.5},
+		// NaN fails every ordered comparison, and an infinite rate means
+		// a zero inter-arrival time; none of them may reach the simulator.
+		{RWRatios: []float64{math.NaN()}},
+		{Rates: []float64{math.NaN()}},
+		{Rates: []float64{math.Inf(1)}},
+		{KneeFactor: math.NaN()},
+		{KneeFactor: math.Inf(1)},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
