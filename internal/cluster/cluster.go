@@ -181,7 +181,7 @@ type BaselineRequest struct {
 	Result        *core.Result       `json:"result,omitempty"`
 	Surface       *surface.Surface   `json:"surface,omitempty"`
 	FromJob       string             `json:"from_job,omitempty"`
-	Tolerance     baseline.Tolerance `json:"tolerance,omitempty"`
+	Tolerance     baseline.Tolerance `json:"tolerance,omitzero"`
 }
 
 // CheckRequest is the POST /v1/check body: re-measure the named

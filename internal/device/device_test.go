@@ -56,17 +56,26 @@ func TestStreamBases(t *testing.T) {
 	}
 }
 
+// drain pulls src dry through mem.Fill.
+func drain(src mem.Source) []mem.Request {
+	var out []mem.Request
+	var buf [64]mem.Request
+	for {
+		n := mem.Fill(src, buf[:])
+		out = append(out, buf[:n]...)
+		if n < len(buf) {
+			return out
+		}
+	}
+}
+
 func TestKernelSourceCopy(t *testing.T) {
 	src, err := KernelSource(kernel.Copy, 16, 4, mem.ContiguousPattern(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var reads, writes int
-	for {
-		r, ok := src.Next()
-		if !ok {
-			break
-		}
+	for _, r := range drain(src) {
 		switch r.Op {
 		case mem.Read:
 			reads++
@@ -92,11 +101,7 @@ func TestKernelSourceTriadStreams(t *testing.T) {
 	}
 	perStream := map[uint8]int{}
 	n := 0
-	for {
-		r, ok := src.Next()
-		if !ok {
-			break
-		}
+	for _, r := range drain(src) {
 		perStream[r.Stream]++
 		n++
 	}

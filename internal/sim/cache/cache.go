@@ -400,8 +400,7 @@ type MissFilter struct {
 
 	// Upstream prefetch buffer (created on the first NextBatch call):
 	// requests are pulled a batch at a time through mem.Fill so the
-	// generator chain above runs its own batched paths. Next drains it
-	// first, so mixed Next/NextBatch use keeps the exact sequence.
+	// generator chain above runs its own batched paths.
 	in    []mem.Request
 	inPos int
 	inLen int
@@ -422,11 +421,9 @@ func (f *MissFilter) Remaining() int {
 	return len(f.queue) - f.qHead + (f.inLen - f.inPos) + f.src.Remaining()
 }
 
-// NextBatch bulk-yields memory-side requests (mem.Batcher): queued
-// traffic drains with one copy, upstream requests arrive in batches, and
-// the cache is probed inline instead of through an interface call per
-// upstream request. The emitted sequence is exactly what repeated Next
-// calls would produce.
+// NextBatch yields memory-side requests: queued traffic drains with one
+// copy, upstream requests arrive in batches, and the cache is probed
+// inline instead of through an interface call per upstream request.
 func (f *MissFilter) NextBatch(dst []mem.Request) int {
 	n := 0
 	for n < len(dst) {
@@ -461,34 +458,4 @@ func (f *MissFilter) NextBatch(dst []mem.Request) int {
 		}
 	}
 	return n
-}
-
-// Next yields the next memory-side request.
-func (f *MissFilter) Next() (mem.Request, bool) {
-	for {
-		if f.qHead < len(f.queue) {
-			r := f.queue[f.qHead]
-			f.qHead++
-			return r, true
-		}
-		f.queue = f.queue[:0]
-		f.qHead = 0
-		if f.inPos < f.inLen {
-			f.queue = f.cache.Access(f.in[f.inPos], f.queue)
-			f.inPos++
-			continue
-		}
-		r, ok := f.src.Next()
-		if !ok {
-			if !f.flushed {
-				f.flushed = true
-				f.queue = f.cache.FlushWC(f.queue)
-				if len(f.queue) > 0 {
-					continue
-				}
-			}
-			return mem.Request{}, false
-		}
-		f.queue = f.cache.Access(r, f.queue)
-	}
 }

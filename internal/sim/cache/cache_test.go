@@ -275,6 +275,19 @@ func TestStreamingLargerThanCapacityAlwaysMisses(t *testing.T) {
 	}
 }
 
+// drain pulls src dry through mem.Fill.
+func drain(src mem.Source) []mem.Request {
+	var out []mem.Request
+	var buf [64]mem.Request
+	for {
+		n := mem.Fill(src, buf[:])
+		out = append(out, buf[:n]...)
+		if n < len(buf) {
+			return out
+		}
+	}
+}
+
 func TestMissFilter(t *testing.T) {
 	c := New(llcConfig())
 	it, err := mem.NewIter(mem.ContiguousPattern(), 0, 1024, 4, mem.Read, 0)
@@ -284,11 +297,7 @@ func TestMissFilter(t *testing.T) {
 	f := NewMissFilter(c, it)
 	var fills int
 	var bytes uint64
-	for {
-		r, ok := f.Next()
-		if !ok {
-			break
-		}
+	for _, r := range drain(f) {
 		if r.Op != mem.Read || r.Size != 64 {
 			t.Fatalf("unexpected memory-side request %+v", r)
 		}
@@ -311,7 +320,8 @@ func TestMissFilterRemaining(t *testing.T) {
 	if f.Remaining() != 16 {
 		t.Errorf("initial Remaining = %d, want 16", f.Remaining())
 	}
-	f.Next()
+	var one [1]mem.Request
+	mem.Fill(f, one[:])
 	if f.Remaining() > 15 {
 		t.Errorf("Remaining after one fill = %d, want <= 15", f.Remaining())
 	}
@@ -490,11 +500,7 @@ func TestMissFilterFlushesTrailingWC(t *testing.T) {
 	}
 	f := NewMissFilter(c, it)
 	var bytes uint64
-	for {
-		r, ok := f.Next()
-		if !ok {
-			break
-		}
+	for _, r := range drain(f) {
 		bytes += uint64(r.Size)
 	}
 	// 32 x 4B contiguous stores = 128 bytes, including the trailing line.

@@ -267,7 +267,7 @@ func TestEmptySource(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Drain it first so the source is empty.
-	it.Next()
+	pull(it)
 	res := m.Service(it)
 	if res.Txns != 0 || res.Seconds != 0 {
 		t.Errorf("empty source result: %+v", res)

@@ -103,7 +103,7 @@ func TestServiceBoundedMatchesReference(t *testing.T) {
 		// The live decoder's strength-reduced router must agree with
 		// the reference router on every request of the stream.
 		src := build()
-		for r, ok := src.Next(); ok; r, ok = src.Next() {
+		for r, ok := pull(src); ok; r, ok = pull(src) {
 			refCh, _ := refRoute(m.cfg, r.Addr, r.Stream)
 			if ch := int(m.decode(r, 1).chIdx); ch != refCh {
 				t.Fatalf("trial %d (cfg %+v): request %+v routed to channel %d, reference %d",

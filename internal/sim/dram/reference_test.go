@@ -182,6 +182,16 @@ func refHasOp(buf []mem.Request, op mem.Op) bool {
 	return false
 }
 
+// pull takes one request from src through mem.Fill; the references
+// consume their streams a request at a time.
+func pull(src mem.Source) (mem.Request, bool) {
+	var one [1]mem.Request
+	if mem.Fill(src, one[:]) == 0 {
+		return mem.Request{}, false
+	}
+	return one[0], true
+}
+
 // refServiceBounded is the pre-optimization closed-loop service path.
 func refServiceBounded(m *Model, src mem.Source, maxTxns uint64, ring int) Result {
 	cfg := m.cfg
@@ -194,7 +204,7 @@ func refServiceBounded(m *Model, src mem.Source, maxTxns uint64, ring int) Resul
 	buf := make([]mem.Request, 0, cfg.ReorderWin)
 	fill := func() {
 		for len(buf) < cfg.ReorderWin {
-			r, ok := src.Next()
+			r, ok := pull(src)
 			if !ok {
 				return
 			}
@@ -287,7 +297,7 @@ func refServiceLoaded(m *Model, bg, probe mem.Source, opts LoadedOptions, ring i
 			bgOK = false
 			return
 		}
-		if bgReq, bgOK = bg.Next(); bgOK {
+		if bgReq, bgOK = pull(bg); bgOK {
 			bgArrival = start + float64(slot)*inter
 			slot++
 		}
@@ -297,7 +307,7 @@ func refServiceLoaded(m *Model, bg, probe mem.Source, opts LoadedOptions, ring i
 			probeOK = false
 			return
 		}
-		if probeReq, probeOK = probe.Next(); probeOK {
+		if probeReq, probeOK = pull(probe); probeOK {
 			probeArrival = after
 		}
 	}

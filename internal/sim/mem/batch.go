@@ -1,45 +1,20 @@
 package mem
 
-// Batch generation: the allocation-free fast path the simulator hot
-// loop drains requests through. A Source's Next is one interface call
-// plus one walk-state switch per request; on streams of millions of
-// requests that dispatch dominates. Batcher lets a generator fill a
-// caller-owned arena slice with a single call, with the per-kind walk
-// loop monomorphized, and Fill routes through it when available.
-//
-// Every NextBatch must emit exactly the sequence repeated Next calls
-// would: the two paths are interchangeable mid-stream and the parity
-// tests hold each implementation to that.
+// Batch generation: every Source emits through NextBatch, filling a
+// caller-owned slice with one call. A per-request pull would cost an
+// interface call plus a walk-state switch per request, which dominates
+// on streams of millions of requests; a batch pays the dispatch once and
+// runs one monomorphic loop per pattern kind. Combinators (Interleave,
+// Coalescer, Limit, Mix, and cache.MissFilter downstream) pull their
+// inputs the same way, so a whole generator chain moves in batches.
 
-// Batcher is the optional bulk-generation extension of Source.
-type Batcher interface {
-	Source
-	// NextBatch fills dst from the stream and returns the count filled.
-	// A short count (< len(dst)) means the stream is exhausted for now,
-	// exactly as Next returning ok == false.
-	NextBatch(dst []Request) int
-}
-
-// Fill pulls up to len(dst) requests from s, using the bulk path when s
-// provides one. A short count means the source is exhausted.
+// Fill pulls up to len(dst) requests from s. A short count means the
+// source is exhausted.
 func Fill(s Source, dst []Request) int {
-	if b, ok := s.(Batcher); ok {
-		return b.NextBatch(dst)
-	}
-	n := 0
-	for n < len(dst) {
-		r, ok := s.Next()
-		if !ok {
-			break
-		}
-		dst[n] = r
-		n++
-	}
-	return n
+	return s.NextBatch(dst)
 }
 
-// NextBatch bulk-emits the walk with one monomorphic loop per pattern
-// kind (see Batcher).
+// NextBatch emits the walk with one monomorphic loop per pattern kind.
 func (it *Iter) NextBatch(dst []Request) int {
 	n := 0
 	switch it.pattern.Kind {
@@ -94,8 +69,7 @@ func (it *Iter) NextBatch(dst []Request) int {
 	return n
 }
 
-// NextBatch bulk-emits chase hops: one LCG step per request, no
-// dispatch (see Batcher).
+// NextBatch emits chase hops: one LCG step per request, no dispatch.
 func (c *ChaseIter) NextBatch(dst []Request) int {
 	n := 0
 	state, elems, eb := c.state, uint64(c.elems), uint64(c.elemBytes)
@@ -121,7 +95,7 @@ func (c *ChaseIter) NextBatch(dst []Request) int {
 	return n
 }
 
-// NextBatch bulk-emits within the budget (see Batcher).
+// NextBatch emits within the budget.
 func (l *Limit) NextBatch(dst []Request) int {
 	if l.left < len(dst) {
 		dst = dst[:l.left]
@@ -131,11 +105,12 @@ func (l *Limit) NextBatch(dst []Request) int {
 	return n
 }
 
-// NextBatch bulk-emits the scheduled same-direction groups: each group
-// run is one Fill into the destination instead of per-request dispatch.
-// The dry-side fallbacks reproduce Next's exact behaviour, including
-// its quirk of not charging the substitute request against the
-// stand-in side's group quota (see Batcher).
+// NextBatch emits the scheduled same-direction groups: each group run is
+// one Fill into the destination instead of per-request dispatch. When
+// the scheduled side runs dry mid-group, the rest of its quota is
+// dropped and one request is taken from the other side in its place;
+// that substitute is not charged against the stand-in side's group
+// quota.
 func (m *Mix) NextBatch(dst []Request) int {
 	n := 0
 	for n < len(dst) {
@@ -158,11 +133,9 @@ func (m *Mix) NextBatch(dst []Request) int {
 			m.readLeft -= got
 			if got < want {
 				m.readLeft = 0
-				r, ok := m.writes.Next()
-				if !ok {
+				if Fill(m.writes, dst[n:n+1]) == 0 {
 					return n
 				}
-				dst[n] = r
 				n++
 			}
 			continue
@@ -176,11 +149,9 @@ func (m *Mix) NextBatch(dst []Request) int {
 		m.writeLeft -= got
 		if got < want {
 			m.writeLeft = 0
-			r, ok := m.reads.Next()
-			if !ok {
+			if Fill(m.reads, dst[n:n+1]) == 0 {
 				return n
 			}
-			dst[n] = r
 			n++
 		}
 	}

@@ -1,11 +1,14 @@
 package mem
 
-// Fuzz coverage for the surface's background and probe generators. The
-// properties fuzzed here are the ones the bandwidth–latency methodology
-// leans on: Mix holds its read/write ratio to within one scheduling
-// granule by error diffusion, ChaseIter's LCG walk never leaves its
-// array, and both are bit-deterministic for a fixed seed (the whole
-// caching and fleet-merge story rests on that).
+// Fuzz coverage for the surface's background and probe generators and
+// for the coalescer. The properties fuzzed here are the ones the
+// bandwidth–latency methodology leans on: Mix holds its read/write ratio
+// to within one scheduling granule by error diffusion, ChaseIter's LCG
+// walk never leaves its array, both are bit-deterministic for a fixed
+// seed (the whole caching and fleet-merge story rests on that), and the
+// Coalescer's two merge paths emit the same transactions and conserve
+// bytes. Every target also fuzzes the Fill chunk length: a stream must
+// not depend on how its pulls are chunked.
 //
 // Run with: go test -fuzz FuzzMix ./internal/sim/mem (etc.); the f.Add
 // seeds below run on every plain `go test`.
@@ -21,57 +24,78 @@ type fuzzSource struct {
 }
 
 func (s *fuzzSource) Remaining() int { return 1 << 30 }
-func (s *fuzzSource) Next() (Request, bool) {
-	r := Request{Addr: s.next, Size: 64, Op: s.op}
-	s.next += 64
-	return r, true
+func (s *fuzzSource) NextBatch(dst []Request) int {
+	for i := range dst {
+		dst[i] = Request{Addr: s.next, Size: 64, Op: s.op}
+		s.next += 64
+	}
+	return len(dst)
+}
+
+// fillChunked pulls up to n requests from s in Fill calls of at most
+// chunk requests, stopping early only when s runs dry.
+func fillChunked(s Source, n, chunk int) []Request {
+	out := make([]Request, n)
+	got := 0
+	for got < n {
+		want := min(n-got, chunk)
+		k := Fill(s, out[got:got+want])
+		got += k
+		if k < want {
+			break
+		}
+	}
+	return out[:got]
+}
+
+// equalStreams reports the first index where a and b differ, or -1.
+func equalStreams(a, b []Request) int {
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	if len(a) != len(b) {
+		return min(len(a), len(b))
+	}
+	return -1
 }
 
 func FuzzMix(f *testing.F) {
-	f.Add(0.5, 16, uint16(1000))
-	f.Add(1.0, 16, uint16(100))
-	f.Add(0.0, 16, uint16(100))
-	f.Add(2.0/3, 4, uint16(999))
-	f.Add(0.123456, 64, uint16(5000))
-	f.Add(-1.5, 0, uint16(300))
-	f.Add(0.9999, 1, uint16(777))
-	f.Fuzz(func(t *testing.T, readFrac float64, group int, n16 uint16) {
-		if readFrac != readFrac { // NaN clamps to 0 via the < 0 branch? No: NaN fails both clamps.
+	f.Add(0.5, 16, uint16(1000), uint8(36))
+	f.Add(1.0, 16, uint16(100), uint8(0))
+	f.Add(0.0, 16, uint16(100), uint8(15))
+	f.Add(2.0/3, 4, uint16(999), uint8(2))
+	f.Add(0.123456, 64, uint16(5000), uint8(255))
+	f.Add(-1.5, 0, uint16(300), uint8(6))
+	f.Add(0.9999, 1, uint16(777), uint8(0))
+	f.Fuzz(func(t *testing.T, readFrac float64, group int, n16 uint16, chunk8 uint8) {
+		if readFrac != readFrac { // NaN fails both clamps
 			t.Skip("NaN ratio is not a meaningful input")
 		}
 		if group > 1<<20 {
 			t.Skip("absurd group size")
 		}
-		n := int(n16)
+		n, chunk := int(n16), int(chunk8)+1
 		if n == 0 {
 			return
 		}
 		mix := NewMix(&fuzzSource{op: Read}, &fuzzSource{op: Write}, readFrac, group)
+		seq := fillChunked(mix, n, chunk)
+		if len(seq) != n {
+			t.Fatalf("mix of endless sources ran dry at %d", len(seq))
+		}
 
-		wantFrac := readFrac
-		if wantFrac < 0 {
-			wantFrac = 0
-		}
-		if wantFrac > 1 {
-			wantFrac = 1
-		}
+		wantFrac := max(0, min(1, readFrac))
 		g := group
 		if g <= 0 {
 			g = DefaultMixGroup
 		}
-
 		reads := 0
-		var firstSeq []Request
-		for i := 0; i < n; i++ {
-			r, ok := mix.Next()
-			if !ok {
-				t.Fatalf("mix of endless sources ran dry at %d", i)
-			}
+		for i, r := range seq {
 			if r.Op == Read {
 				reads++
 			}
-			firstSeq = append(firstSeq, r)
-
 			// Ratio property: error diffusion keeps the emitted read count
 			// within one scheduling granule of the exact quota at every
 			// group boundary (mid-group the run structure allows a full
@@ -85,41 +109,25 @@ func FuzzMix(f *testing.F) {
 			}
 		}
 
-		// Determinism: an identical mix replays the identical sequence.
-		mix2 := NewMix(&fuzzSource{op: Read}, &fuzzSource{op: Write}, readFrac, group)
-		for i, want := range firstSeq {
-			got, ok := mix2.Next()
-			if !ok || got != want {
-				t.Fatalf("replay diverged at %d: got %+v ok=%v want %+v", i, got, ok, want)
-			}
-		}
-
-		// Batch parity: NextBatch must emit the same sequence as Next.
-		mix3 := NewMix(&fuzzSource{op: Read}, &fuzzSource{op: Write}, readFrac, group)
-		buf := make([]Request, n)
-		got := 0
-		for got < n {
-			k := mix3.NextBatch(buf[got : got+min(n-got, 37)]) // odd chunk crosses group bounds
-			if k == 0 {
-				t.Fatalf("batch replay ran dry at %d", got)
-			}
-			got += k
-		}
-		for i := range firstSeq {
-			if buf[i] != firstSeq[i] {
-				t.Fatalf("batch replay diverged at %d: got %+v want %+v", i, buf[i], firstSeq[i])
-			}
+		// Determinism and chunk invariance: the stream equals the
+		// reference schedule. n requests draw at most n from either side,
+		// so the reference over n-request prefixes of both sides never
+		// runs dry within the compared prefix.
+		side := func(op Op) []Request { return fillChunked(&fuzzSource{op: op}, n, n) }
+		ref := refMix(side(Read), side(Write), readFrac, group)[:n]
+		if i := equalStreams(seq, ref); i >= 0 {
+			t.Fatalf("diverged from the reference at %d: got %+v want %+v", i, seq[i], ref[i])
 		}
 	})
 }
 
 func FuzzChase(f *testing.F) {
-	f.Add(uint64(0), 1024, uint32(64), uint16(512))
-	f.Add(uint64(3)<<31, 1, uint32(64), uint16(64))
-	f.Add(uint64(1<<40), 7777, uint32(16), uint16(2000))
-	f.Add(uint64(64), 65536, uint32(128), uint16(100))
-	f.Fuzz(func(t *testing.T, base uint64, elems int, elemBytes uint32, hops16 uint16) {
-		hops := int(hops16)
+	f.Add(uint64(0), 1024, uint32(64), uint16(512), uint8(16))
+	f.Add(uint64(3)<<31, 1, uint32(64), uint16(64), uint8(0))
+	f.Add(uint64(1<<40), 7777, uint32(16), uint16(2000), uint8(200))
+	f.Add(uint64(64), 65536, uint32(128), uint16(100), uint8(6))
+	f.Fuzz(func(t *testing.T, base uint64, elems int, elemBytes uint32, hops16 uint16, chunk8 uint8) {
+		hops, chunk := int(hops16), int(chunk8)+1
 		if elems <= 0 || elems > 1<<24 || elemBytes == 0 || elemBytes > 1<<12 {
 			t.Skip("out of model range")
 		}
@@ -130,13 +138,16 @@ func FuzzChase(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		seq := fillChunked(c, hops, chunk)
+		if len(seq) != hops {
+			t.Fatalf("chase of %d hops ran dry at %d", hops, len(seq))
+		}
+		var extra [1]Request
+		if Fill(c, extra[:]) != 0 {
+			t.Fatalf("chase emitted extra hop %+v past its count", extra[0])
+		}
 		limit := base + uint64(elems)*uint64(elemBytes)
-		var firstSeq []Request
-		for i := 0; i < hops; i++ {
-			r, ok := c.Next()
-			if !ok {
-				t.Fatalf("chase of %d hops ran dry at %d", hops, i)
-			}
+		for i, r := range seq {
 			// In-range: every hop lands on an element inside the array.
 			if r.Addr < base || r.Addr+uint64(r.Size) > limit {
 				t.Fatalf("hop %d at %#x (+%d) escapes [%#x, %#x)", i, r.Addr, r.Size, base, limit)
@@ -149,38 +160,61 @@ func FuzzChase(f *testing.F) {
 			if r.Op != Read {
 				t.Fatalf("hop %d is a %v; the chase must only read", i, r.Op)
 			}
-			firstSeq = append(firstSeq, r)
-		}
-		if r, ok := c.Next(); ok {
-			t.Fatalf("chase emitted extra hop %+v past its count", r)
 		}
 
-		// Determinism: same geometry, same walk.
-		c2, _ := NewChaseIter(base, elems, elemBytes, hops, 3)
-		for i, want := range firstSeq {
-			got, ok := c2.Next()
-			if !ok || got != want {
-				t.Fatalf("replay diverged at hop %d: got %+v ok=%v want %+v", i, got, ok, want)
+		// Determinism and chunk invariance: the walk equals the
+		// reference LCG walk.
+		if i := equalStreams(seq, refChase(base, elems, elemBytes, hops, 3)); i >= 0 {
+			t.Fatalf("diverged from the reference at hop %d", i)
+		}
+	})
+}
+
+// opaque hides a source's concrete type, so a Coalescer over it cannot
+// take the contiguous-*Iter fast path and runs its generic merge loop.
+type opaque struct{ Source }
+
+func FuzzCoalesce(f *testing.F) {
+	f.Add(uint32(4), uint32(64), uint16(1024), uint8(0))
+	f.Add(uint32(8), uint32(64), uint16(1000), uint8(36))
+	f.Add(uint32(4), uint32(30), uint16(777), uint8(4))
+	f.Add(uint32(64), uint32(0), uint16(100), uint8(1))
+	f.Add(uint32(3), uint32(100), uint16(555), uint8(96))
+	f.Add(uint32(4096), uint32(65536), uint16(300), uint8(6))
+	f.Fuzz(func(t *testing.T, elemBytes, window uint32, elems16 uint16, chunk8 uint8) {
+		elems, chunk := int(elems16), int(chunk8)+1
+		if elems == 0 || elemBytes == 0 || elemBytes > 1<<12 {
+			t.Skip("out of model range")
+		}
+		const base = 1 << 20
+		walk := func() *Iter {
+			it, err := NewIter(ContiguousPattern(), base, elems, elemBytes, Write, 2)
+			if err != nil {
+				t.Fatal(err)
 			}
+			return it
+		}
+		fast := fillChunked(NewCoalescer(walk(), window), elems+1, chunk)
+		generic := fillChunked(NewCoalescer(opaque{walk()}, window), elems+1, chunk)
+
+		// Property 1: both merge paths emit the same transactions, and
+		// both match the reference merge.
+		if i := equalStreams(fast, generic); i >= 0 {
+			t.Fatalf("fast path and generic loop diverged at %d (of %d / %d)", i, len(fast), len(generic))
+		}
+		if i := equalStreams(fast, refCoalesce(refWalk(ContiguousPattern(), base, elems, elemBytes, Write, 2), window)); i >= 0 {
+			t.Fatalf("diverged from the reference at %d", i)
 		}
 
-		// Batch parity: NextBatch emits the identical walk.
-		c3, _ := NewChaseIter(base, elems, elemBytes, hops, 3)
-		buf := make([]Request, hops)
-		got := 0
-		for got < hops {
-			k := c3.NextBatch(buf[got:min(hops, got+17)])
-			if k == 0 {
-				break
+		// Property 2: coalescing conserves request bytes.
+		want := uint64(elems) * uint64(elemBytes)
+		for name, txns := range map[string][]Request{"fast": fast, "generic": generic} {
+			var bytes uint64
+			for _, r := range txns {
+				bytes += uint64(r.Size)
 			}
-			got += k
-		}
-		if got != hops {
-			t.Fatalf("batch walk emitted %d of %d hops", got, hops)
-		}
-		for i := range firstSeq {
-			if buf[i] != firstSeq[i] {
-				t.Fatalf("batch walk diverged at hop %d: got %+v want %+v", i, buf[i], firstSeq[i])
+			if bytes != want {
+				t.Fatalf("%s path emitted %d bytes, want %d", name, bytes, want)
 			}
 		}
 	})

@@ -249,42 +249,6 @@ func (it *Iter) Remaining() int { return it.elems - it.emitted }
 // Total returns the total number of requests the iterator will emit.
 func (it *Iter) Total() int { return it.elems }
 
-// Next emits the next request. ok is false once the walk is complete.
-func (it *Iter) Next() (r Request, ok bool) {
-	if it.emitted >= it.elems {
-		return Request{}, false
-	}
-	var index int
-	switch it.pattern.Kind {
-	case Contiguous:
-		index = it.emitted
-	case Strided:
-		stride := it.pattern.StrideElems
-		index = it.idx
-		// Advance: next element in this pass, or start the next pass.
-		it.idx += stride
-		if it.idx >= it.elems {
-			it.lane++
-			it.idx = it.lane
-			// lane can reach stride only when the walk is complete.
-		}
-	case ColMajor2D:
-		index = it.idx*it.cols + it.lane
-		it.idx++ // next row
-		if it.idx >= it.rows {
-			it.idx = 0
-			it.lane++ // next column
-		}
-	}
-	it.emitted++
-	return Request{
-		Addr:   it.base + uint64(index)*uint64(it.elemBytes),
-		Size:   it.elemBytes,
-		Op:     it.op,
-		Stream: it.stream,
-	}, true
-}
-
 // Reset rewinds the iterator to the start of the walk.
 func (it *Iter) Reset() {
 	it.emitted, it.idx, it.lane = 0, 0, 0
@@ -292,7 +256,9 @@ func (it *Iter) Reset() {
 
 // Source is the pull interface shared by iterators and combinators.
 type Source interface {
-	Next() (Request, bool)
+	// NextBatch fills dst from the stream and returns the count filled.
+	// A short count (< len(dst)) means the stream is exhausted.
+	NextBatch(dst []Request) int
 	Remaining() int
 }
 
@@ -304,18 +270,19 @@ type Interleave struct {
 	srcs []Source
 	next int
 
-	// Batch state, created on the first NextBatch call: per-source
-	// prefetch buffers so round-robin emission reads arrays instead of
-	// making an interface call per request. A source whose refill comes
-	// back empty is permanently done (the Source contract: once Next
-	// reports false it keeps reporting false).
+	// Per-source prefetch buffers, created on the first NextBatch call
+	// (device models build a kernel's source once just to validate it),
+	// so round-robin emission reads arrays instead of making an interface
+	// call per request. A source whose refill comes back empty is
+	// permanently done (the Source contract: a short NextBatch means
+	// exhausted).
 	bufs [][]Request
 	pos  []int
 	lens []int
 	done []bool
 }
 
-// interleaveBatch is the per-source prefetch depth for batched pulls.
+// interleaveBatch is the per-source prefetch depth.
 const interleaveBatch = 64
 
 // NewInterleave builds a round-robin combinator over srcs.
@@ -324,7 +291,7 @@ func NewInterleave(srcs ...Source) *Interleave {
 }
 
 // Remaining sums the remaining requests over all sources, plus anything
-// already prefetched into the batch buffers.
+// already prefetched into the buffers.
 func (in *Interleave) Remaining() int {
 	n := 0
 	for _, s := range in.srcs {
@@ -336,30 +303,8 @@ func (in *Interleave) Remaining() int {
 	return n
 }
 
-// Next emits from the next non-exhausted source in round-robin order.
-func (in *Interleave) Next() (Request, bool) {
-	if in.bufs != nil {
-		// Batch mode was engaged; stay on the buffered path so already
-		// prefetched requests keep their place in the rotation.
-		var one [1]Request
-		if in.NextBatch(one[:]) == 1 {
-			return one[0], true
-		}
-		return Request{}, false
-	}
-	for tries := 0; tries < len(in.srcs); tries++ {
-		s := in.srcs[in.next]
-		in.next = (in.next + 1) % len(in.srcs)
-		if r, ok := s.Next(); ok {
-			return r, ok
-		}
-	}
-	return Request{}, false
-}
-
-// NextBatch bulk-emits the round-robin stream (Batcher). The sequence is
-// exactly what repeated Next calls produce; sources are merely pulled a
-// batch at a time.
+// NextBatch emits the round-robin stream; sources are pulled a batch at
+// a time.
 func (in *Interleave) NextBatch(dst []Request) int {
 	if in.bufs == nil {
 		in.bufs = make([][]Request, len(in.srcs))
@@ -415,15 +360,15 @@ type Coalescer struct {
 	havePend bool
 	done     bool
 
-	// Upstream prefetch buffer, created on the first NextBatch call; the
-	// merge loop then runs over an array instead of an interface call per
-	// upstream request. Next drains it first so mixed use stays exact.
+	// Upstream prefetch buffer, created on the first generic-path pull;
+	// the merge loop runs over an array instead of an interface call per
+	// upstream request.
 	buf    []Request
 	bufPos int
 	bufLen int
 }
 
-// coalesceBatch is the upstream prefetch depth for batched pulls.
+// coalesceBatch is the upstream prefetch depth.
 const coalesceBatch = 128
 
 // NewCoalescer wraps src with a coalescing window of maxBytes.
@@ -444,19 +389,9 @@ func (c *Coalescer) Remaining() int {
 	return n
 }
 
-// pull takes the next upstream request, draining the prefetch buffer
-// before going back to the source.
-func (c *Coalescer) pull() (Request, bool) {
-	if c.bufPos < c.bufLen {
-		r := c.buf[c.bufPos]
-		c.bufPos++
-		return r, true
-	}
-	return c.src.Next()
-}
-
-// NextBatch bulk-emits merged transactions (Batcher), identical in
-// sequence to repeated Next calls.
+// NextBatch emits merged transactions. A contiguous *Iter upstream takes
+// the contigBatch fast path; any other source runs the generic merge loop
+// below over a prefetch buffer.
 func (c *Coalescer) NextBatch(dst []Request) int {
 	if c.done && !c.havePend {
 		return 0
@@ -580,39 +515,6 @@ func (c *Coalescer) contigBatch(it *Iter, dst []Request) (int, bool) {
 	return n, true
 }
 
-// Next emits the next (possibly merged) transaction.
-func (c *Coalescer) Next() (Request, bool) {
-	if c.done && !c.havePend {
-		return Request{}, false
-	}
-	for {
-		r, ok := c.pull()
-		if !ok {
-			c.done = true
-			if c.havePend {
-				c.havePend = false
-				return c.pending, true
-			}
-			return Request{}, false
-		}
-		if !c.havePend {
-			c.pending, c.havePend = r, true
-			continue
-		}
-		mergeable := c.pending.Op == r.Op &&
-			c.pending.Stream == r.Stream &&
-			c.pending.End() == r.Addr &&
-			c.pending.Size+r.Size <= c.maxBytes
-		if mergeable {
-			c.pending.Size += r.Size
-			continue
-		}
-		out := c.pending
-		c.pending = r
-		return out, true
-	}
-}
-
 // Limit yields at most n requests from src, for bounded (sampled)
 // simulation windows.
 type Limit struct {
@@ -634,18 +536,6 @@ func (l *Limit) Remaining() int {
 		return r
 	}
 	return l.left
-}
-
-// Next yields the next request while the budget lasts.
-func (l *Limit) Next() (Request, bool) {
-	if l.left <= 0 {
-		return Request{}, false
-	}
-	r, ok := l.src.Next()
-	if ok {
-		l.left--
-	}
-	return r, ok
 }
 
 // ChaseIter is the loaded-latency probe's request generator: a
@@ -716,27 +606,6 @@ func (c *ChaseIter) Reset() {
 // Remaining returns the hops not yet emitted.
 func (c *ChaseIter) Remaining() int { return c.count - c.emitted }
 
-// Next emits the next hop of the chase.
-func (c *ChaseIter) Next() (Request, bool) {
-	if c.emitted >= c.count {
-		return Request{}, false
-	}
-	c.state = c.state*chaseMul + chaseInc
-	var idx int
-	if c.mask != 0 {
-		idx = int((c.state >> 33) & c.mask)
-	} else {
-		idx = int((c.state >> 33) % uint64(c.elems))
-	}
-	c.emitted++
-	return Request{
-		Addr:   c.base + uint64(idx)*uint64(c.elemBytes),
-		Size:   c.elemBytes,
-		Op:     Read,
-		Stream: c.stream,
-	}, true
-}
-
 // Mix emits requests from a read source and a write source in a fixed
 // ratio, deterministically (error diffusion, no RNG): readFrac of the
 // emitted requests are reads. It is the background-traffic generator of
@@ -800,44 +669,19 @@ func (m *Mix) Reset() {
 	}
 }
 
-// Next emits the next request of the scheduled direction.
-func (m *Mix) Next() (Request, bool) {
-	if m.readLeft == 0 && m.writeLeft == 0 {
-		// Plan the next group: diffuse the fractional read quota.
-		m.acc += m.readFrac * float64(m.group)
-		m.readLeft = int(m.acc)
-		if m.readLeft > m.group {
-			m.readLeft = m.group
-		}
-		m.acc -= float64(m.readLeft)
-		m.writeLeft = m.group - m.readLeft
-	}
-	if m.readLeft > 0 {
-		if r, ok := m.reads.Next(); ok {
-			m.readLeft--
-			return r, ok
-		}
-		m.readLeft = 0
-		return m.writes.Next()
-	}
-	if r, ok := m.writes.Next(); ok {
-		m.writeLeft--
-		return r, ok
-	}
-	m.writeLeft = 0
-	return m.reads.Next()
-}
-
 // TotalBytes drains a source, returning the transaction count and byte sum.
 // It is a test and sizing helper; draining a large source is O(elements).
 func TotalBytes(s Source) (n int, bytes uint64) {
+	var buf [256]Request
 	for {
-		r, ok := s.Next()
-		if !ok {
+		k := s.NextBatch(buf[:])
+		for _, r := range buf[:k] {
+			bytes += uint64(r.Size)
+		}
+		n += k
+		if k < len(buf) {
 			return n, bytes
 		}
-		n++
-		bytes += uint64(r.Size)
 	}
 }
 

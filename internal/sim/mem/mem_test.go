@@ -5,15 +5,16 @@ import (
 	"testing/quick"
 )
 
-func collect(t *testing.T, it Source) []Request {
-	t.Helper()
+// collect drains s through Fill.
+func collect(s Source) []Request {
 	var out []Request
+	var buf [64]Request
 	for {
-		r, ok := it.Next()
-		if !ok {
+		n := Fill(s, buf[:])
+		out = append(out, buf[:n]...)
+		if n < len(buf) {
 			return out
 		}
-		out = append(out, r)
 	}
 }
 
@@ -45,7 +46,7 @@ func TestPatternKindString(t *testing.T) {
 
 func TestContiguousWalk(t *testing.T) {
 	it := mustIter(t, ContiguousPattern(), 0x1000, 4, 8, Read, 1)
-	got := collect(t, it)
+	got := collect(it)
 	if len(got) != 4 {
 		t.Fatalf("got %d requests, want 4", len(got))
 	}
@@ -60,7 +61,7 @@ func TestContiguousWalk(t *testing.T) {
 func TestStridedWalkOrder(t *testing.T) {
 	// 6 elements, stride 2: passes [0 2 4] then [1 3 5].
 	it := mustIter(t, StridedPattern(2), 0, 6, 4, Write, 0)
-	got := collect(t, it)
+	got := collect(it)
 	wantIdx := []uint64{0, 2, 4, 1, 3, 5}
 	if len(got) != len(wantIdx) {
 		t.Fatalf("got %d requests, want %d", len(got), len(wantIdx))
@@ -77,7 +78,7 @@ func TestStridedWalkOrder(t *testing.T) {
 
 func TestStridedStrideLargerThanArray(t *testing.T) {
 	it := mustIter(t, StridedPattern(5), 0, 3, 4, Read, 0)
-	got := collect(t, it)
+	got := collect(it)
 	wantIdx := []uint64{0, 1, 2}
 	if len(got) != 3 {
 		t.Fatalf("got %d requests, want 3", len(got))
@@ -93,7 +94,7 @@ func TestColMajorWalkOrder(t *testing.T) {
 	// 6 elements as 3x2: row-major [0 1; 2 3; 4 5], column-major visit
 	// order is 0,2,4 then 1,3,5.
 	it := mustIter(t, Pattern{Kind: ColMajor2D, Rows: 3, Cols: 2}, 0, 6, 4, Read, 0)
-	got := collect(t, it)
+	got := collect(it)
 	wantIdx := []uint64{0, 2, 4, 1, 3, 5}
 	if len(got) != len(wantIdx) {
 		t.Fatalf("got %d requests, want %d", len(got), len(wantIdx))
@@ -107,7 +108,7 @@ func TestColMajorWalkOrder(t *testing.T) {
 
 func TestColMajorAutoShape(t *testing.T) {
 	it := mustIter(t, ColMajorPattern(), 0, 64, 4, Read, 0)
-	got := collect(t, it)
+	got := collect(it)
 	if len(got) != 64 {
 		t.Fatalf("got %d requests, want 64", len(got))
 	}
@@ -173,9 +174,9 @@ func TestValidate(t *testing.T) {
 
 func TestIterReset(t *testing.T) {
 	it := mustIter(t, StridedPattern(3), 0, 9, 4, Read, 0)
-	first := append([]Request(nil), collect(t, it)...)
+	first := append([]Request(nil), collect(it)...)
 	it.Reset()
-	second := collect(t, it)
+	second := collect(it)
 	if len(first) != len(second) {
 		t.Fatalf("reset changed count: %d vs %d", len(first), len(second))
 	}
@@ -191,8 +192,8 @@ func TestIterRemaining(t *testing.T) {
 	if it.Remaining() != 5 || it.Total() != 5 {
 		t.Fatal("initial Remaining/Total wrong")
 	}
-	it.Next()
-	it.Next()
+	var two [2]Request
+	Fill(it, two[:])
 	if it.Remaining() != 3 {
 		t.Errorf("Remaining after 2 = %d, want 3", it.Remaining())
 	}
@@ -205,7 +206,7 @@ func TestInterleave(t *testing.T) {
 	if in.Remaining() != 6 {
 		t.Fatalf("Remaining = %d, want 6", in.Remaining())
 	}
-	got := collect(t, in)
+	got := collect(in)
 	if len(got) != 6 {
 		t.Fatalf("got %d, want 6", len(got))
 	}
@@ -220,7 +221,7 @@ func TestInterleave(t *testing.T) {
 func TestInterleaveUneven(t *testing.T) {
 	a := mustIter(t, ContiguousPattern(), 0, 1, 4, Read, 0)
 	b := mustIter(t, ContiguousPattern(), 0x1000, 4, 4, Write, 1)
-	got := collect(t, NewInterleave(a, b))
+	got := collect(NewInterleave(a, b))
 	if len(got) != 5 {
 		t.Fatalf("got %d, want 5", len(got))
 	}
@@ -235,7 +236,7 @@ func TestInterleaveUneven(t *testing.T) {
 func TestCoalescerMergesContiguous(t *testing.T) {
 	it := mustIter(t, ContiguousPattern(), 0, 64, 4, Read, 0)
 	co := NewCoalescer(it, 64)
-	got := collect(t, co)
+	got := collect(co)
 	if len(got) != 4 {
 		t.Fatalf("coalesced to %d transactions, want 4 (64x4B into 64B)", len(got))
 	}
@@ -254,7 +255,7 @@ func TestCoalescerMergesContiguous(t *testing.T) {
 func TestCoalescerDoesNotMergeStrided(t *testing.T) {
 	it := mustIter(t, StridedPattern(16), 0, 64, 4, Read, 0)
 	co := NewCoalescer(it, 64)
-	got := collect(t, co)
+	got := collect(co)
 	if len(got) != 64 {
 		t.Fatalf("strided coalesced to %d transactions, want 64 (no merging)", len(got))
 	}
@@ -265,7 +266,7 @@ func TestCoalescerRespectsOpBoundary(t *testing.T) {
 	a := mustIter(t, ContiguousPattern(), 0, 4, 4, Read, 0)
 	b := mustIter(t, ContiguousPattern(), 16, 4, 4, Write, 0)
 	co := NewCoalescer(NewInterleave(a, b), 64)
-	got := collect(t, co)
+	got := collect(co)
 	if len(got) != 8 {
 		t.Fatalf("mixed-op stream coalesced to %d, want 8", len(got))
 	}
@@ -290,7 +291,7 @@ func TestCoalescerPreservesBytes(t *testing.T) {
 func TestCoalescerZeroWindow(t *testing.T) {
 	it := mustIter(t, ContiguousPattern(), 0, 4, 4, Read, 0)
 	co := NewCoalescer(it, 0) // clamps to 1: nothing merges
-	got := collect(t, co)
+	got := collect(co)
 	if len(got) != 4 {
 		t.Fatalf("got %d, want 4", len(got))
 	}
@@ -362,11 +363,7 @@ func TestQuickPatternsArePermutations(t *testing.T) {
 		}
 		seen := make([]bool, elems)
 		count := 0
-		for {
-			r, ok := it.Next()
-			if !ok {
-				break
-			}
+		for _, r := range collect(it) {
 			idx := int(r.Addr / 4)
 			if idx < 0 || idx >= elems || seen[idx] {
 				return false
@@ -411,7 +408,7 @@ func TestLimit(t *testing.T) {
 	if lim.Remaining() != 3 {
 		t.Errorf("Remaining = %d, want 3", lim.Remaining())
 	}
-	got := collect(t, lim)
+	got := collect(lim)
 	if len(got) != 3 {
 		t.Fatalf("Limit yielded %d, want 3", len(got))
 	}
@@ -421,12 +418,12 @@ func TestLimit(t *testing.T) {
 	if lim.Remaining() != 10 {
 		t.Errorf("Remaining = %d, want 10", lim.Remaining())
 	}
-	if got := collect(t, lim); len(got) != 10 {
+	if got := collect(lim); len(got) != 10 {
 		t.Errorf("yielded %d, want 10", len(got))
 	}
 	// Negative budget clamps to zero.
 	it.Reset()
-	if got := collect(t, NewLimit(it, -1)); len(got) != 0 {
+	if got := collect(NewLimit(it, -1)); len(got) != 0 {
 		t.Errorf("negative budget yielded %d", len(got))
 	}
 }
@@ -439,7 +436,7 @@ func TestChaseIter(t *testing.T) {
 	if ch.Remaining() != 100 {
 		t.Errorf("Remaining = %d, want 100", ch.Remaining())
 	}
-	got := collect(t, ch)
+	got := collect(ch)
 	if len(got) != 100 {
 		t.Fatalf("chase yielded %d hops, want 100", len(got))
 	}
@@ -465,7 +462,7 @@ func TestChaseIter(t *testing.T) {
 	}
 	// Deterministic: a fresh iterator replays the same walk.
 	ch2, _ := NewChaseIter(1<<20, 256, 64, 100, 7)
-	for i, r := range collect(t, ch2) {
+	for i, r := range collect(ch2) {
 		if r != got[i] {
 			t.Fatalf("hop %d differs between identical chases", i)
 		}
@@ -483,7 +480,7 @@ func TestChaseIterErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := collect(t, ch); len(got) != 0 {
+	if got := collect(ch); len(got) != 0 {
 		t.Errorf("negative count yielded %d hops", len(got))
 	}
 }
@@ -493,13 +490,13 @@ func TestMixRatio(t *testing.T) {
 		reads := mustIter(t, ContiguousPattern(), 0, 1000, 4, Read, 1)
 		writes := mustIter(t, ContiguousPattern(), 1<<31, 1000, 4, Write, 0)
 		m := NewMix(reads, writes, frac, 4)
-		nr, total := 0, 0
-		for total < 600 {
-			r, ok := m.Next()
-			if !ok {
-				t.Fatal("mix ran dry early")
-			}
-			total++
+		buf := make([]Request, 600)
+		total := Fill(m, buf)
+		if total != len(buf) {
+			t.Fatal("mix ran dry early")
+		}
+		nr := 0
+		for _, r := range buf {
 			if r.Op == Read {
 				nr++
 			}
@@ -518,7 +515,7 @@ func TestMixDrainsBothSides(t *testing.T) {
 	if m.Remaining() != 10 {
 		t.Errorf("Remaining = %d, want 10", m.Remaining())
 	}
-	got := collect(t, m)
+	got := collect(m)
 	if len(got) != 10 {
 		t.Errorf("mix yielded %d, want 10", len(got))
 	}

@@ -673,18 +673,8 @@ func (r repeat) Remaining() int { return math.MaxInt }
 // Reset rewinds the cycling walk to its start.
 func (r repeat) Reset() { r.it.Reset() }
 
-// Next emits the next request, rewinding at the end of the walk.
-func (r repeat) Next() (mem.Request, bool) {
-	req, ok := r.it.Next()
-	if !ok {
-		r.it.Reset()
-		req, ok = r.it.Next()
-	}
-	return req, ok
-}
-
-// NextBatch bulk-emits the cycling walk (mem.Batcher), rewinding at
-// each wrap so the stream never reports exhaustion.
+// NextBatch emits the cycling walk, rewinding at each wrap so the stream
+// never reports exhaustion.
 func (r repeat) NextBatch(dst []mem.Request) int {
 	n := 0
 	for n < len(dst) {
