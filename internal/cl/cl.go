@@ -18,11 +18,9 @@ package cl
 
 import (
 	"fmt"
-	"time"
 
 	"mpstream/internal/device"
 	"mpstream/internal/kernel"
-	"mpstream/internal/sim/clock"
 	"mpstream/internal/sim/mem"
 )
 
@@ -190,23 +188,22 @@ func (k *Kernel) SetArgs(dst, b, c *Buffer, q float64) error {
 	return nil
 }
 
-// Event reports the profiled interval of one command.
+// Event reports the profiled interval of one command, in seconds of the
+// queue's virtual time.
 type Event struct {
 	Kind  string
-	Start clock.Time
-	End   clock.Time
+	Start float64
+	End   float64
 }
 
 // Seconds returns the command duration in seconds.
-func (e *Event) Seconds() float64 { return (e.End - e.Start).Seconds() }
+func (e *Event) Seconds() float64 { return e.End - e.Start }
 
-// Duration returns the command duration.
-func (e *Event) Duration() time.Duration { return (e.End - e.Start).Duration() }
-
-// CommandQueue is an in-order queue with a virtual clock.
+// CommandQueue is an in-order queue with a virtual clock: seconds since
+// the queue was created.
 type CommandQueue struct {
 	ctx *Context
-	now clock.Time
+	now float64
 }
 
 // CreateCommandQueue makes an empty in-order queue.
@@ -215,11 +212,11 @@ func (c *Context) CreateCommandQueue() *CommandQueue {
 }
 
 // Now returns the queue's virtual time.
-func (q *CommandQueue) Now() clock.Time { return q.now }
+func (q *CommandQueue) Now() float64 { return q.now }
 
 // advance appends a command of the given duration, returning its event.
 func (q *CommandQueue) advance(kind string, seconds float64) *Event {
-	ev := &Event{Kind: kind, Start: q.now, End: q.now.AddSeconds(seconds)}
+	ev := &Event{Kind: kind, Start: q.now, End: q.now + seconds}
 	q.now = ev.End
 	return ev
 }
@@ -326,4 +323,4 @@ func (k *Kernel) apply() error {
 
 // Finish returns the queue's virtual time once all commands complete (the
 // queue is in-order and synchronous, so this is simply Now).
-func (q *CommandQueue) Finish() clock.Time { return q.now }
+func (q *CommandQueue) Finish() float64 { return q.now }

@@ -20,7 +20,8 @@
 // The package deliberately does not import internal/service: the
 // service layer embeds a Coordinator and translates between its own
 // job model and the fleet callbacks, while this package speaks only
-// the HTTP wire format. Everything the coordinator learns about a job
+// the HTTP wire format; it owns that format's request bodies and point
+// events, which the service aliases. Everything the coordinator learns about a job
 // in flight (per-point events, shard assignment, retries) is surfaced
 // through callbacks so the service can re-export one merged NDJSON
 // event stream and one aggregated progress snapshot per fleet job.
@@ -129,16 +130,23 @@ type SurfaceShardRequest struct {
 	TimeoutMS int64           `json:"timeout_ms,omitempty"`
 }
 
-// RunRequest is the POST /v1/run body the remote-eval client pool
-// submits (a strict subset of the service's own request shape).
+// RunRequest is the POST /v1/run body. A nil config runs the paper's
+// baseline configuration.
 type RunRequest struct {
-	Target    string       `json:"target"`
-	Config    *core.Config `json:"config,omitempty"`
-	TimeoutMS int64        `json:"timeout_ms,omitempty"`
+	Target string       `json:"target"`
+	Config *core.Config `json:"config,omitempty"`
+	// Async returns 202 with a job id immediately instead of waiting for
+	// the result; poll GET /v1/jobs/{id}.
+	Async bool `json:"async,omitempty"`
+	// TimeoutMS bounds the job's execution once it starts running,
+	// clamped to the server's maximum; 0 means none. An expired deadline
+	// lands the job in canceled with stop_reason "deadline", carrying
+	// whatever partial results the executor collected.
+	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 
-// SweepRequest is the POST /v1/sweep body — what the CLIs submit when
-// pointed at a server or fleet with -server.
+// SweepRequest is the POST /v1/sweep body. A nil base starts from the
+// default configuration; op defaults to copy.
 type SweepRequest struct {
 	Target    string       `json:"target"`
 	Base      *core.Config `json:"base,omitempty"`
@@ -148,7 +156,11 @@ type SweepRequest struct {
 	TimeoutMS int64        `json:"timeout_ms,omitempty"`
 }
 
-// OptimizeRequest is the POST /v1/optimize body.
+// OptimizeRequest is the POST /v1/optimize body. A nil base starts
+// from the default configuration; op defaults to copy; an empty
+// strategy means exhaustive; budget 0 means the full space (subject to
+// the server's budget limit); equal seeds reproduce equal searches; an
+// empty objective ranks by raw bandwidth, "knee" by the surface knee.
 type OptimizeRequest struct {
 	Target    string       `json:"target"`
 	Base      *core.Config `json:"base,omitempty"`
@@ -162,7 +174,8 @@ type OptimizeRequest struct {
 	TimeoutMS int64        `json:"timeout_ms,omitempty"`
 }
 
-// SurfaceRequest is the POST /v1/surface body.
+// SurfaceRequest is the POST /v1/surface body. A nil config measures
+// the default bandwidth–latency surface (surface.Config zero value).
 type SurfaceRequest struct {
 	Target    string          `json:"target"`
 	Config    *surface.Config `json:"config,omitempty"`
@@ -171,8 +184,10 @@ type SurfaceRequest struct {
 }
 
 // BaselineRequest is the POST /v1/baselines body: register a named
-// reference measurement, sourced from a finished job (FromJob), an
-// inline run result, or an inline surface — exactly one.
+// reference sourced from a finished job (FromJob), an inline run
+// result, or an inline surface — exactly one. Config/SurfaceConfig
+// optionally override the configuration carried by the payload; Target
+// defaults to the source job's target.
 type BaselineRequest struct {
 	Name          string             `json:"name"`
 	Target        string             `json:"target"`
@@ -185,12 +200,11 @@ type BaselineRequest struct {
 }
 
 // CheckRequest is the POST /v1/check body: re-measure the named
-// baseline's configuration and verdict it against the stored
-// reference.
+// baseline's configuration and verdict the drift.
 type CheckRequest struct {
 	Name string `json:"name"`
-	// Tolerance overrides the stored bands for this check only (zero
-	// fields inherit the entry's).
+	// Tolerance overrides the stored bands for this check only; zero
+	// fields inherit the entry's stored values.
 	Tolerance *baseline.Tolerance `json:"tolerance,omitempty"`
 	Async     bool                `json:"async,omitempty"`
 	TimeoutMS int64               `json:"timeout_ms,omitempty"`
@@ -226,15 +240,23 @@ func (v *JobView) Terminal() bool {
 	return false
 }
 
-// PointEvent mirrors the service's per-evaluation-unit event payload;
-// the coordinator forwards these from worker event streams into the
-// fleet job's own merged stream.
+// PointEvent is the compact per-evaluation-unit payload of a point
+// event; the coordinator forwards these from worker event streams into
+// the fleet job's own merged stream.
 type PointEvent struct {
-	Label     string  `json:"label"`
-	GBps      float64 `json:"gbps"`
-	Feasible  bool    `json:"feasible"`
-	Error     string  `json:"error,omitempty"`
-	Cached    bool    `json:"cached,omitempty"`
+	// Label identifies the unit: a dse.ConfigLabel for sweep and
+	// optimize evaluations, "pattern/readfrac@rate" for a surface rung.
+	Label string `json:"label"`
+	// GBps is the unit's bandwidth: the kernel bandwidth of an evaluated
+	// configuration, or the achieved bandwidth of a surface rung.
+	GBps float64 `json:"gbps"`
+	// Feasible is false when the device rejected the configuration.
+	Feasible bool `json:"feasible"`
+	// Error carries the infeasibility reason, when any.
+	Error string `json:"error,omitempty"`
+	// Cached marks units answered by the run-result cache.
+	Cached bool `json:"cached,omitempty"`
+	// LatencyNs rides on surface rungs: the loaded latency.
 	LatencyNs float64 `json:"latency_ns,omitempty"`
 }
 

@@ -114,6 +114,15 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: ntimes %d must be >= 1", c.NTimes)
 	}
 	k := c.kernelFor(c.Ops[0], kernel.NDRange)
+	// The kernel shape first: ElemBytes is only meaningful, and nonzero,
+	// for a valid type and vector width. Attributes are left to each
+	// device's Compile, since which are legal depends on the loop mode
+	// the device picks.
+	shape := k
+	shape.Attrs = kernel.Attrs{}
+	if err := shape.Validate(); err != nil {
+		return err
+	}
 	if c.ArrayBytes%int64(k.ElemBytes()) != 0 {
 		return fmt.Errorf("core: array bytes %d not a multiple of element size %d",
 			c.ArrayBytes, k.ElemBytes())
@@ -275,7 +284,7 @@ func RunContext(ctx context.Context, dev device.Device, cfg Config) (*Result, er
 				}
 			}
 			end := queue.Finish()
-			kr.Times = append(kr.Times, (end - start).Seconds())
+			kr.Times = append(kr.Times, end-start)
 		}
 
 		kr.BestSeconds = bestTime(kr.Times)

@@ -37,6 +37,8 @@ func TestValidateRejects(t *testing.T) {
 		{"unaligned", func(c *Config) { c.ArrayBytes = 1001 }},
 		{"bad pattern", func(c *Config) { c.Pattern = mem.StridedPattern(-2) }},
 		{"vec misalign", func(c *Config) { c.VecWidth = 16; c.ArrayBytes = 96 }},
+		// Type.Bytes()*VecWidth wraps to a zero element size in uint32.
+		{"vec width overflow", func(c *Config) { c.VecWidth = 1 << 30; c.ArrayBytes = 4096 }},
 	}
 	for _, tc := range cases {
 		cfg := DefaultConfig()

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"encoding/json"
+	"math"
 	"testing"
 	"testing/quick"
 
+	"mpstream/internal/device/cpusim"
 	"mpstream/internal/device/targets"
 	"mpstream/internal/kernel"
 	"mpstream/internal/sim/mem"
@@ -63,4 +66,41 @@ func TestQuickRandomConfigsAllTargets(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
+}
+
+// FuzzConfigValidate decodes arbitrary JSON into a Config. Validate
+// must never panic, and a small configuration it accepts must run on
+// the cpu target without panicking, reporting finite, positive
+// bandwidths (the device may still reject it at Compile).
+func FuzzConfigValidate(f *testing.F) {
+	for _, seed := range []string{
+		`{"array_bytes":4096,"vec_width":1073741824}`, // element size wraps to 0
+		`{"array_bytes":4096,"type":"double","vec_width":536870912}`,
+		`{"array_bytes":65536,"vec_width":16,"loop":"flat","attrs":{"unroll":4},"ntimes":2}`,
+		`{"array_bytes":8192,"optimal_loop":true,"pattern":{"kind":"strided","stride_elems":4},"verify":true}`,
+		`{"array_bytes":16384,"type":"double","pattern":{"kind":"colmajor"},"loop":"nested","optimal_loop":false}`,
+		`{"array_bytes":4096,"ops":["triad"],"host_io":true,"ntimes":1}`,
+		`{"array_bytes":-8,"ntimes":-1}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	dev := cpusim.New()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var cfg Config
+		if json.Unmarshal(data, &cfg) != nil {
+			return
+		}
+		if cfg.Validate() != nil || cfg.ArrayBytes > 64<<10 || cfg.NTimes > 3 {
+			return
+		}
+		res, err := Run(dev, cfg)
+		if err != nil {
+			return
+		}
+		for _, kr := range res.Kernels {
+			if math.IsInf(kr.GBps, 0) || math.IsNaN(kr.GBps) || kr.GBps <= 0 {
+				t.Errorf("%s: %v GB/s", kr.Kernel, kr.GBps)
+			}
+		}
+	})
 }

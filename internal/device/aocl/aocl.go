@@ -34,8 +34,6 @@ import (
 	"mpstream/internal/kernel"
 	"mpstream/internal/sim/dram"
 	"mpstream/internal/sim/link"
-	"mpstream/internal/sim/mem"
-	"mpstream/internal/sim/sample"
 )
 
 // Config collects every tunable of the AOCL device model. Defaults are
@@ -170,9 +168,8 @@ func HMCConfig() Config {
 
 // Device is the AOCL target.
 type Device struct {
-	cfg  Config
-	mem  *dram.Model
-	pcie *link.Link
+	device.Board
+	cfg Config
 }
 
 // New builds the device with the default configuration.
@@ -181,42 +178,24 @@ func New() *Device { return NewWithConfig(DefaultConfig()) }
 // NewWithConfig builds the device with an explicit configuration
 // (ablation studies tweak individual mechanisms).
 func NewWithConfig(cfg Config) *Device {
-	return &Device{cfg: cfg, mem: dram.New(cfg.DRAM), pcie: link.New(cfg.PCIe)}
-}
-
-// Info implements device.Device.
-func (d *Device) Info() device.Info {
-	id, desc := d.cfg.ID, d.cfg.Description
+	id, desc := cfg.ID, cfg.Description
 	if id == "" {
 		id = "aocl"
 	}
 	if desc == "" {
 		desc = "Altera Stratix V GS D5 (Nallatech PCIe-385), AOCL 15.1 [simulated]"
 	}
-	return device.Info{
+	info := device.Info{
 		ID:          id,
 		Description: desc,
 		Kind:        device.FPGA,
-		PeakMemGBps: d.cfg.DRAM.PeakGBps(),
-		MemBytes:    d.cfg.MemBytes,
 		OptimalLoop: kernel.FlatLoop,
 		IdleWatts:   21,
 		PeakWatts:   30, // Nallatech 385 board power envelope
 	}
+	return &Device{cfg: cfg, Board: device.NewBoard(info, cfg.MemBytes, cfg.DRAM, cfg.PCIe,
+		cfg.LaunchOverheadSec, cfg.SampleWindowTxns, nil)}
 }
-
-// LaunchOverheadSeconds implements device.Device.
-func (d *Device) LaunchOverheadSeconds() float64 { return d.cfg.LaunchOverheadSec }
-
-// Link implements device.Device.
-func (d *Device) Link() *link.Link { return d.pcie }
-
-// Reset implements device.Device. The AOCL model holds no cross-run state.
-func (d *Device) Reset() {}
-
-// MemModel implements device.MemorySystem: the board DDR3 subsystem the
-// surface layer probes for loaded latency.
-func (d *Device) MemModel() *dram.Model { return d.mem }
 
 // arbEff is the shared arbitration-efficiency polynomial.
 func arbEff(n int, lin, quad float64) float64 {
@@ -229,33 +208,26 @@ func arbEff(n int, lin, quad float64) float64 {
 
 // plan is a compiled AOCL kernel.
 type plan struct {
-	dev   *Device
-	k     kernel.Kernel
-	shape fabric.Shape
-	synth fabric.Synthesis
+	device.Plan
+	dev *Device
 
 	issueGBps     float64 // sustained pipeline issue, after all efficiencies
 	coalesceBytes uint32
-
-	memo device.Memo
 }
 
 // Compile implements device.Device.
 func (d *Device) Compile(k kernel.Kernel) (device.Compiled, error) {
-	if err := k.Validate(); err != nil {
+	if err := d.CheckKernel(k); err != nil {
 		return nil, err
-	}
-	if k.Op == kernel.Chase {
-		return nil, fmt.Errorf("aocl: chase is a latency probe, not a throughput kernel; run it through the surface subsystem")
 	}
 	// AOCL 15.1 requires a fixed work-group size to vectorize work-items.
 	if k.Attrs.NumSIMDWorkItems > 1 && k.Attrs.ReqdWorkGroupSize == 0 {
-		return nil, fmt.Errorf("aocl: num_simd_work_items(%d) requires reqd_work_group_size",
-			k.Attrs.NumSIMDWorkItems)
+		return nil, fmt.Errorf("%s: num_simd_work_items(%d) requires reqd_work_group_size",
+			d.Info().ID, k.Attrs.NumSIMDWorkItems)
 	}
 
-	simd := maxInt(1, k.Attrs.NumSIMDWorkItems)
-	units := maxInt(1, k.Attrs.NumComputeUnits)
+	simd := max(1, k.Attrs.NumSIMDWorkItems)
+	units := max(1, k.Attrs.NumComputeUnits)
 	unroll := 1
 	if k.Loop != kernel.NDRange && k.Attrs.Unroll > 1 {
 		unroll = k.Attrs.Unroll
@@ -278,7 +250,7 @@ func (d *Device) Compile(k kernel.Kernel) (device.Compiled, error) {
 		return nil, err
 	}
 	if err := d.cfg.Part.Fit(synth.Res); err != nil {
-		return nil, fmt.Errorf("aocl: %s: %w", k.Name(), err)
+		return nil, d.Wrap(k, err)
 	}
 
 	// Pipeline issue bandwidth. The single global interconnect caps raw
@@ -319,73 +291,32 @@ func (d *Device) Compile(k kernel.Kernel) (device.Compiled, error) {
 		}
 	}
 
-	return &plan{dev: d, k: k, shape: shape, synth: synth,
+	return &plan{Plan: device.Plan{K: k, Synth: &synth}, dev: d,
 		issueGBps: issue, coalesceBytes: window}, nil
 }
-
-// Kernel implements device.Compiled.
-func (p *plan) Kernel() kernel.Kernel { return p.k }
-
-// Resources implements device.Compiled.
-func (p *plan) Resources() (fabric.Resources, bool) { return p.synth.Res, true }
-
-// FmaxMHz implements device.Compiled.
-func (p *plan) FmaxMHz() (float64, bool) { return p.synth.FmaxMHz, true }
 
 // Seconds implements device.Compiled. The model keeps no state between
 // invocations — the DRAM model services every window from cold — so
 // the answer depends on e alone and repeated invocations reuse the
 // first one.
-func (p *plan) Seconds(e device.Exec) (float64, error) { return p.memo.Do(e, p.simulate) }
+func (p *plan) Seconds(e device.Exec) (float64, error) { return p.Memo.Do(e, p.simulate) }
 
 // simulate predicts one invocation over e.
 func (p *plan) simulate(e device.Exec) (float64, error) {
-	k := p.k
-	if err := e.Validate(k); err != nil {
+	k := p.K
+	if err := p.dev.CheckExec(k, e); err != nil {
 		return 0, err
 	}
-	if need := int64(k.Op.Streams()) * e.ArrayBytes; need > p.dev.cfg.MemBytes {
-		return 0, fmt.Errorf("aocl: %d bytes exceed device memory %d", need, p.dev.cfg.MemBytes)
-	}
-	elems := e.Elems(k)
-	elemB := k.ElemBytes()
 	totalBytes := float64(k.Op.Streams()) * float64(e.ArrayBytes)
 
 	issueSec := totalBytes / (p.issueGBps * 1e9)
 
-	totalTxns := device.TxnCount(k.Op, elems, elemB, e.Pattern, p.coalesceBytes)
-	if _, err := device.KernelSource(k.Op, elems, elemB, e.Pattern, p.coalesceBytes); err != nil {
-		return 0, fmt.Errorf("aocl: %s: %w", k.Name(), err)
-	}
-	runner := func(maxTxns uint64) sample.Measurement {
-		src, _ := device.KernelSource(k.Op, elems, elemB, e.Pattern, p.coalesceBytes) // checked above
-		res := p.dev.mem.ServiceBounded(src, maxTxns)
-		return sample.Measurement{Txns: res.Txns, Seconds: res.Seconds}
-	}
-	est, err := sample.Run(runner, totalTxns, p.dev.cfg.SampleWindowTxns)
+	est, err := p.dev.Sample(k, e, p.coalesceBytes, p.dev.ServiceDRAM)
 	if err != nil {
-		return 0, fmt.Errorf("aocl: %s: %w", k.Name(), err)
+		return 0, err
 	}
 
 	sec := math.Max(issueSec, est.Seconds)
-	sec += p.synth.DrainSeconds(p.drainSegments(elems))
+	sec += p.Synth.DrainSeconds(device.DrainSegments(k.Loop, e.Elems(k)))
 	return sec, nil
-}
-
-// drainSegments counts how many times the pipeline drains per invocation.
-func (p *plan) drainSegments(elems int) int64 {
-	switch p.k.Loop {
-	case kernel.NestedLoop:
-		rows, _ := mem.Shape2D(elems)
-		return int64(rows)
-	default:
-		return 1
-	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -25,11 +25,9 @@
 package cpusim
 
 import (
-	"fmt"
 	"math"
 
 	"mpstream/internal/device"
-	"mpstream/internal/fabric"
 	"mpstream/internal/kernel"
 	"mpstream/internal/sim/cache"
 	"mpstream/internal/sim/dram"
@@ -106,52 +104,28 @@ func DefaultConfig() Config {
 
 // Device is the CPU target.
 type Device struct {
+	device.Board
 	cfg Config
-	mem *dram.Model
-	llc *cache.Cache
-	lnk *link.Link
 }
 
 // New builds the device with the default configuration.
 func New() *Device { return NewWithConfig(DefaultConfig()) }
 
-// NewWithConfig builds the device with an explicit configuration.
+// NewWithConfig builds the device with an explicit configuration. Host
+// and device coincide, so its link is memcpy-speed loopback; Reset
+// leaves the LLC cold.
 func NewWithConfig(cfg Config) *Device {
-	return &Device{
-		cfg: cfg,
-		mem: dram.New(cfg.DRAM),
-		llc: cache.New(cfg.LLC),
-		lnk: link.New(cfg.Loop),
-	}
-}
-
-// Info implements device.Device.
-func (d *Device) Info() device.Info {
-	return device.Info{
+	info := device.Info{
 		ID:          "cpu",
 		Description: "Intel Xeon E5-2609 v2 (4C/2.5GHz, 10 MB L3), OpenCL CPU runtime [simulated]",
 		Kind:        device.CPU,
-		PeakMemGBps: d.cfg.DRAM.PeakGBps(),
-		MemBytes:    d.cfg.MemBytes,
 		OptimalLoop: kernel.NDRange,
 		IdleWatts:   38,
 		PeakWatts:   95, // 80 W TDP package plus DIMMs
 	}
+	return &Device{cfg: cfg, Board: device.NewBoard(info, cfg.MemBytes, cfg.DRAM, cfg.Loop,
+		cfg.LaunchOverheadSec, cfg.SampleWindowTxns, cache.New(cfg.LLC))}
 }
-
-// LaunchOverheadSeconds implements device.Device.
-func (d *Device) LaunchOverheadSeconds() float64 { return d.cfg.LaunchOverheadSec }
-
-// Link implements device.Device. Host and device coincide, so "transfers"
-// are memcpy-speed loopback.
-func (d *Device) Link() *link.Link { return d.lnk }
-
-// Reset implements device.Device: cold caches.
-func (d *Device) Reset() { d.llc.Reset() }
-
-// MemModel implements device.MemorySystem: the DDR3 subsystem the
-// surface layer probes for loaded latency.
-func (d *Device) MemModel() *dram.Model { return d.mem }
 
 // coreConcurrencyGBps is the Little's-law ceiling on DRAM traffic: each
 // core keeps at most LFBsPerCore line fetches in flight.
@@ -161,61 +135,39 @@ func (d *Device) coreConcurrencyGBps(cores int) float64 {
 
 // plan is a compiled CPU kernel.
 type plan struct {
+	device.Plan
 	dev    *Device
-	k      kernel.Kernel
 	window uint32 // write-combining coalescer window
-	memo   device.Memo
 }
 
 // Compile implements device.Device. The CPU runtime ignores FPGA vendor
 // attributes, like any OpenCL compiler faced with unknown annotations.
 func (d *Device) Compile(k kernel.Kernel) (device.Compiled, error) {
-	if err := k.Validate(); err != nil {
+	if err := d.CheckKernel(k); err != nil {
 		return nil, err
 	}
-	if k.Op == kernel.Chase {
-		return nil, fmt.Errorf("cpu: chase is a latency probe, not a throughput kernel; run it through the surface subsystem")
-	}
-	return &plan{dev: d, k: k, window: max(d.cfg.LLC.LineBytes, k.ElemBytes())}, nil
+	return &plan{Plan: device.Plan{K: k}, dev: d, window: max(d.cfg.LLC.LineBytes, k.ElemBytes())}, nil
 }
-
-// Kernel implements device.Compiled.
-func (p *plan) Kernel() kernel.Kernel { return p.k }
-
-// Resources implements device.Compiled: not an FPGA.
-func (p *plan) Resources() (fabric.Resources, bool) { return fabric.Resources{}, false }
-
-// FmaxMHz implements device.Compiled: not an FPGA.
-func (p *plan) FmaxMHz() (float64, bool) { return 0, false }
 
 // Seconds implements device.Compiled. An exact run sees the LLC the
 // previous invocation left warm, so every repetition is simulated. A
 // sampled run's windows start cold, so its answer depends on e alone
 // and repeated invocations reuse the first one.
 func (p *plan) Seconds(e device.Exec) (float64, error) {
-	if err := e.Validate(p.k); err != nil {
+	k := p.K
+	if err := p.dev.CheckExec(k, e); err != nil {
 		return 0, err
 	}
-	if sample.Exact(p.txns(e), p.dev.cfg.SampleWindowTxns) {
+	if p.dev.Exact(device.TxnCount(k.Op, e.Elems(k), k.ElemBytes(), e.Pattern, p.window)) {
 		return p.simulate(e)
 	}
-	return p.memo.Do(e, p.simulate)
+	return p.Memo.Do(e, p.simulate)
 }
 
-// txns counts the transactions one invocation over e issues.
-func (p *plan) txns(e device.Exec) uint64 {
-	return device.TxnCount(p.k.Op, e.Elems(p.k), p.k.ElemBytes(), e.Pattern, p.window)
-}
-
-// simulate predicts one invocation over a validated e.
+// simulate predicts one invocation over a checked e.
 func (p *plan) simulate(e device.Exec) (float64, error) {
-	k := p.k
+	k := p.K
 	cfg := p.dev.cfg
-	if need := int64(k.Op.Streams()) * e.ArrayBytes; need > cfg.MemBytes {
-		return 0, fmt.Errorf("cpu: %d bytes exceed memory %d", need, cfg.MemBytes)
-	}
-	elems := e.Elems(k)
-	elemB := k.ElemBytes()
 
 	cores := cfg.Cores
 	var threadCap float64 // single work-item issue ceiling, 0 = none
@@ -227,21 +179,17 @@ func (p *plan) simulate(e device.Exec) (float64, error) {
 	}
 
 	// Memory path: word stream, write-combining coalescer, LLC, DDR3.
-	if _, err := device.KernelSource(k.Op, elems, elemB, e.Pattern, p.window); err != nil {
-		return 0, fmt.Errorf("cpu: %s: %w", k.Name(), err)
-	}
-	runner := func(maxTxns uint64) sample.Measurement {
-		src, _ := device.KernelSource(k.Op, elems, elemB, e.Pattern, p.window) // checked above
-		bounded := mem.Source(src)
+	llc, model := p.dev.Cache(), p.dev.MemModel()
+	est, err := p.dev.Sample(k, e, p.window, func(src mem.Source, maxTxns uint64) sample.Measurement {
 		if maxTxns > 0 {
-			bounded = mem.NewLimit(src, int(maxTxns))
+			src = mem.NewLimit(src, int(maxTxns))
 			// Sampled windows start cold; they only occur for
 			// footprints far beyond the LLC, where cold == steady.
-			p.dev.llc.Reset()
+			llc.Reset()
 		}
-		before := p.dev.llc.Stats()
-		res := p.dev.mem.Service(cache.NewMissFilter(p.dev.llc, bounded))
-		st := p.dev.llc.Stats().Delta(before)
+		before := llc.Stats()
+		res := model.Service(cache.NewMissFilter(llc, src))
+		st := llc.Stats().Delta(before)
 
 		sec := res.Seconds
 		// L3->core line traffic.
@@ -257,11 +205,9 @@ func (p *plan) simulate(e device.Exec) (float64, error) {
 			sec = core
 		}
 		return sample.Measurement{Txns: st.Accesses, Seconds: sec}
-	}
-
-	est, err := sample.Run(runner, p.txns(e), cfg.SampleWindowTxns)
+	})
 	if err != nil {
-		return 0, fmt.Errorf("cpu: %s: %w", k.Name(), err)
+		return 0, err
 	}
 
 	sec := est.Seconds

@@ -6,7 +6,8 @@
 // Four back-ends implement Device, mirroring the paper's experimental
 // setup: cpusim (Intel Xeon E5-2609 v2), gpusim (NVIDIA GTX Titan Black),
 // aocl (Altera Stratix V under AOCL 15.1) and sdaccel (Xilinx Virtex-7
-// under SDAccel 2015.1).
+// under SDAccel 2015.1). Each embeds a Board and samples its memory
+// system through Board.Sample.
 package device
 
 import (
@@ -16,9 +17,11 @@ import (
 
 	"mpstream/internal/fabric"
 	"mpstream/internal/kernel"
+	"mpstream/internal/sim/cache"
 	"mpstream/internal/sim/dram"
 	"mpstream/internal/sim/link"
 	"mpstream/internal/sim/mem"
+	"mpstream/internal/sim/sample"
 )
 
 // Kind classifies a device.
@@ -226,6 +229,151 @@ type Device interface {
 type MemorySystem interface {
 	// MemModel returns the device's global-memory timing model.
 	MemModel() *dram.Model
+}
+
+// Board is the skeleton every simulated target embeds. It implements
+// Device's Info, LaunchOverheadSeconds, Link and Reset, and
+// MemorySystem, so a back-end adds only Compile and its mechanism model.
+type Board struct {
+	info   Info
+	mem    *dram.Model
+	link   *link.Link
+	launch float64
+	window uint64       // sampling window in transactions
+	cache  *cache.Cache // nil when the board has no cache to reset
+}
+
+// NewBoard builds a board; info's PeakMemGBps comes from dramCfg and its
+// MemBytes from memBytes. window is the sampling window (sample.Run).
+func NewBoard(info Info, memBytes int64, dramCfg dram.Config, linkCfg link.Config,
+	launchSec float64, window uint64, c *cache.Cache) Board {
+	info.PeakMemGBps = dramCfg.PeakGBps()
+	info.MemBytes = memBytes
+	return Board{info: info, mem: dram.New(dramCfg), link: link.New(linkCfg),
+		launch: launchSec, window: window, cache: c}
+}
+
+// Info implements Device.
+func (b *Board) Info() Info { return b.info }
+
+// LaunchOverheadSeconds implements Device.
+func (b *Board) LaunchOverheadSeconds() float64 { return b.launch }
+
+// Link implements Device.
+func (b *Board) Link() *link.Link { return b.link }
+
+// Reset implements Device: a cold on-chip cache. DRAM state needs no
+// reset; every simulation services its stream from cold.
+func (b *Board) Reset() {
+	if b.cache != nil {
+		b.cache.Reset()
+	}
+}
+
+// MemModel implements MemorySystem.
+func (b *Board) MemModel() *dram.Model { return b.mem }
+
+// Cache returns the on-chip cache Reset clears, or nil.
+func (b *Board) Cache() *cache.Cache { return b.cache }
+
+// Wrap prefixes err with the board ID and the kernel name.
+func (b *Board) Wrap(k kernel.Kernel, err error) error {
+	return fmt.Errorf("%s: %s: %w", b.info.ID, k.Name(), err)
+}
+
+// CheckKernel is the prologue of every Compile: k must be valid and a
+// throughput kernel.
+func (b *Board) CheckKernel(k kernel.Kernel) error {
+	if err := k.Validate(); err != nil {
+		return err
+	}
+	if k.Op == kernel.Chase {
+		return fmt.Errorf("%s: chase is a latency probe, not a throughput kernel; run it through the surface subsystem", b.info.ID)
+	}
+	return nil
+}
+
+// CheckExec validates e against k and checks that the kernel's arrays
+// fit in the board's memory.
+func (b *Board) CheckExec(k kernel.Kernel, e Exec) error {
+	if err := e.Validate(k); err != nil {
+		return err
+	}
+	if need := int64(k.Op.Streams()) * e.ArrayBytes; need > b.info.MemBytes {
+		return fmt.Errorf("%s: %d bytes exceed device memory %d", b.info.ID, need, b.info.MemBytes)
+	}
+	return nil
+}
+
+// Exact reports whether a run of n transactions is simulated whole
+// rather than sampled with the board's window.
+func (b *Board) Exact(n uint64) bool { return sample.Exact(n, b.window) }
+
+// Sample estimates the memory time of one invocation of k over a
+// checked e, its streams coalesced up to window bytes (KernelSource).
+// run services one simulated window: a fresh request stream bounded to
+// maxTxns transactions (0 = the whole stream).
+func (b *Board) Sample(k kernel.Kernel, e Exec, window uint32,
+	run func(src mem.Source, maxTxns uint64) sample.Measurement) (sample.Estimate, error) {
+	elems, elemB := e.Elems(k), k.ElemBytes()
+	if _, err := KernelSource(k.Op, elems, elemB, e.Pattern, window); err != nil {
+		return sample.Estimate{}, b.Wrap(k, err)
+	}
+	runner := func(maxTxns uint64) sample.Measurement {
+		src, _ := KernelSource(k.Op, elems, elemB, e.Pattern, window) // checked above
+		return run(src, maxTxns)
+	}
+	est, err := sample.Run(runner, TxnCount(k.Op, elems, elemB, e.Pattern, window), b.window)
+	if err != nil {
+		return est, b.Wrap(k, err)
+	}
+	return est, nil
+}
+
+// ServiceDRAM is the run of a board without a cache in the memory path:
+// the stream goes straight to DRAM, bounded to maxTxns (0 = whole).
+func (b *Board) ServiceDRAM(src mem.Source, maxTxns uint64) sample.Measurement {
+	res := b.mem.ServiceBounded(src, maxTxns)
+	return sample.Measurement{Txns: res.Txns, Seconds: res.Seconds}
+}
+
+// Plan is the part of a compiled kernel every target shares: it
+// implements Compiled's Kernel, Resources and FmaxMHz, and a back-end's
+// plan adds Seconds. A Plan must not be copied after first use.
+type Plan struct {
+	K     kernel.Kernel
+	Synth *fabric.Synthesis // FPGA synthesis; nil for non-FPGA targets
+	Memo  Memo              // Seconds' answer when it depends on the Exec alone
+}
+
+// Kernel implements Compiled.
+func (p *Plan) Kernel() kernel.Kernel { return p.K }
+
+// Resources implements Compiled.
+func (p *Plan) Resources() (fabric.Resources, bool) {
+	if p.Synth == nil {
+		return fabric.Resources{}, false
+	}
+	return p.Synth.Res, true
+}
+
+// FmaxMHz implements Compiled.
+func (p *Plan) FmaxMHz() (float64, bool) {
+	if p.Synth == nil {
+		return 0, false
+	}
+	return p.Synth.FmaxMHz, true
+}
+
+// DrainSegments counts how many times a pipelined FPGA kernel drains per
+// invocation over elems elements: once per outer iteration of a nested
+// loop, otherwise once.
+func DrainSegments(loop kernel.LoopMode, elems int) int64 {
+	if loop == kernel.NestedLoop {
+		rows, _ := mem.Shape2D(elems)
+		return int64(rows)
+	}
+	return 1
 }
 
 // StreamBases returns non-overlapping base addresses for the benchmark

@@ -23,11 +23,9 @@
 package gpusim
 
 import (
-	"fmt"
 	"math"
 
 	"mpstream/internal/device"
-	"mpstream/internal/fabric"
 	"mpstream/internal/kernel"
 	"mpstream/internal/sim/cache"
 	"mpstream/internal/sim/dram"
@@ -135,51 +133,27 @@ func DefaultConfig() Config {
 
 // Device is the GPU target.
 type Device struct {
-	cfg  Config
-	mem  *dram.Model
-	l2   *cache.Cache
-	pcie *link.Link
+	device.Board
+	cfg Config
 }
 
 // New builds the device with the default configuration.
 func New() *Device { return NewWithConfig(DefaultConfig()) }
 
-// NewWithConfig builds the device with an explicit configuration.
+// NewWithConfig builds the device with an explicit configuration. Reset
+// leaves the L2 cold.
 func NewWithConfig(cfg Config) *Device {
-	return &Device{
-		cfg:  cfg,
-		mem:  dram.New(cfg.DRAM),
-		l2:   cache.New(cfg.L2),
-		pcie: link.New(cfg.PCIe),
-	}
-}
-
-// Info implements device.Device.
-func (d *Device) Info() device.Info {
-	return device.Info{
+	info := device.Info{
 		ID:          "gpu",
 		Description: "NVIDIA GeForce GTX Titan Black (GK110B), OpenCL [simulated]",
 		Kind:        device.GPU,
-		PeakMemGBps: d.cfg.DRAM.PeakGBps(),
-		MemBytes:    d.cfg.MemBytes,
 		OptimalLoop: kernel.NDRange,
 		IdleWatts:   40,
 		PeakWatts:   230, // memory-bound draw, under the 250 W TDP
 	}
+	return &Device{cfg: cfg, Board: device.NewBoard(info, cfg.MemBytes, cfg.DRAM, cfg.PCIe,
+		cfg.LaunchOverheadSec, cfg.SampleWindowTxns, cache.New(cfg.L2))}
 }
-
-// LaunchOverheadSeconds implements device.Device.
-func (d *Device) LaunchOverheadSeconds() float64 { return d.cfg.LaunchOverheadSec }
-
-// Link implements device.Device.
-func (d *Device) Link() *link.Link { return d.pcie }
-
-// Reset implements device.Device: cold L2.
-func (d *Device) Reset() { d.l2.Reset() }
-
-// MemModel implements device.MemorySystem: the GDDR5 subsystem the
-// surface layer probes for loaded latency.
-func (d *Device) MemModel() *dram.Model { return d.mem }
 
 // Occupancy returns resident warps per SM for a kernel, from its register
 // pressure. Exposed for tests and reports.
@@ -197,48 +171,32 @@ func (d *Device) Occupancy(k kernel.Kernel) int {
 
 // plan is a compiled GPU kernel.
 type plan struct {
+	device.Plan
 	dev   *Device
-	k     kernel.Kernel
 	warps int
-	memo  device.Memo
 }
 
 // Compile implements device.Device. The GPU toolchain ignores FPGA vendor
 // attributes (as real OpenCL compilers ignore unknown annotations) but
 // still validates the generic kernel structure.
 func (d *Device) Compile(k kernel.Kernel) (device.Compiled, error) {
-	if err := k.Validate(); err != nil {
+	if err := d.CheckKernel(k); err != nil {
 		return nil, err
 	}
-	if k.Op == kernel.Chase {
-		return nil, fmt.Errorf("gpu: chase is a latency probe, not a throughput kernel; run it through the surface subsystem")
-	}
-	return &plan{dev: d, k: k, warps: d.Occupancy(k)}, nil
+	return &plan{Plan: device.Plan{K: k}, dev: d, warps: d.Occupancy(k)}, nil
 }
-
-// Kernel implements device.Compiled.
-func (p *plan) Kernel() kernel.Kernel { return p.k }
-
-// Resources implements device.Compiled: not an FPGA.
-func (p *plan) Resources() (fabric.Resources, bool) { return fabric.Resources{}, false }
-
-// FmaxMHz implements device.Compiled: not an FPGA.
-func (p *plan) FmaxMHz() (float64, bool) { return 0, false }
 
 // Seconds implements device.Compiled. Every simulated window starts
 // from a cold L2 and fresh DRAM state, so the answer depends on e alone
 // and repeated invocations reuse the first one.
-func (p *plan) Seconds(e device.Exec) (float64, error) { return p.memo.Do(e, p.simulate) }
+func (p *plan) Seconds(e device.Exec) (float64, error) { return p.Memo.Do(e, p.simulate) }
 
 // simulate predicts one invocation over e.
 func (p *plan) simulate(e device.Exec) (float64, error) {
-	k := p.k
+	k := p.K
 	cfg := p.dev.cfg
-	if err := e.Validate(k); err != nil {
+	if err := p.dev.CheckExec(k, e); err != nil {
 		return 0, err
-	}
-	if need := int64(k.Op.Streams()) * e.ArrayBytes; need > cfg.MemBytes {
-		return 0, fmt.Errorf("gpu: %d bytes exceed device memory %d", need, cfg.MemBytes)
 	}
 	elems := e.Elems(k)
 	elemB := k.ElemBytes()
@@ -293,19 +251,14 @@ func (p *plan) simulate(e device.Exec) (float64, error) {
 	}
 
 	// Memory system: coalesced stream through the sectored L2 into GDDR5.
-	totalTxns := device.TxnCount(k.Op, elems, elemB, e.Pattern, window)
-	if _, err := device.KernelSource(k.Op, elems, elemB, e.Pattern, window); err != nil {
-		return 0, fmt.Errorf("gpu: %s: %w", k.Name(), err)
-	}
-	runner := func(maxTxns uint64) sample.Measurement {
-		src, _ := device.KernelSource(k.Op, elems, elemB, e.Pattern, window) // checked above
-		bounded := mem.Source(src)
+	l2, model := p.dev.Cache(), p.dev.MemModel()
+	est, err := p.dev.Sample(k, e, window, func(src mem.Source, maxTxns uint64) sample.Measurement {
 		if maxTxns > 0 {
-			bounded = mem.NewLimit(src, int(maxTxns))
+			src = mem.NewLimit(src, int(maxTxns))
 		}
-		p.dev.l2.Reset()
-		res := p.dev.mem.Service(cache.NewMissFilter(p.dev.l2, bounded))
-		st := p.dev.l2.Stats()
+		l2.Reset()
+		res := model.Service(cache.NewMissFilter(l2, src))
+		st := l2.Stats()
 		sec := res.Seconds
 		// L2-resident traffic moves at L2 speed even when DRAM is idle.
 		l2Bytes := float64(st.L1Transfers) * float64(cfg.L2.LineBytes)
@@ -313,12 +266,10 @@ func (p *plan) simulate(e device.Exec) (float64, error) {
 		if l2Sec > sec {
 			sec = l2Sec
 		}
-		txns := st.Accesses
-		return sample.Measurement{Txns: txns, Seconds: sec}
-	}
-	est, err := sample.Run(runner, totalTxns, cfg.SampleWindowTxns)
+		return sample.Measurement{Txns: st.Accesses, Seconds: sec}
+	})
 	if err != nil {
-		return 0, fmt.Errorf("gpu: %s: %w", k.Name(), err)
+		return 0, err
 	}
 	memSec := est.Seconds
 

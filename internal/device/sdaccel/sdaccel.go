@@ -36,8 +36,6 @@ import (
 	"mpstream/internal/kernel"
 	"mpstream/internal/sim/dram"
 	"mpstream/internal/sim/link"
-	"mpstream/internal/sim/mem"
-	"mpstream/internal/sim/sample"
 )
 
 // Config collects the SDAccel device model tunables.
@@ -121,9 +119,8 @@ func DefaultConfig() Config {
 
 // Device is the SDAccel target.
 type Device struct {
-	cfg  Config
-	mem  *dram.Model
-	pcie *link.Link
+	device.Board
+	cfg Config
 }
 
 // New builds the device with the default configuration.
@@ -131,60 +128,34 @@ func New() *Device { return NewWithConfig(DefaultConfig()) }
 
 // NewWithConfig builds the device with an explicit configuration.
 func NewWithConfig(cfg Config) *Device {
-	return &Device{cfg: cfg, mem: dram.New(cfg.DRAM), pcie: link.New(cfg.PCIe)}
-}
-
-// Info implements device.Device.
-func (d *Device) Info() device.Info {
-	return device.Info{
+	info := device.Info{
 		ID:          "sdaccel",
 		Description: "Xilinx Virtex-7 XC7VX690T (Alpha-Data ADM-PCIE-7V3), SDAccel 2015.1 [simulated]",
 		Kind:        device.FPGA,
-		PeakMemGBps: d.cfg.DRAM.PeakGBps(),
-		MemBytes:    d.cfg.MemBytes,
 		OptimalLoop: kernel.NestedLoop,
 		IdleWatts:   19,
 		PeakWatts:   28, // ADM-PCIE-7V3 board power envelope
 	}
+	return &Device{cfg: cfg, Board: device.NewBoard(info, cfg.MemBytes, cfg.DRAM, cfg.PCIe,
+		cfg.LaunchOverheadSec, cfg.SampleWindowTxns, nil)}
 }
-
-// LaunchOverheadSeconds implements device.Device.
-func (d *Device) LaunchOverheadSeconds() float64 { return d.cfg.LaunchOverheadSec }
-
-// Link implements device.Device.
-func (d *Device) Link() *link.Link { return d.pcie }
-
-// Reset implements device.Device. The model holds no cross-run state.
-func (d *Device) Reset() {}
-
-// MemModel implements device.MemorySystem: the board DDR3 subsystem the
-// surface layer probes for loaded latency.
-func (d *Device) MemModel() *dram.Model { return d.mem }
 
 // plan is a compiled SDAccel kernel.
 type plan struct {
+	device.Plan
 	dev   *Device
-	k     kernel.Kernel
 	shape fabric.Shape
-	synth fabric.Synthesis
 
-	pipelined  bool    // II=1 (or II=n) pipeline vs sequential iteration
-	burstable  bool    // burst inference available for unit-stride data
-	ii         float64 // cycles per element when pipelined
-	portGBps   float64 // AXI port ceiling
-	portBytes  uint32
-	perPortLSU bool // max_memory_ports: one port per array argument
-
-	memo device.Memo
+	pipelined bool    // II=1 (or II=n) pipeline vs sequential iteration
+	burstable bool    // burst inference available for unit-stride data
+	ii        float64 // cycles per element when pipelined
+	portGBps  float64 // AXI port ceiling
 }
 
 // Compile implements device.Device.
 func (d *Device) Compile(k kernel.Kernel) (device.Compiled, error) {
-	if err := k.Validate(); err != nil {
+	if err := d.CheckKernel(k); err != nil {
 		return nil, err
-	}
-	if k.Op == kernel.Chase {
-		return nil, fmt.Errorf("sdaccel: chase is a latency probe, not a throughput kernel; run it through the surface subsystem")
 	}
 	// AOCL-only attributes are rejected rather than silently dropped.
 	if k.Attrs.NumSIMDWorkItems > 1 || k.Attrs.NumComputeUnits > 1 {
@@ -207,10 +178,10 @@ func (d *Device) Compile(k kernel.Kernel) (device.Compiled, error) {
 		return nil, err
 	}
 	if err := d.cfg.Part.Fit(synth.Res); err != nil {
-		return nil, fmt.Errorf("sdaccel: %s: %w", k.Name(), err)
+		return nil, d.Wrap(k, err)
 	}
 
-	p := &plan{dev: d, k: k, shape: shape, synth: synth}
+	p := &plan{Plan: device.Plan{K: k, Synth: &synth}, dev: d, shape: shape}
 	switch k.Loop {
 	case kernel.NestedLoop:
 		// Burst inference on the unit-stride inner loop.
@@ -228,45 +199,31 @@ func (d *Device) Compile(k kernel.Kernel) (device.Compiled, error) {
 		}
 	}
 
-	p.portBytes = d.cfg.DefaultPortBytes
+	portBytes := d.cfg.DefaultPortBytes
 	if k.Attrs.MemoryPortWidthBits > 0 {
-		p.portBytes = uint32(k.Attrs.MemoryPortWidthBits / 8)
+		portBytes = uint32(k.Attrs.MemoryPortWidthBits / 8)
 	}
-	p.perPortLSU = k.Attrs.MaxMemoryPorts
 	ports := 1
-	if p.perPortLSU {
+	if k.Attrs.MaxMemoryPorts { // one port per array argument
 		ports = k.Op.Streams()
 	}
-	p.portGBps = float64(ports) * float64(p.portBytes) * synth.FmaxMHz * 1e6 / 1e9
+	p.portGBps = float64(ports) * float64(portBytes) * synth.FmaxMHz * 1e6 / 1e9
 	return p, nil
 }
-
-// Kernel implements device.Compiled.
-func (p *plan) Kernel() kernel.Kernel { return p.k }
-
-// Resources implements device.Compiled.
-func (p *plan) Resources() (fabric.Resources, bool) { return p.synth.Res, true }
-
-// FmaxMHz implements device.Compiled.
-func (p *plan) FmaxMHz() (float64, bool) { return p.synth.FmaxMHz, true }
 
 // Seconds implements device.Compiled. The model keeps no state between
 // invocations — the DRAM model services every window from cold — so
 // the answer depends on e alone and repeated invocations reuse the
 // first one.
-func (p *plan) Seconds(e device.Exec) (float64, error) { return p.memo.Do(e, p.simulate) }
+func (p *plan) Seconds(e device.Exec) (float64, error) { return p.Memo.Do(e, p.simulate) }
 
 // simulate predicts one invocation over e.
 func (p *plan) simulate(e device.Exec) (float64, error) {
-	k := p.k
-	if err := e.Validate(k); err != nil {
+	k := p.K
+	if err := p.dev.CheckExec(k, e); err != nil {
 		return 0, err
 	}
-	if need := int64(k.Op.Streams()) * e.ArrayBytes; need > p.dev.cfg.MemBytes {
-		return 0, fmt.Errorf("sdaccel: %d bytes exceed device memory %d", need, p.dev.cfg.MemBytes)
-	}
 	elems := e.Elems(k)
-	elemB := k.ElemBytes()
 	unitStride := e.Pattern.EffectiveStrideElems(elems) == 1
 
 	// Latency-bound regimes: unpipelined loops, and single work-item
@@ -279,48 +236,28 @@ func (p *plan) simulate(e device.Exec) (float64, error) {
 		overlap := math.Max(1, p.dev.cfg.LatencyOverlap)
 		accesses := float64(elems) * float64(k.Op.Streams())
 		sec := accesses * p.dev.cfg.MemLatencyNs * 1e-9 / overlap
-		sec += p.synth.DrainSeconds(p.drainSegments(elems))
+		sec += p.Synth.DrainSeconds(device.DrainSegments(k.Loop, elems))
 		return sec, nil
 	}
 
 	// Pipelined regime: issue rate vs AXI port ceiling vs DRAM.
 	totalBytes := float64(k.Op.Streams()) * float64(e.ArrayBytes)
-	issue := p.synth.IssueGBps(p.shape) / p.ii
+	issue := p.Synth.IssueGBps(p.shape) / p.ii
 	if issue > p.portGBps {
 		issue = p.portGBps
 	}
 	issueSec := totalBytes / (issue * 1e9)
 
-	window := elemB // no burst inference outside nested loops
+	window := k.ElemBytes() // no burst inference outside nested loops
 	if p.burstable && unitStride {
 		window = p.dev.cfg.BurstBytes
 	}
-	totalTxns := device.TxnCount(k.Op, elems, elemB, e.Pattern, window)
-	if _, err := device.KernelSource(k.Op, elems, elemB, e.Pattern, window); err != nil {
-		return 0, fmt.Errorf("sdaccel: %s: %w", k.Name(), err)
-	}
-	runner := func(maxTxns uint64) sample.Measurement {
-		src, _ := device.KernelSource(k.Op, elems, elemB, e.Pattern, window) // checked above
-		res := p.dev.mem.ServiceBounded(src, maxTxns)
-		return sample.Measurement{Txns: res.Txns, Seconds: res.Seconds}
-	}
-	est, err := sample.Run(runner, totalTxns, p.dev.cfg.SampleWindowTxns)
+	est, err := p.dev.Sample(k, e, window, p.dev.ServiceDRAM)
 	if err != nil {
-		return 0, fmt.Errorf("sdaccel: %s: %w", k.Name(), err)
+		return 0, err
 	}
 
 	sec := math.Max(issueSec, est.Seconds)
-	sec += p.synth.DrainSeconds(p.drainSegments(elems))
+	sec += p.Synth.DrainSeconds(device.DrainSegments(k.Loop, elems))
 	return sec, nil
-}
-
-// drainSegments counts pipeline drains per invocation.
-func (p *plan) drainSegments(elems int) int64 {
-	switch p.k.Loop {
-	case kernel.NestedLoop:
-		rows, _ := mem.Shape2D(elems)
-		return int64(rows)
-	default:
-		return 1
-	}
 }

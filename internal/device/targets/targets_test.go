@@ -1,9 +1,13 @@
 package targets
 
 import (
+	"strings"
 	"testing"
 
+	"mpstream/internal/device"
+	"mpstream/internal/device/aocl"
 	"mpstream/internal/kernel"
+	"mpstream/internal/sim/mem"
 )
 
 func TestAllOrder(t *testing.T) {
@@ -63,5 +67,42 @@ func TestAllTargetsCompileDefaults(t *testing.T) {
 				t.Errorf("%s: compile %s: %v", d.Info().ID, k.Name(), err)
 			}
 		}
+	}
+}
+
+// The contract every target inherits from device.Board, checked on the
+// four paper targets and the HMC variant: the advertised peak is the
+// DRAM model's, a chase kernel is refused at Compile, and arrays beyond
+// the board's memory are refused at Seconds, each error naming the
+// target.
+func TestBoardContract(t *testing.T) {
+	for _, d := range append(All(), aocl.NewWithConfig(aocl.HMCConfig())) {
+		info := d.Info()
+		t.Run(info.ID, func(t *testing.T) {
+			ms, ok := d.(device.MemorySystem)
+			if !ok {
+				t.Fatal("not a device.MemorySystem")
+			}
+			if got, want := info.PeakMemGBps, ms.MemModel().Config().PeakGBps(); got != want {
+				t.Errorf("Info().PeakMemGBps = %v, DRAM model peak %v", got, want)
+			}
+
+			if _, err := d.Compile(kernel.New(kernel.Chase)); err == nil || !strings.HasPrefix(err.Error(), info.ID+": ") {
+				t.Errorf("compiling chase: error %v, want one prefixed %q", err, info.ID+": ")
+			}
+
+			k := kernel.New(kernel.Copy)
+			k.Loop = info.OptimalLoop
+			plan, err := d.Compile(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eb := int64(k.ElemBytes())
+			bytes := (info.MemBytes/int64(k.Op.Streams())/eb + 1) * eb
+			_, err = plan.Seconds(device.Exec{ArrayBytes: bytes, Pattern: mem.ContiguousPattern()})
+			if err == nil || !strings.HasPrefix(err.Error(), info.ID+": ") || !strings.Contains(err.Error(), "exceed device memory") {
+				t.Errorf("%d-byte arrays: error %v, want %q naming the target", bytes, err, "exceed device memory")
+			}
+		})
 	}
 }

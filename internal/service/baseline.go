@@ -8,41 +8,19 @@ import (
 	"time"
 
 	"mpstream/internal/baseline"
-	"mpstream/internal/core"
-	"mpstream/internal/surface"
+	"mpstream/internal/cluster"
 )
 
 // ErrNoBaseline is wrapped by baseline lookups for unknown names; the
 // HTTP layer maps it to 404.
 var ErrNoBaseline = errors.New("service: unknown baseline")
 
-// BaselineRequest is the POST /v1/baselines body (the service-side
-// twin of cluster.BaselineRequest): register a named reference sourced
-// from a finished job (FromJob), an inline run result, or an inline
-// surface — exactly one. Config/SurfaceConfig optionally override the
-// configuration carried by the payload; Target defaults to the source
-// job's target.
-type BaselineRequest struct {
-	Name          string             `json:"name"`
-	Target        string             `json:"target"`
-	Config        *core.Config       `json:"config,omitempty"`
-	SurfaceConfig *surface.Config    `json:"surface_config,omitempty"`
-	Result        *core.Result       `json:"result,omitempty"`
-	Surface       *surface.Surface   `json:"surface,omitempty"`
-	FromJob       string             `json:"from_job,omitempty"`
-	Tolerance     baseline.Tolerance `json:"tolerance,omitzero"`
-}
-
-// CheckRequest is the POST /v1/check body: re-measure the named
-// baseline's configuration and verdict the drift.
-type CheckRequest struct {
-	Name string `json:"name"`
-	// Tolerance overrides the stored bands for this check only; zero
-	// fields inherit the entry's stored values.
-	Tolerance *baseline.Tolerance `json:"tolerance,omitempty"`
-	Async     bool                `json:"async,omitempty"`
-	TimeoutMS int64               `json:"timeout_ms,omitempty"`
-}
+// BaselineRequest is the POST /v1/baselines body and CheckRequest the
+// POST /v1/check body; the cluster layer owns their wire shapes.
+type (
+	BaselineRequest = cluster.BaselineRequest
+	CheckRequest    = cluster.CheckRequest
+)
 
 // BaselineView pairs a stored entry with its latest check verdict (nil
 // until the first check since this process started — verdicts are

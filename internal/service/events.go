@@ -54,24 +54,9 @@ type Event struct {
 // wire shape is owned by the cluster layer.
 type ShardEvent = cluster.ShardUpdate
 
-// PointEvent is the compact per-evaluation-unit payload of a point
-// event.
-type PointEvent struct {
-	// Label identifies the unit: a dse.ConfigLabel for sweep and
-	// optimize evaluations, "pattern/readfrac@rate" for a surface rung.
-	Label string `json:"label"`
-	// GBps is the unit's bandwidth: the kernel bandwidth of an evaluated
-	// configuration, or the achieved bandwidth of a surface rung.
-	GBps float64 `json:"gbps"`
-	// Feasible is false when the device rejected the configuration.
-	Feasible bool `json:"feasible"`
-	// Error carries the infeasibility reason, when any.
-	Error string `json:"error,omitempty"`
-	// Cached marks units answered by the run-result cache.
-	Cached bool `json:"cached,omitempty"`
-	// LatencyNs rides on surface rungs: the loaded latency.
-	LatencyNs float64 `json:"latency_ns,omitempty"`
-}
+// PointEvent is the per-evaluation-unit payload of a point event; the
+// wire shape is owned by the cluster layer.
+type PointEvent = cluster.PointEvent
 
 const (
 	// maxEventHistory bounds the per-job replay log; a subscriber

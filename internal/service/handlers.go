@@ -16,65 +16,20 @@ import (
 	"mpstream/internal/cluster"
 	"mpstream/internal/core"
 	"mpstream/internal/device"
-	"mpstream/internal/dse"
 	"mpstream/internal/dse/search"
 	"mpstream/internal/kernel"
 	"mpstream/internal/obs"
 	"mpstream/internal/surface"
 )
 
-// RunRequest is the POST /v1/run body. A nil config runs the paper's
-// baseline configuration.
-type RunRequest struct {
-	Target string       `json:"target"`
-	Config *core.Config `json:"config,omitempty"`
-	// Async returns 202 with a job id immediately instead of waiting for
-	// the result; poll GET /v1/jobs/{id}.
-	Async bool `json:"async,omitempty"`
-	// TimeoutMS bounds the job's execution once it starts running,
-	// clamped to the server's maximum; 0 means none. An expired deadline
-	// lands the job in canceled with stop_reason "deadline", carrying
-	// whatever partial results the executor collected.
-	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-}
-
-// SweepRequest is the POST /v1/sweep body. A nil base starts from the
-// default configuration; op defaults to copy.
-type SweepRequest struct {
-	Target    string       `json:"target"`
-	Base      *core.Config `json:"base,omitempty"`
-	Space     dse.Space    `json:"space"`
-	Op        *kernel.Op   `json:"op,omitempty"`
-	Async     bool         `json:"async,omitempty"`
-	TimeoutMS int64        `json:"timeout_ms,omitempty"`
-}
-
-// OptimizeRequest is the POST /v1/optimize body. A nil base starts
-// from the default configuration; op defaults to copy; an empty
-// strategy means exhaustive; budget 0 means the full space (subject to
-// the server's budget limit); equal seeds reproduce equal searches; an
-// empty objective ranks by raw bandwidth, "knee" by the surface knee.
-type OptimizeRequest struct {
-	Target    string       `json:"target"`
-	Base      *core.Config `json:"base,omitempty"`
-	Space     dse.Space    `json:"space"`
-	Op        *kernel.Op   `json:"op,omitempty"`
-	Strategy  string       `json:"strategy,omitempty"`
-	Budget    int          `json:"budget,omitempty"`
-	Seed      int64        `json:"seed,omitempty"`
-	Objective string       `json:"objective,omitempty"`
-	Async     bool         `json:"async,omitempty"`
-	TimeoutMS int64        `json:"timeout_ms,omitempty"`
-}
-
-// SurfaceRequest is the POST /v1/surface body. A nil config measures
-// the default bandwidth–latency surface (surface.Config zero value).
-type SurfaceRequest struct {
-	Target    string          `json:"target"`
-	Config    *surface.Config `json:"config,omitempty"`
-	Async     bool            `json:"async,omitempty"`
-	TimeoutMS int64           `json:"timeout_ms,omitempty"`
-}
+// The request bodies' wire shapes are owned by the cluster layer, whose
+// client submits them; see there for their fields.
+type (
+	RunRequest      = cluster.RunRequest
+	SweepRequest    = cluster.SweepRequest
+	OptimizeRequest = cluster.OptimizeRequest
+	SurfaceRequest  = cluster.SurfaceRequest
+)
 
 // JobResponse wraps every job-bearing response body.
 type JobResponse struct {

@@ -329,6 +329,21 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// A vector width whose element size overflows uint32 is a bad request,
+// not a panic on the handler goroutine (which drops the connection).
+func TestRunOverflowingVecWidth(t *testing.T) {
+	e := newEnv(t, service.Options{})
+	r, err := http.Post(e.ts.URL+"/v1/run", "application/json",
+		strings.NewReader(`{"target":"cpu","config":{"array_bytes":4096,"vec_width":1073741824}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Body.Close()
+	if r.StatusCode != http.StatusBadRequest {
+		t.Errorf("overflowing vec_width status %d, want 400", r.StatusCode)
+	}
+}
+
 // TestResourceBounds rejects configurations that would exhaust the
 // host or pin a worker: empty ops (panic vector), oversized arrays,
 // giant repetition counts, and over-limit verified arrays.

@@ -11,23 +11,17 @@ import (
 	"mpstream/internal/service"
 )
 
-// TestClusterWireTypesMatchService ties each wire type the cluster
-// package redeclares (it cannot import the service) to the service's
-// declaration: every field of the cluster copy must exist in the
-// service type under the same JSON tag (name and options) with the same
-// Go type. A cluster string field may stand for a service type defined
-// on string, provided that type has no custom JSON or text encoding.
+// TestClusterWireTypesMatchService ties the cluster's JobView, the
+// subset of the service's job view the cluster consumes, to the
+// service's View: every field of JobView must exist in View under the
+// same JSON tag (name and options) with the same Go type. A cluster
+// string field may stand for a service type defined on string, provided
+// that type has no custom JSON or text encoding. (The request bodies and
+// PointEvent need no such check: the service aliases the cluster's.)
 func TestClusterWireTypesMatchService(t *testing.T) {
 	pairs := []struct {
 		twin, orig any
 	}{
-		{cluster.RunRequest{}, service.RunRequest{}},
-		{cluster.SweepRequest{}, service.SweepRequest{}},
-		{cluster.OptimizeRequest{}, service.OptimizeRequest{}},
-		{cluster.SurfaceRequest{}, service.SurfaceRequest{}},
-		{cluster.BaselineRequest{}, service.BaselineRequest{}},
-		{cluster.CheckRequest{}, service.CheckRequest{}},
-		{cluster.PointEvent{}, service.PointEvent{}},
 		{cluster.JobView{}, service.View{}},
 	}
 	for _, p := range pairs {
