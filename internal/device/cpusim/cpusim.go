@@ -179,8 +179,8 @@ func (p *plan) simulate(e device.Exec) (float64, error) {
 	}
 
 	// Memory path: word stream, write-combining coalescer, LLC, DDR3.
-	llc, model := p.dev.Cache(), p.dev.MemModel()
-	est, err := p.dev.Sample(k, e, p.window, func(src mem.Source, maxTxns uint64) sample.Measurement {
+	model := p.dev.MemModel()
+	est, err := p.dev.Sample(k, e, p.window, func(src mem.Source, maxTxns uint64, llc *cache.Cache) sample.Measurement {
 		if maxTxns > 0 {
 			src = mem.NewLimit(src, int(maxTxns))
 			// Sampled windows start cold; they only occur for

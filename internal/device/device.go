@@ -241,6 +241,7 @@ type Board struct {
 	launch float64
 	window uint64       // sampling window in transactions
 	cache  *cache.Cache // nil when the board has no cache to reset
+	spare  *cache.Cache // the short sampling window's cache, built on first use
 }
 
 // NewBoard builds a board; info's PeakMemGBps comes from dramCfg and its
@@ -272,9 +273,6 @@ func (b *Board) Reset() {
 
 // MemModel implements MemorySystem.
 func (b *Board) MemModel() *dram.Model { return b.mem }
-
-// Cache returns the on-chip cache Reset clears, or nil.
-func (b *Board) Cache() *cache.Cache { return b.cache }
 
 // Wrap prefixes err with the board ID and the kernel name.
 func (b *Board) Wrap(k kernel.Kernel, err error) error {
@@ -311,19 +309,53 @@ func (b *Board) Exact(n uint64) bool { return sample.Exact(n, b.window) }
 
 // Sample estimates the memory time of one invocation of k over a
 // checked e, its streams coalesced up to window bytes (KernelSource).
-// run services one simulated window: a fresh request stream bounded to
-// maxTxns transactions (0 = the whole stream).
+// run services one simulated window on cache c: a fresh request stream
+// bounded to maxTxns transactions (0 = the whole stream).
+//
+// An exact run is one run on the board's cache. A sampled run
+// simulates its two windows side by side: the short one on a
+// goroutine with the board's spare cache, the long one on the caller
+// with the board's cache, which is therefore left as the long window
+// leaves it — the state a sequential sample.Run leaves behind. So run
+// may be called from two goroutines at once, each with its own c, and
+// a bounded window must start from the cold state it needs rather than
+// rely on what an earlier window left in c. A panic in either window
+// reaches the caller once both have ended.
 func (b *Board) Sample(k kernel.Kernel, e Exec, window uint32,
-	run func(src mem.Source, maxTxns uint64) sample.Measurement) (sample.Estimate, error) {
+	run func(src mem.Source, maxTxns uint64, c *cache.Cache) sample.Measurement) (sample.Estimate, error) {
 	elems, elemB := e.Elems(k), k.ElemBytes()
 	if _, err := KernelSource(k.Op, elems, elemB, e.Pattern, window); err != nil {
 		return sample.Estimate{}, b.Wrap(k, err)
 	}
-	runner := func(maxTxns uint64) sample.Measurement {
+	runner := func(maxTxns uint64, c *cache.Cache) sample.Measurement {
 		src, _ := KernelSource(k.Op, elems, elemB, e.Pattern, window) // checked above
-		return run(src, maxTxns)
+		return run(src, maxTxns, c)
 	}
-	est, err := sample.Run(runner, TxnCount(k.Op, elems, elemB, e.Pattern, window), b.window)
+	total := TxnCount(k.Op, elems, elemB, e.Pattern, window)
+	if b.Exact(total) {
+		return sample.Estimate{Seconds: runner(0, b.cache).Seconds}, nil
+	}
+	if b.spare == nil && b.cache != nil {
+		b.spare = cache.New(b.cache.Config())
+	}
+	var short sample.Measurement
+	var panicked any
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		defer func() { panicked = recover() }()
+		short = runner(b.window, b.spare)
+	}()
+	long := func() sample.Measurement {
+		// Wait for the short window even when the long one panics: the
+		// spare cache must be idle before the next Sample call.
+		defer func() { <-done }()
+		return runner(2*b.window, b.cache)
+	}()
+	if panicked != nil {
+		panic(panicked)
+	}
+	est, err := sample.Fit(short, long, total)
 	if err != nil {
 		return est, b.Wrap(k, err)
 	}
@@ -331,8 +363,9 @@ func (b *Board) Sample(k kernel.Kernel, e Exec, window uint32,
 }
 
 // ServiceDRAM is the run of a board without a cache in the memory path:
-// the stream goes straight to DRAM, bounded to maxTxns (0 = whole).
-func (b *Board) ServiceDRAM(src mem.Source, maxTxns uint64) sample.Measurement {
+// the stream goes straight to DRAM, bounded to maxTxns (0 = whole). It
+// ignores c; concurrent calls each service on private DRAM state.
+func (b *Board) ServiceDRAM(src mem.Source, maxTxns uint64, _ *cache.Cache) sample.Measurement {
 	res := b.mem.ServiceBounded(src, maxTxns)
 	return sample.Measurement{Txns: res.Txns, Seconds: res.Seconds}
 }

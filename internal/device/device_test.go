@@ -7,8 +7,11 @@ import (
 	"testing"
 
 	"mpstream/internal/kernel"
+	"mpstream/internal/sim/cache"
+	"mpstream/internal/sim/dram"
 	"mpstream/internal/sim/link"
 	"mpstream/internal/sim/mem"
+	"mpstream/internal/sim/sample"
 )
 
 func TestKindString(t *testing.T) {
@@ -297,4 +300,107 @@ func TestMemo(t *testing.T) {
 		}(Exec{ArrayBytes: int64(64 * (1 + w%2)), Pattern: mem.ContiguousPattern()})
 	}
 	wg.Wait()
+}
+
+// testBoard is a small cached board sampling with a 256-transaction
+// window, so a 1 MiB copy is sampled and a 4 KiB one runs exactly.
+func testBoard() *Board {
+	dramCfg := dram.Config{Name: "test", Channels: 2, BanksPerChannel: 8, RowBytes: 8192,
+		BurstBytes: 64, BusGBps: 12.8, RowMissNs: 45, TurnaroundNs: 7.5, InterleaveBytes: 1024}
+	llc := cache.New(cache.Config{Name: "test-llc", CapacityBytes: 64 << 10, LineBytes: 64, Ways: 8})
+	b := NewBoard(Info{ID: "test"}, 1<<30, dramCfg, link.Config{Name: "test-link", GBps: 1}, 0, 256, llc)
+	return &b
+}
+
+// Board.Sample runs the short window on the spare cache, built once,
+// and every other run on the board's cache.
+func TestSampleCaches(t *testing.T) {
+	b := testBoard()
+	k := kernel.New(kernel.Copy)
+	type call struct {
+		maxTxns uint64
+		c       *cache.Cache
+	}
+	var mu sync.Mutex
+	var calls []call
+	run := func(src mem.Source, maxTxns uint64, c *cache.Cache) sample.Measurement {
+		mu.Lock()
+		calls = append(calls, call{maxTxns, c})
+		mu.Unlock()
+		return b.ServiceDRAM(src, maxTxns, c)
+	}
+	var spare *cache.Cache
+	for i, e := range []Exec{
+		{ArrayBytes: 4 << 10, Pattern: mem.ContiguousPattern()},
+		{ArrayBytes: 1 << 20, Pattern: mem.ContiguousPattern()},
+		{ArrayBytes: 1 << 20, Pattern: mem.ColMajorPattern()},
+	} {
+		calls = nil
+		est, err := b.Sample(k, e, 64, run)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !est.Sampled {
+			if len(calls) != 1 || calls[0] != (call{0, b.cache}) {
+				t.Errorf("exact Exec %d: runs %+v, want one whole run on the board cache", i, calls)
+			}
+			if spare == nil && b.spare != nil {
+				t.Errorf("exact Exec %d built the spare cache", i)
+			}
+			continue
+		}
+		if len(calls) != 2 {
+			t.Fatalf("sampled Exec %d: %d runs, want 2", i, len(calls))
+		}
+		for _, c := range calls {
+			switch {
+			case c.maxTxns == 2*b.window && c.c == b.cache:
+			case c.maxTxns == b.window && c.c != nil && c.c != b.cache && (spare == nil || c.c == spare):
+				spare = c.c
+			default:
+				t.Errorf("sampled Exec %d: run of %d txns on cache %p (board %p, spare %p)", i, c.maxTxns, c.c, b.cache, spare)
+			}
+		}
+		if spare == nil {
+			t.Fatalf("sampled Exec %d ran no short window on a spare cache", i)
+		}
+		if cfg := spare.Config(); cfg != b.cache.Config() {
+			t.Errorf("spare cache config %+v, board's %+v", cfg, b.cache.Config())
+		}
+	}
+}
+
+// A panic in either sampling window reaches the Sample caller after both
+// windows have ended, and the board samples normally afterwards.
+func TestSamplePanicReachesCaller(t *testing.T) {
+	b := testBoard()
+	k := kernel.New(kernel.Copy)
+	e := Exec{ArrayBytes: 1 << 20, Pattern: mem.ContiguousPattern()}
+	want, err := b.Sample(k, e, 64, b.ServiceDRAM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, window := range []uint64{b.window, 2 * b.window} {
+		var ended atomic.Int64
+		r := func() (r any) {
+			defer func() { r = recover() }()
+			_, _ = b.Sample(k, e, 64, func(src mem.Source, maxTxns uint64, c *cache.Cache) sample.Measurement {
+				defer ended.Add(1)
+				if maxTxns == window {
+					panic("window failed")
+				}
+				return b.ServiceDRAM(src, maxTxns, c)
+			})
+			return nil
+		}()
+		if r != "window failed" {
+			t.Errorf("panic in the %d-txn window: caller recovered %v", window, r)
+		}
+		if n := ended.Load(); n != 2 {
+			t.Errorf("panic in the %d-txn window: %d windows had ended when Sample returned, want 2", window, n)
+		}
+		if got, err := b.Sample(k, e, 64, b.ServiceDRAM); err != nil || got != want {
+			t.Errorf("after the %d-txn panic: Sample = %+v, %v; want %+v", window, got, err, want)
+		}
+	}
 }

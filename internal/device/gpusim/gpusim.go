@@ -251,8 +251,8 @@ func (p *plan) simulate(e device.Exec) (float64, error) {
 	}
 
 	// Memory system: coalesced stream through the sectored L2 into GDDR5.
-	l2, model := p.dev.Cache(), p.dev.MemModel()
-	est, err := p.dev.Sample(k, e, window, func(src mem.Source, maxTxns uint64) sample.Measurement {
+	model := p.dev.MemModel()
+	est, err := p.dev.Sample(k, e, window, func(src mem.Source, maxTxns uint64, l2 *cache.Cache) sample.Measurement {
 		if maxTxns > 0 {
 			src = mem.NewLimit(src, int(maxTxns))
 		}

@@ -1,0 +1,188 @@
+package targets
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"mpstream/internal/device"
+	"mpstream/internal/device/aocl"
+	"mpstream/internal/device/cpusim"
+	"mpstream/internal/device/gpusim"
+	"mpstream/internal/kernel"
+	"mpstream/internal/sim/cache"
+	"mpstream/internal/sim/dram"
+	"mpstream/internal/sim/mem"
+	"mpstream/internal/sim/sample"
+)
+
+// parityTarget is one board of the sampling-parity tests: the paper
+// targets and the HMC-backed AOCL variant, all sampling with
+// repeatWindow.
+type parityTarget struct {
+	name string
+	new  func() device.Device
+	llc  *cache.Config // the board's cache; nil when it has none
+}
+
+func parityTargets() []parityTarget {
+	var out []parityTarget
+	cpuLLC, gpuL2 := cpusim.DefaultConfig().LLC, gpusim.DefaultConfig().L2
+	llc := map[string]*cache.Config{"cpu": &cpuLLC, "gpu": &gpuL2}
+	for i, id := range IDs() {
+		out = append(out, parityTarget{name: id, new: func() device.Device { return repeatTargets()[i] }, llc: llc[id]})
+	}
+	hmc := aocl.HMCConfig()
+	hmc.SampleWindowTxns = repeatWindow
+	return append(out, parityTarget{name: "aocl-hmc", new: func() device.Device { return aocl.NewWithConfig(hmc) }})
+}
+
+// sampler is the part of device.Board the parity test drives.
+type sampler interface {
+	device.MemorySystem
+	Sample(k kernel.Kernel, e device.Exec, window uint32,
+		run func(src mem.Source, maxTxns uint64, c *cache.Cache) sample.Measurement) (sample.Estimate, error)
+	ServiceDRAM(src mem.Source, maxTxns uint64, c *cache.Cache) sample.Measurement
+}
+
+// missBody is a cache-backed window body shaped like the CPU model's: a
+// bounded window starts from a cold cache, an exact run sees the cache
+// as the previous run left it.
+func missBody(model *dram.Model) func(mem.Source, uint64, *cache.Cache) sample.Measurement {
+	return func(src mem.Source, maxTxns uint64, c *cache.Cache) sample.Measurement {
+		if maxTxns > 0 {
+			src = mem.NewLimit(src, int(maxTxns))
+			c.Reset()
+		}
+		before := c.Stats()
+		res := model.Service(cache.NewMissFilter(c, src))
+		return sample.Measurement{Txns: c.Stats().Delta(before).Accesses, Seconds: res.Seconds}
+	}
+}
+
+// Board.Sample runs the two windows of a sampled estimate side by side.
+// Its estimates must equal, bit for bit, a sequential sample.Run over
+// the same window body on one cache, and the board's cache must be left
+// as the sequential run leaves it: an exact run that follows a sampled
+// one sees the long window's lines.
+func TestConcurrentSampleMatchesSequential(t *testing.T) {
+	const coalesce = 64
+	for _, tg := range parityTargets() {
+		for _, op := range []kernel.Op{kernel.Copy, kernel.Triad} {
+			for _, p := range []mem.Pattern{mem.ContiguousPattern(), mem.ColMajorPattern()} {
+				t.Run(fmt.Sprintf("%s/%v/%v", tg.name, op, p.Kind), func(t *testing.T) {
+					k := kernel.New(op)
+					small := device.Exec{ArrayBytes: repeatSmall, Pattern: p}
+					large := device.Exec{ArrayBytes: repeatLarge, Pattern: p}
+					txns := func(e device.Exec) uint64 {
+						return device.TxnCount(k.Op, e.Elems(k), k.ElemBytes(), p, coalesce)
+					}
+					if !sample.Exact(txns(small), repeatWindow) || sample.Exact(txns(large), repeatWindow) {
+						t.Fatal("the sizes must sit on either side of the sampling threshold")
+					}
+
+					board := tg.new().(sampler)
+					body := board.ServiceDRAM
+					var ref *cache.Cache
+					if tg.llc != nil {
+						body = missBody(board.MemModel())
+						ref = cache.New(*tg.llc)
+					}
+					// The sequential reference: one cache across every window.
+					sequential := func(e device.Exec) sample.Estimate {
+						run := func(maxTxns uint64) sample.Measurement {
+							src, err := device.KernelSource(k.Op, e.Elems(k), k.ElemBytes(), p, coalesce)
+							if err != nil {
+								t.Fatal(err)
+							}
+							return body(src, maxTxns, ref)
+						}
+						est, err := sample.Run(run, txns(e), repeatWindow)
+						if err != nil {
+							t.Fatal(err)
+						}
+						return est
+					}
+					for i, e := range []device.Exec{small, large, small} {
+						got, err := board.Sample(k, e, coalesce, body)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if want := sequential(e); got != want {
+							t.Errorf("call %d (%d bytes): Board.Sample = %+v, sequential sample.Run = %+v", i, e.ArrayBytes, got, want)
+						}
+						if got.Sampled != (e == large) {
+							t.Errorf("call %d (%d bytes): Sampled = %v", i, e.ArrayBytes, got.Sampled)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// sampledSeconds pins each target's full Seconds on the sampled side of
+// its threshold, as sequential sampling computed them: the mechanism
+// math around Board.Sample must see the same memory estimates.
+var sampledSeconds = []struct {
+	target  string
+	op      kernel.Op
+	pattern mem.PatternKind
+	bits    uint64
+}{
+	{"aocl", kernel.Copy, mem.Contiguous, 0x3fab2efbefc26f9c},      // 0.05309283544303797
+	{"aocl", kernel.Copy, mem.ColMajor2D, 0x3fd62397a486cb49},      // 0.3459223849014746
+	{"aocl", kernel.Triad, mem.Contiguous, 0x3fab2efbefc26f9c},     // 0.05309283544303797
+	{"aocl", kernel.Triad, mem.ColMajor2D, 0x3fe17737b2ba7160},     // 0.5458029261385882
+	{"sdaccel", kernel.Copy, mem.Contiguous, 0x3fc6deb7f4ac8b3b},   // 0.17867183157894737
+	{"sdaccel", kernel.Copy, mem.ColMajor2D, 0x40277e038a3c0c9d},   // 11.746120757894738
+	{"sdaccel", kernel.Triad, mem.Contiguous, 0x3fc6deb7f4ac8b3b},  // 0.17867183157894737
+	{"sdaccel", kernel.Triad, mem.ColMajor2D, 0x40319e3ed6f74ca6},  // 17.618146357894737
+	{"cpu", kernel.Copy, mem.Contiguous, 0x3f77020c78ec1121},       // 0.005617188186765072
+	{"cpu", kernel.Copy, mem.ColMajor2D, 0x3fb0622e5bfefe64},       // 0.06399812456128867
+	{"cpu", kernel.Triad, mem.Contiguous, 0x3f863be3d8c6761c},      // 0.010856418660121263
+	{"cpu", kernel.Triad, mem.ColMajor2D, 0x3fb059585365e722},      // 0.06386329685292627
+	{"gpu", kernel.Copy, mem.Contiguous, 0x3f435d79d05a7cf1},       // 0.0005909771723117391
+	{"gpu", kernel.Copy, mem.ColMajor2D, 0x3f749cff063ab1cb},       // 0.00503253573303337
+	{"gpu", kernel.Triad, mem.Contiguous, 0x3f51f5c84ef8cca9},      // 0.0010961967599428058
+	{"gpu", kernel.Triad, mem.ColMajor2D, 0x3f88899ed1bf92fa},      // 0.011981240058909649
+	{"aocl-hmc", kernel.Copy, mem.Contiguous, 0x3fab2efbefc26f9c},  // 0.05309283544303797
+	{"aocl-hmc", kernel.Copy, mem.ColMajor2D, 0x3fab2efbefc26f9c},  // 0.05309283544303797
+	{"aocl-hmc", kernel.Triad, mem.Contiguous, 0x3fab2efbefc26f9c}, // 0.05309283544303797
+	{"aocl-hmc", kernel.Triad, mem.ColMajor2D, 0x3fab2efbefc26f9c}, // 0.05309283544303797
+}
+
+// cpuExactAfterSampled pins the seconds of an exact CPU kernel run right
+// after a sampled one on the same device: it sees the LLC the long
+// sampling window left behind (a cold LLC gives other seconds).
+var cpuExactAfterSampled = map[[2]string]uint64{
+	{"copy", "contiguous"}:  0x3ee12e0be826d695, // 8.192e-06, cold 1.1014508986873368e-05
+	{"copy", "colmajor2d"}:  0x3f1207984f1982d6, // 6.877772445924453e-05, cold 6.879327457495925e-05
+	{"triad", "contiguous"}: 0x3ee12e0be826d695, // 8.192e-06, cold 2.1234686476866e-05
+	{"triad", "colmajor2d"}: 0x3f1a2dc9003b2e99, // 9.986438095238095e-05, cold as well
+}
+
+func TestSampledSecondsUnchanged(t *testing.T) {
+	targets := make(map[string]parityTarget)
+	for _, tg := range parityTargets() {
+		targets[tg.name] = tg
+	}
+	for _, c := range sampledSeconds {
+		t.Run(fmt.Sprintf("%s/%v/%v", c.target, c.op, c.pattern), func(t *testing.T) {
+			dev := targets[c.target].new()
+			k := kernel.New(c.op)
+			k.Loop = dev.Info().OptimalLoop
+			p := mem.Pattern{Kind: c.pattern}
+			if got := seconds(t, dev, k, device.Exec{ArrayBytes: repeatLarge, Pattern: p}); math.Float64bits(got) != c.bits {
+				t.Errorf("sampled seconds = %v, want %v", got, math.Float64frombits(c.bits))
+			}
+			if c.target != "cpu" {
+				return
+			}
+			want := cpuExactAfterSampled[[2]string{c.op.String(), c.pattern.String()}]
+			if got := seconds(t, dev, k, device.Exec{ArrayBytes: repeatSmall, Pattern: p}); math.Float64bits(got) != want {
+				t.Errorf("exact seconds after a sampled run = %v, want %v", got, math.Float64frombits(want))
+			}
+		})
+	}
+}

@@ -23,14 +23,14 @@ type Measurement struct {
 // Runner runs a bounded simulation of at most maxTxns transactions and
 // reports how many transactions actually ran and the simulated time. A
 // maxTxns of 0 means run to completion.
+//
+// Run calls a Runner sequentially, one window after the other on the
+// caller's goroutine, so a Runner may share state across windows — a
+// cache it resets, counters it accumulates, a tracer.
 type Runner func(maxTxns uint64) Measurement
 
-// Estimate predicts the full-run time for totalTxns transactions.
-//
-// If totalTxns <= 2*window the simulation is run exactly. Otherwise two
-// windows (window and 2*window transactions) are simulated, the affine
-// model T(n) = a + b*n is fitted through them, and T(totalTxns) is
-// returned along with Sampled=true.
+// Estimate is a predicted full-run time: exact when the run was
+// simulated whole, otherwise extrapolated from two sampled windows.
 type Estimate struct {
 	Seconds float64
 	Sampled bool
@@ -45,8 +45,11 @@ func Exact(totalTxns, window uint64) bool {
 	return totalTxns == 0 || window == 0 || totalTxns <= 2*window
 }
 
-// Run produces an estimate of the full-run time. window must be positive
-// for sampled runs; totalTxns of 0 runs exactly.
+// Run predicts the full-run time for totalTxns transactions. If Exact
+// holds, the simulation runs whole. Otherwise two windows, window and
+// then 2*window transactions, are simulated in that order and Fit
+// extrapolates through them. window must be positive for sampled runs;
+// totalTxns of 0 runs exactly.
 func Run(run Runner, totalTxns, window uint64) (Estimate, error) {
 	if Exact(totalTxns, window) {
 		m := run(0)
@@ -54,6 +57,15 @@ func Run(run Runner, totalTxns, window uint64) (Estimate, error) {
 	}
 	m1 := run(window)
 	m2 := run(2 * window)
+	return Fit(m1, m2, totalTxns)
+}
+
+// Fit extrapolates two window measurements, m1 the shorter, to
+// totalTxns transactions: it fits the affine model T(n) = a + b*n
+// through them and returns T(totalTxns), never less than m2.Seconds,
+// with Sampled set. Windows that did not grow in transactions or in
+// time are an error.
+func Fit(m1, m2 Measurement, totalTxns uint64) (Estimate, error) {
 	if m1.Txns == 0 || m2.Txns <= m1.Txns {
 		return Estimate{}, fmt.Errorf("sample: degenerate windows (%d, %d txns)", m1.Txns, m2.Txns)
 	}

@@ -2,6 +2,7 @@ package sample
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"mpstream/internal/sim/dram"
@@ -101,6 +102,75 @@ func TestNeverBelowSimulated(t *testing.T) {
 	}
 	if est.Seconds < math.Sqrt(2000) {
 		t.Errorf("estimate %.3f below simulated window %.3f", est.Seconds, math.Sqrt(2000))
+	}
+}
+
+// Fit rejects windows that did not grow: no transactions in the short
+// window, no more in the long one, or no more simulated time.
+func TestFitRejectsDegenerateWindows(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		m1, m2 Measurement
+		want   string
+	}{
+		{"empty short window", Measurement{0, 0}, Measurement{200, 2}, "degenerate windows"},
+		{"equal txns", Measurement{100, 1}, Measurement{100, 2}, "degenerate windows"},
+		{"fewer txns", Measurement{200, 1}, Measurement{100, 2}, "degenerate windows"},
+		{"equal time", Measurement{100, 2}, Measurement{200, 2}, "non-increasing time"},
+		{"less time", Measurement{100, 3}, Measurement{200, 2}, "non-increasing time"},
+	} {
+		est, err := Fit(tc.m1, tc.m2, 1_000_000)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Fit error %v, want %q", tc.name, err, tc.want)
+		}
+		if est != (Estimate{}) {
+			t.Errorf("%s: failed Fit returned %+v", tc.name, est)
+		}
+	}
+}
+
+// Fit extrapolates the line through the two windows and never predicts
+// less than the long window simulated.
+func TestFitExtrapolatesAndClamps(t *testing.T) {
+	m1, m2 := Measurement{Txns: 100, Seconds: 1}, Measurement{Txns: 200, Seconds: 1.5}
+	est, err := Fit(m1, m2, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (Estimate{Seconds: 5.5, Sampled: true, Rate: 200}); est != want {
+		t.Errorf("Fit = %+v, want %+v", est, want)
+	}
+	// Below the long window the line falls under m2.Seconds: clamped.
+	est, err = Fit(m1, m2, 150)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if est.Seconds != m2.Seconds || !est.Sampled {
+		t.Errorf("Fit below the long window = %+v, want Seconds clamped to %v", est, m2.Seconds)
+	}
+}
+
+// A sampled Run is exactly Fit over its two windows, run in order.
+func TestRunIsFitOfWindows(t *testing.T) {
+	var order []uint64
+	run := func(maxTxns uint64) Measurement {
+		order = append(order, maxTxns)
+		return Measurement{Txns: maxTxns, Seconds: 1e-6*math.Sqrt(float64(maxTxns)) + float64(maxTxns)/3e8}
+	}
+	const total, window = 12_345_678, 4096
+	got, err := Run(run, total, window)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(order) != 2 || order[0] != window || order[1] != 2*window {
+		t.Fatalf("Run ran windows %v, want [%d %d]", order, window, 2*window)
+	}
+	want, err := Fit(run(window), run(2*window), total)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("Run = %+v, Fit of its windows = %+v", got, want)
 	}
 }
 
