@@ -12,7 +12,6 @@ import (
 	"mpstream/internal/core"
 	"mpstream/internal/device"
 	"mpstream/internal/kernel"
-	"mpstream/internal/sim/mem"
 )
 
 // Point is one evaluated configuration.
@@ -102,22 +101,6 @@ func SweepLoopModes(dev device.Device, base core.Config) []Point {
 		cfg.OptimalLoop = false
 		cfg.Loop = lm
 		pts = append(pts, run(dev, cfg, lm.String()))
-	}
-	return pts
-}
-
-// SweepPatterns varies the access pattern (Figure 2's two families).
-func SweepPatterns(dev device.Device, base core.Config, patterns map[string]mem.Pattern) []Point {
-	names := make([]string, 0, len(patterns))
-	for n := range patterns {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	pts := make([]Point, 0, len(names))
-	for _, n := range names {
-		cfg := base
-		cfg.Pattern = patterns[n]
-		pts = append(pts, run(dev, cfg, n))
 	}
 	return pts
 }

@@ -8,7 +8,6 @@ import (
 	"mpstream/internal/device"
 	"mpstream/internal/device/targets"
 	"mpstream/internal/kernel"
-	"mpstream/internal/sim/mem"
 )
 
 func base() core.Config {
@@ -78,23 +77,6 @@ func TestSweepLoopModes(t *testing.T) {
 	}
 	if !(byLabel["nested"] > byLabel["ndrange"] && byLabel["ndrange"] > byLabel["flat"]) {
 		t.Errorf("sdaccel loop ordering wrong: %v", byLabel)
-	}
-}
-
-func TestSweepPatterns(t *testing.T) {
-	pts := SweepPatterns(dev(t, "gpu"), base(), map[string]mem.Pattern{
-		"contig":   mem.ContiguousPattern(),
-		"colmajor": mem.ColMajorPattern(),
-	})
-	if len(pts) != 2 {
-		t.Fatalf("got %d points", len(pts))
-	}
-	// Sorted by name: colmajor first.
-	if pts[0].Label != "colmajor" || pts[1].Label != "contig" {
-		t.Errorf("pattern order: %s, %s", pts[0].Label, pts[1].Label)
-	}
-	if pts[0].GBps(kernel.Copy) >= pts[1].GBps(kernel.Copy) {
-		t.Error("colmajor must be slower")
 	}
 }
 

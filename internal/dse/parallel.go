@@ -138,44 +138,3 @@ func ExploreParallel(newDev DeviceFactory, base core.Config, space Space, op ker
 	base.Ops = []kernel.Op{op}
 	return Rank(EvalParallel(newDev, space.Configs(base), nil, 0), op)
 }
-
-// ExploreParallelContext is ExploreParallel under a context: a canceled
-// or deadline-expired exploration ranks only the points evaluated
-// before the stop and reports the canonical stop tag alongside
-// (runstate.Canceled or runstate.Deadline, "" when complete).
-func ExploreParallelContext(ctx context.Context, newDev DeviceFactory, base core.Config, space Space, op kernel.Op) (Exploration, string) {
-	base.Ops = []kernel.Op{op}
-	pts, stopped := EvalParallelContext(ctx, newDev, space.Configs(base), nil, 0, nil)
-	if stopped != "" {
-		pts = EvaluatedPoints(pts)
-	}
-	return Rank(pts, op), stopped
-}
-
-// SweepSizesParallel is SweepSizes fanned out over goroutines; points
-// come back in sizes order.
-func SweepSizesParallel(newDev DeviceFactory, base core.Config, sizes []int64) []Point {
-	cfgs := make([]core.Config, len(sizes))
-	labels := make([]string, len(sizes))
-	for i, s := range sizes {
-		cfg := base
-		cfg.ArrayBytes = s
-		cfgs[i] = cfg
-		labels[i] = sizeLabel(s)
-	}
-	return EvalParallel(newDev, cfgs, labels, 0)
-}
-
-// SweepVecWidthsParallel is SweepVecWidths fanned out over goroutines;
-// points come back in widths order.
-func SweepVecWidthsParallel(newDev DeviceFactory, base core.Config, widths []int) []Point {
-	cfgs := make([]core.Config, len(widths))
-	labels := make([]string, len(widths))
-	for i, v := range widths {
-		cfg := base
-		cfg.VecWidth = v
-		cfgs[i] = cfg
-		labels[i] = vecLabel(v)
-	}
-	return EvalParallel(newDev, cfgs, labels, 0)
-}

@@ -101,20 +101,3 @@ func TestEvalParallelPreCanceled(t *testing.T) {
 		t.Errorf("pre-canceled run evaluated %d points", got)
 	}
 }
-
-// TestExploreParallelContextPartial ranks only what was evaluated.
-func TestExploreParallelContextPartial(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	newDev := func() (device.Device, error) { return targets.ByID("cpu") }
-	base := core.DefaultConfig()
-	base.ArrayBytes = 1 << 16
-	base.NTimes = 1
-	ex, stopped := ExploreParallelContext(ctx, newDev, base, Space{VecWidths: []int{1, 2, 4}}, kernel.Copy)
-	if stopped != runstate.Canceled {
-		t.Fatalf("stop tag %q", stopped)
-	}
-	if len(ex.Ranked) != 0 || ex.Infeasible != 0 {
-		t.Errorf("pre-canceled exploration = %+v", ex)
-	}
-}

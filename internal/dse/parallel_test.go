@@ -50,7 +50,12 @@ func TestExploreParallelMatchesExplore(t *testing.T) {
 func TestEvalParallelPreservesOrder(t *testing.T) {
 	sizes := []int64{1 << 18, 1 << 20, 1 << 19, 1 << 16, 1 << 17}
 	seq := SweepSizes(dev(t, "gpu"), base(), sizes)
-	par := SweepSizesParallel(factory("gpu"), base(), sizes)
+	cfgs := make([]core.Config, len(seq))
+	labels := make([]string, len(seq))
+	for i, p := range seq {
+		cfgs[i], labels[i] = p.Config, p.Label
+	}
+	par := EvalParallel(factory("gpu"), cfgs, labels, 0)
 	if len(par) != len(sizes) {
 		t.Fatalf("got %d points", len(par))
 	}
@@ -64,16 +69,6 @@ func TestEvalParallelPreservesOrder(t *testing.T) {
 		if !reflect.DeepEqual(par[i].Result.Kernels, seq[i].Result.Kernels) {
 			t.Errorf("point %d results differ", i)
 		}
-	}
-}
-
-func TestSweepVecWidthsParallelMatchesSequential(t *testing.T) {
-	seq := SweepVecWidths(dev(t, "aocl"), base(), kernel.VecWidths())
-	par := SweepVecWidthsParallel(factory("aocl"), base(), kernel.VecWidths())
-	seqJSON, _ := json.Marshal(seq)
-	parJSON, _ := json.Marshal(par)
-	if string(seqJSON) != string(parJSON) {
-		t.Error("parallel vec-width sweep differs from sequential")
 	}
 }
 

@@ -169,6 +169,14 @@ func TestSurfaceBadRequests(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), "ladder") {
 		t.Errorf("oversized ladder: status %d body %s", resp.StatusCode, data)
 	}
+	// A finite rate whose offered GB/s overflows to +Inf cannot be
+	// encoded: it must be refused, not answered with an empty body.
+	overflow := smallSurface()
+	overflow.Rates = []float64{1e308}
+	resp, data = e.post(t, "/v1/surface", service.SurfaceRequest{Target: "gpu", Config: &overflow})
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), "rate") {
+		t.Errorf("overflowing rate: status %d body %q", resp.StatusCode, data)
+	}
 	wide := smallSurface()
 	wide.WindowTxns = 1 << 22
 	resp, _ = e.post(t, "/v1/surface", service.SurfaceRequest{Target: "cpu", Config: &wide})

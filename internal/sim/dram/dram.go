@@ -284,7 +284,7 @@ func (m *Model) Clone() *Model {
 func (m *Model) Config() Config { return m.cfg }
 
 // svcState is one service run's controller state plus the reusable
-// request buffers (reorder buffer, sorted batch, background prefetch).
+// request buffers (reorder buffer, sorted batch, decoded chunk).
 // The model caches one instance across sequential runs.
 //
 // The per-channel state is flattened: banks and the completion and
@@ -298,7 +298,8 @@ type svcState struct {
 	actRing []float64   // Channels x ActsPerWindow tFAW ring; nil when disabled
 	buf     []mem.Request
 	batch   []mem.Request
-	owned   bool // this is the model's cached arena; release clears busy
+	routed  []routedReq // ServiceBounded's decoded chunk, capacity routedChunk
+	owned   bool        // this is the model's cached arena; release clears busy
 }
 
 // acquire returns run-ready (cold) controller state, reusing the cached
@@ -504,9 +505,7 @@ func (m *Model) PrerouteInto(p *Prerouted, src mem.Source, max int) *Prerouted {
 		if k == 0 {
 			break
 		}
-		for i := 0; i < k; i++ {
-			reqs[n+i] = m.decode(buf[i], burstNs)
-		}
+		m.decode(reqs[n:], buf[:k], burstNs)
 		n += k
 	}
 	p.reqs = reqs[:n]
@@ -534,50 +533,85 @@ func (m *Model) PrerouteInto(p *Prerouted, src mem.Source, max int) *Prerouted {
 // service. The open-loop path deliberately skips the closed-loop
 // reorder/batch machinery of Service: a latency probe measures the
 // controller as the traffic presents itself.
-//
-// Every iteration of the merge issues exactly one transaction, so the
-// run always ends: at MaxTxns, or when both streams are spent.
-//
-// The timing body is issueRouted's, inline, with the configuration
-// scalars, controller arrays and result counters all in locals: the
-// compiler cannot prove the per-transaction stores leave m.cfg and res
-// untouched, so a call (issueRouted is too large to inline) would
-// reload every hot field once per transaction. The parity tests in
-// parity_test.go hold both bodies to the frozen reference, float for
-// float.
 func (m *Model) ServiceLoadedRouted(bg, probe *Prerouted, opts LoadedOptions) LoadedResult {
 	st := m.acquire()
 	defer m.release(st)
-	cfg := &m.cfg
 
-	var res LoadedResult
-	burstNs := float64(cfg.BurstBytes) / cfg.BusGBps
-	start := cfg.InitialLatencyNs
+	start := m.cfg.InitialLatencyNs
 	inter := opts.InterArrivalNs
 	if inter <= 0 {
-		inter = burstNs // back-to-back at bus speed when unset
+		inter = float64(m.cfg.BurstBytes) / m.cfg.BusGBps // back-to-back at bus speed when unset
 	}
-
 	var bgList, prList []routedReq
-	bgPos, prPos := 0, 0
 	if bg != nil {
-		bgList, bgPos = bg.reqs, bg.pos
+		bgList = bg.reqs[bg.pos:]
 	}
 	if probe != nil {
-		prList, prPos = probe.reqs, probe.pos
+		prList = probe.reqs[probe.pos:]
 	}
-	bgOK := bgPos < len(bgList)
-	prOK := prPos < len(prList)
 
-	// Hoisted invariants and state arrays.
+	var res LoadedResult
+	nBg, nProbe := m.issue(st, &res, bgList, prList, start, inter, opts.MaxTxns, opts.WarmupTxns)
+	if bg != nil {
+		bg.pos += nBg
+	}
+	if probe != nil {
+		probe.pos += nProbe
+	}
+	finish(&res.Result, st.chans, start, &m.cfg, nBg == len(bgList) && nProbe == len(prList))
+	return res
+}
+
+// noWarmup disables issue's latency accounting: no transaction count
+// ever reaches it.
+const noWarmup = ^uint64(0)
+
+// issue is the controller's one timing body: it merges a background
+// stream (request i arrives at start + i*inter) with a dependent probe
+// chain (each hop arrives when the previous one completed) by arrival
+// time and times every transaction against the controller state in st,
+// issuing at most maxTxns (0 = unlimited). Transactions past the first
+// warmup enter the latency statistics. It returns how many requests of
+// each stream it issued and folds its counters into t: the counts and
+// latency sums accumulate across calls, and MeasuredSpanNs is this
+// call's.
+//
+// The open loop calls it once per run. The closed loop (ServiceBounded)
+// calls it once per chunk of reordered requests, every one arriving at
+// start: no probe, inter-arrival 0, warmup disabled.
+//
+// Every iteration issues exactly one transaction, so the loop always
+// ends: at maxTxns, or when both streams are spent. The configuration
+// scalars, controller arrays and counters all live in locals: the
+// compiler cannot prove the per-transaction stores leave m.cfg and t
+// untouched, so keeping them in memory would reload every hot field once
+// per transaction. The parity tests in parity_test.go hold both callers
+// to the frozen reference, float for float.
+//
+// Two gates the earlier controller carried are provably vacuous, so the
+// loop leaves them out (the frozen reference in reference_test.go still
+// simulates both; the parity suite pins bit-identity):
+//
+//   - A per-channel in-flight limit (a completion ring of any depth).
+//     Issue is in-order per channel and issueAt >= ch.busFree, so
+//     per-channel completion times are monotone non-decreasing; a
+//     completion recorded any number of transactions ago can never
+//     exceed ch.busFree and the ring never binds.
+//   - The arrival clamp. ready >= arrival on both the hit path
+//     (ready == arrival) and the miss path (act >= arrival), so
+//     max(busFree, ready) already dominates it.
+func (m *Model) issue(st *svcState, t *LoadedResult, bg, probe []routedReq, start, inter float64, maxTxns, warmup uint64) (nBg, nProbe int) {
+	cfg := &m.cfg
 	turnNs, rowMissNs, actWinNs := cfg.TurnaroundNs, cfg.RowMissNs, cfg.ActWindowNs
 	actsPer := cfg.ActsPerWindow
 	chans, banks, actRing := st.chans, st.banks, st.actRing
+	if maxTxns == 0 {
+		maxTxns = ^uint64(0) // unlimited: fold the cap into one compare
+	}
 
-	// Local result accumulators, folded into res after the loop. What
-	// follows from them is not counted: row misses are the transactions
-	// that did not hit, the measured ones are those past the warmup, and
-	// the frontier is read off the channels (see frontier).
+	// What follows from the counters is not counted: row misses are the
+	// transactions that did not hit, the measured ones are those past the
+	// warmup, and the frontier is read off the channels (see frontier).
 	var txns, bytes, busBytes, rowHits, turnarounds, probeTxns uint64
 	var totalLat, maxLat, probeTotal, probeMax float64
 
@@ -588,19 +622,16 @@ func (m *Model) ServiceLoadedRouted(bg, probe *Prerouted, opts LoadedOptions) Lo
 	// one completed.
 	fslot := 0.0
 	bgArrival, probeArrival := start, start
-	maxTxns, warmupTxns := opts.MaxTxns, opts.WarmupTxns
-	if maxTxns == 0 {
-		maxTxns = ^uint64(0) // unlimited: fold the cap into one compare
-	}
+	bgOK, prOK := len(bg) > 0, len(probe) > 0
 
 	// measureStart marks the simulated frontier when the warmup
 	// completes, bounding the measured span for occupancy.
 	measureStart := start
 	for (bgOK || prOK) && txns < maxTxns {
-		if txns == warmupTxns {
+		if txns == warmup {
 			measureStart = frontier(chans, start)
 		}
-		warm := txns >= warmupTxns
+		warm := txns >= warmup
 		// Background goes first on ties: the probe joins the queue behind
 		// traffic already in flight. The probe is the fallback, so an
 		// unordered (NaN) arrival still issues something.
@@ -608,13 +639,14 @@ func (m *Model) ServiceLoadedRouted(bg, probe *Prerouted, opts LoadedOptions) Lo
 		var rr *routedReq
 		var arrival float64
 		if fromBg {
-			rr, arrival = &bgList[bgPos], bgArrival
+			rr, arrival = &bg[nBg], bgArrival
 		} else {
-			rr, arrival = &prList[prPos], probeArrival
+			rr, arrival = &probe[nProbe], probeArrival
 		}
 
 		ch := &chans[rr.chIdx]
 		bank := &banks[rr.bankFlat]
+		// Direction turnaround applies when the bus flips direction.
 		if op := int32(rr.op); ch.last != op {
 			if ch.last >= 0 {
 				ch.busFree += turnNs
@@ -624,9 +656,14 @@ func (m *Model) ServiceLoadedRouted(bg, probe *Prerouted, opts LoadedOptions) Lo
 		}
 		var ready float64
 		if bank.openRow == rr.row {
+			// Row hit: CAS pipelines with the previous transfer.
 			ready = arrival
 			rowHits++
 		} else {
+			// Row miss: the bank precharges/activates after its previous
+			// use, subject to the channel's tFAW activation-rate limit —
+			// the new activation may not start before the
+			// ActsPerWindow-th previous one plus the window.
 			act := bank.freeAt
 			if act < arrival {
 				act = arrival
@@ -670,45 +707,58 @@ func (m *Model) ServiceLoadedRouted(bg, probe *Prerouted, opts LoadedOptions) Lo
 			}
 		}
 		if fromBg {
-			bgPos++
+			nBg++
 			fslot++
 			bgArrival = start + fslot*inter
-			bgOK = bgPos < len(bgList)
+			bgOK = nBg < len(bg)
 		} else {
-			prPos++
+			nProbe++
 			probeArrival = end
-			prOK = prPos < len(prList)
+			prOK = nProbe < len(probe)
 		}
 	}
-	if bg != nil {
-		bg.pos = bgPos
+
+	t.Txns += txns
+	t.Bytes += bytes
+	t.BusBytes += busBytes
+	t.RowHits += rowHits
+	t.RowMisses += txns - rowHits
+	t.Turnarounds += turnarounds
+	if txns > warmup {
+		t.MeasuredTxns += txns - warmup
 	}
-	if probe != nil {
-		probe.pos = prPos
-	}
-	res.Txns, res.Bytes, res.BusBytes = txns, bytes, busBytes
-	res.RowHits, res.RowMisses, res.Turnarounds = rowHits, txns-rowHits, turnarounds
-	if txns > warmupTxns {
-		res.MeasuredTxns = txns - warmupTxns
-	}
-	res.TotalLatencyNs, res.MaxLatencyNs = totalLat, maxLat
-	res.ProbeTxns, res.ProbeTotalNs, res.ProbeMaxNs = probeTxns, probeTotal, probeMax
-	res.MeasuredSpanNs = frontier(chans, start) - measureStart
-	finish(&res.Result, chans, start, cfg, !bgOK && !prOK)
-	return res
+	t.TotalLatencyNs += totalLat
+	t.MaxLatencyNs = max(t.MaxLatencyNs, maxLat)
+	t.ProbeTxns += probeTxns
+	t.ProbeTotalNs += probeTotal
+	t.ProbeMaxNs = max(t.ProbeMaxNs, probeMax)
+	t.MeasuredSpanNs = frontier(chans, start) - measureStart
+	return nBg, nProbe
 }
+
+// routedChunk is the closed loop's issue granularity: ServiceBounded
+// decodes its reordered batches into chunks of this many requests and
+// times each chunk with one call to issue.
+const routedChunk = 1024
 
 // ServiceBounded services at most maxTxns transactions (0 = unlimited).
 // Bounded runs are the basis of sampled simulation for very large arrays.
+//
+// The closed loop is a reorder front end that never reads a clock: it
+// gathers same-direction batches from a reorder window, sorts each by
+// address, and decodes them into chunks that issue times with every
+// request arriving at the run start.
 func (m *Model) ServiceBounded(src mem.Source, maxTxns uint64) Result {
 	st := m.acquire()
 	defer m.release(st)
 	cfg := &m.cfg
-	chans := st.chans
 
-	var res Result
 	burstNs := float64(cfg.BurstBytes) / cfg.BusGBps // ns per burst (GB/s == B/ns)
 	start := cfg.InitialLatencyNs
+	limit := maxTxns
+	if limit == 0 {
+		limit = ^uint64(0)
+	}
 
 	// Reorder buffer: the controller looks ReorderWin requests ahead and
 	// issues same-direction batches of up to BatchSize. The buffer lives
@@ -746,12 +796,14 @@ func (m *Model) ServiceBounded(src mem.Source, maxTxns uint64) Result {
 	globalBatch := cfg.BatchSize * cfg.Channels
 	st.batch = grow(st.batch, globalBatch)
 	batch := st.batch[:0]
+	if st.routed == nil {
+		st.routed = make([]routedReq, 0, routedChunk)
+	}
+	chunk := st.routed[:0]
 
-	for len(buf) > 0 {
-		if maxTxns > 0 && res.Txns >= maxTxns {
-			finish(&res, chans, start, cfg, false)
-			return res
-		}
+	var res LoadedResult
+	var queued uint64 // transactions gathered so far, issued or in chunk
+	for len(buf) > 0 && queued < limit {
 		// Collect one batch of the current direction in a single pass,
 		// compacting the keepers in place, then issue it in address order
 		// (first-ready first-served approximation: row hits group together
@@ -775,13 +827,21 @@ func (m *Model) ServiceBounded(src mem.Source, maxTxns uint64) Result {
 			pendWrite -= issued
 		}
 		slices.SortFunc(batch, cmpByAddr)
-		for _, r := range batch {
-			rr := m.decode(r, burstNs)
-			m.issueRouted(&res, st, &rr, start)
-			if maxTxns > 0 && res.Txns >= maxTxns {
-				finish(&res, chans, start, cfg, false)
-				return res
+		if left := limit - queued; uint64(issued) > left {
+			batch = batch[:left]
+		}
+		queued += uint64(len(batch))
+		for rest := batch; len(rest) > 0; {
+			if len(chunk) == cap(chunk) {
+				m.issue(st, &res, chunk, nil, start, 0, 0, noWarmup)
+				chunk = chunk[:0]
 			}
+			n := min(len(rest), cap(chunk)-len(chunk))
+			m.decode(chunk[len(chunk):cap(chunk)], rest[:n], burstNs)
+			chunk, rest = chunk[:len(chunk)+n], rest[n:]
+		}
+		if queued == limit {
+			break // the bound is reached: read no further ahead
 		}
 		fill()
 		if issued == 0 {
@@ -799,8 +859,9 @@ func (m *Model) ServiceBounded(src mem.Source, maxTxns uint64) Result {
 			curOp = otherOp(curOp)
 		}
 	}
-	finish(&res, chans, start, cfg, true)
-	return res
+	m.issue(st, &res, chunk, nil, start, 0, 0, noWarmup)
+	finish(&res.Result, st.chans, start, cfg, queued < limit)
+	return res.Result
 }
 
 // cmpByAddr orders a same-direction batch by address. The tie-breaks
@@ -854,129 +915,56 @@ type routedReq struct {
 	op       mem.Op
 }
 
-// decode resolves the timing-independent half of a transaction. burstNs
-// is the per-burst bus occupancy the service loop derived from the
-// configuration.
-func (m *Model) decode(r mem.Request, burstNs float64) routedReq {
+// decode resolves the timing-independent half of each request of src
+// into dst, which must be at least as long. burstNs is the per-burst bus
+// occupancy the service loop derived from the configuration.
+func (m *Model) decode(dst []routedReq, src []mem.Request, burstNs float64) {
 	cfg := &m.cfg
-
-	// Route: channel interleave via shift/mask, or per-stream placement.
-	var chIdx int
-	chAddr := r.Addr
-	if cfg.InterleaveBytes == 0 {
-		chIdx = int(r.Stream) % cfg.Channels
-	} else {
-		block := r.Addr >> m.ilShift
-		blockQ, blockR := m.chanDiv.divmod(block)
-		if cfg.HashChannels {
-			chIdx = int(m.chanDiv.mod(hashBlock(block)))
+	dst = dst[:len(src)]
+	for i, r := range src {
+		// Route: channel interleave via shift/mask, or per-stream placement.
+		var chIdx int
+		chAddr := r.Addr
+		if cfg.InterleaveBytes == 0 {
+			chIdx = int(r.Stream) % cfg.Channels
 		} else {
-			chIdx = int(blockR)
-		}
-		chAddr = blockQ<<m.ilShift + r.Addr&m.ilMask
-	}
-
-	// Rows interleave across banks: consecutive rows live in consecutive
-	// banks, so streaming overlaps the next bank's activation. The open
-	// row is identified by the full row index, which is unique whatever
-	// the bank mapping.
-	rowIdx := chAddr >> m.rowShift
-	bankSel := rowIdx
-	if cfg.HashBanks {
-		bankSel = hashBlock(rowIdx)
-	}
-	bankIdx := int(m.bankDiv.mod(bankSel))
-
-	var bursts int
-	if r.Size > 0 {
-		bursts = int(((r.Addr+uint64(r.Size)-1)>>m.burstShift)-(r.Addr>>m.burstShift)) + 1
-	}
-	return routedReq{
-		row:      int64(rowIdx),
-		transfer: float64(bursts) * burstNs,
-		chIdx:    int32(chIdx),
-		bankFlat: int32(chIdx*cfg.BanksPerChannel + bankIdx),
-		size:     r.Size,
-		busBytes: uint32(bursts) * cfg.BurstBytes,
-		op:       r.Op,
-	}
-}
-
-// issueRouted times one decoded transaction of closed-loop service,
-// returning its completion time: pure clock arithmetic over the
-// controller state. All times are nanoseconds; earliest is the first
-// instant the transaction may begin (the run start). ServiceLoadedRouted
-// carries the same body inline, with the request's arrival as earliest.
-func (m *Model) issueRouted(res *Result, st *svcState, rr *routedReq, earliest float64) float64 {
-	cfg := &m.cfg
-	ch := &st.chans[rr.chIdx]
-	bank := &st.banks[rr.bankFlat]
-
-	// Direction turnaround applies when the bus flips direction.
-	if op := int32(rr.op); ch.last != op {
-		if ch.last >= 0 {
-			ch.busFree += cfg.TurnaroundNs
-			res.Turnarounds++
-		}
-		ch.last = op
-	}
-
-	var ready float64
-	if bank.openRow == rr.row {
-		// Row hit: CAS pipelines with the previous transfer.
-		ready = earliest
-		res.RowHits++
-	} else {
-		// Row miss: the bank precharges/activates after its previous use,
-		// subject to the channel's tFAW activation-rate limit — the new
-		// activation may not start before the ActsPerWindow-th previous
-		// one plus the window.
-		act := bank.freeAt
-		if act < earliest {
-			act = earliest
-		}
-		if st.actRing != nil {
-			ai := int(rr.chIdx)*cfg.ActsPerWindow + int(ch.actHead)
-			if g := st.actRing[ai] + cfg.ActWindowNs; act < g {
-				act = g
+			block := r.Addr >> m.ilShift
+			blockQ, blockR := m.chanDiv.divmod(block)
+			if cfg.HashChannels {
+				chIdx = int(m.chanDiv.mod(hashBlock(block)))
+			} else {
+				chIdx = int(blockR)
 			}
-			st.actRing[ai] = act
-			if ch.actHead++; int(ch.actHead) == cfg.ActsPerWindow {
-				ch.actHead = 0
-			}
+			chAddr = blockQ<<m.ilShift + r.Addr&m.ilMask
 		}
-		ready = act + cfg.RowMissNs
-		bank.openRow = rr.row
-		res.RowMisses++
+
+		// Rows interleave across banks: consecutive rows live in
+		// consecutive banks, so streaming overlaps the next bank's
+		// activation. The open row is identified by the full row index,
+		// which is unique whatever the bank mapping.
+		rowIdx := chAddr >> m.rowShift
+		bankSel := rowIdx
+		if cfg.HashBanks {
+			bankSel = hashBlock(rowIdx)
+		}
+		bankIdx := int(m.bankDiv.mod(bankSel))
+
+		var bursts int
+		if r.Size > 0 {
+			bursts = int(((r.Addr+uint64(r.Size)-1)>>m.burstShift)-(r.Addr>>m.burstShift)) + 1
+		}
+		// Field by field: a composite literal would be assembled on the
+		// stack and block-copied, and the copy's wide loads stall on the
+		// narrow stores that built it.
+		d := &dst[i]
+		d.row = int64(rowIdx)
+		d.transfer = float64(bursts) * burstNs
+		d.chIdx = int32(chIdx)
+		d.bankFlat = int32(chIdx*cfg.BanksPerChannel + bankIdx)
+		d.size = r.Size
+		d.busBytes = uint32(bursts) * cfg.BurstBytes
+		d.op = r.Op
 	}
-
-	// Two gates the earlier controller carried are provably vacuous, so
-	// neither timing body has them (the frozen reference in
-	// reference_test.go still simulates both; the parity suite pins
-	// bit-identity):
-	//
-	//   - A per-channel in-flight limit (a completion ring of any
-	//     depth). Issue is in-order per channel and issueAt >=
-	//     ch.busFree, so per-channel completion times are monotone
-	//     non-decreasing; a completion recorded any number of
-	//     transactions ago can never exceed ch.busFree and the ring
-	//     never binds.
-	//   - The earliest clamp. ready >= earliest on both the hit path
-	//     (ready == earliest) and the miss path (act >= earliest), so
-	//     max(busFree, ready) already dominates it.
-	issueAt := ch.busFree
-	if issueAt < ready {
-		issueAt = ready
-	}
-	end := issueAt + rr.transfer
-
-	ch.busFree = end
-	bank.freeAt = end
-
-	res.Txns++
-	res.Bytes += uint64(rr.size)
-	res.BusBytes += uint64(rr.busBytes)
-	return end
 }
 
 // frontier returns the latest completion so far: each channel's

@@ -31,7 +31,14 @@ func testConfig() Config {
 // channelOf reports the channel the model's decoder routes a request at
 // addr with the given stream tag to.
 func channelOf(m *Model, addr uint64, stream uint8) int {
-	return int(m.decode(mem.Request{Addr: addr, Size: 64, Stream: stream}, 1).chIdx)
+	return routedChannel(m, mem.Request{Addr: addr, Size: 64, Stream: stream})
+}
+
+// routedChannel reports the channel the model's decoder routes r to.
+func routedChannel(m *Model, r mem.Request) int {
+	var rr [1]routedReq
+	m.decode(rr[:], []mem.Request{r}, 1)
+	return int(rr[0].chIdx)
 }
 
 func contigReads(t testing.TB, elems int, elemBytes uint32) mem.Source {

@@ -105,9 +105,43 @@ func TestServiceBoundedMatchesReference(t *testing.T) {
 		src := build()
 		for r, ok := pull(src); ok; r, ok = pull(src) {
 			refCh, _ := refRoute(m.cfg, r.Addr, r.Stream)
-			if ch := int(m.decode(r, 1).chIdx); ch != refCh {
+			if ch := routedChannel(m, r); ch != refCh {
 				t.Fatalf("trial %d (cfg %+v): request %+v routed to channel %d, reference %d",
 					trial, m.Config(), r, ch, refCh)
+			}
+		}
+	}
+
+	// The bound's edge: streams long enough to cross several 1024-request
+	// issue chunks, run unbounded, bounded mid-stream, and with maxTxns
+	// just below, at and just past their transaction count. Drained and
+	// the source's read-ahead must match the reference at each.
+	for trial := 0; trial < 8; trial++ {
+		cfg, ring := randomConfig(rng)
+		elems := 2048 + rng.Intn(2048)
+		readFrac := rng.Float64()
+		mix := rng.Intn(2) == 0
+		build := func() mem.Source {
+			r, _ := mem.NewIter(mem.ContiguousPattern(), 0, elems, cfg.BurstBytes, mem.Read, 1)
+			w, _ := mem.NewIter(mem.ContiguousPattern(), 1<<31, elems, cfg.BurstBytes, mem.Write, 0)
+			if mix {
+				return mem.NewMix(r, w, readFrac, 0)
+			}
+			return mem.NewInterleave(r, w)
+		}
+		m := New(cfg)
+		total := refServiceBounded(m, build(), 0, ring).Txns
+		for _, maxTxns := range []uint64{0, total / 2, total - 1, total, total + 1} {
+			src, refSrc := build(), build()
+			got := m.ServiceBounded(src, maxTxns)
+			want := refServiceBounded(m, refSrc, maxTxns, ring)
+			if got != want {
+				t.Fatalf("edge trial %d (cfg %+v, ring %d, total %d, maxTxns %d):\n got  %+v\n want %+v",
+					trial, m.Config(), ring, total, maxTxns, got, want)
+			}
+			if got, want := src.Remaining(), refSrc.Remaining(); got != want {
+				t.Fatalf("edge trial %d (total %d, maxTxns %d): %d requests left unread, reference %d",
+					trial, total, maxTxns, got, want)
 			}
 		}
 	}

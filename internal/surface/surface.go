@@ -58,6 +58,11 @@ const (
 // past saturation is where the latency blows up and the knee shows.
 func DefaultRates() []float64 { return []float64{0.1, 0.25, 0.5, 0.75, 0.9, 1.0, 1.2} }
 
+// MaxRate caps an injection rate fraction. It sits far past
+// saturation, where more offered load changes nothing but can overflow
+// the offered GB/s a point reports.
+const MaxRate = 1e3
+
 // DefaultRWRatios is the read-fraction axis: all-read, 2:1 (triad- and
 // add-shaped) and 1:1 (copy-shaped) traffic.
 func DefaultRWRatios() []float64 { return []float64{1, 2.0 / 3, 0.5} }
@@ -165,8 +170,8 @@ func (c Config) Validate() error {
 		}
 	}
 	for _, f := range c.Rates {
-		if !(f > 0) || math.IsInf(f, 1) {
-			return fmt.Errorf("surface: injection rate fraction %g must be positive and finite", f)
+		if !(f > 0 && f <= MaxRate) {
+			return fmt.Errorf("surface: injection rate fraction %g out of (0,%g]", f, MaxRate)
 		}
 	}
 	if c.WindowTxns < 64 {

@@ -34,6 +34,8 @@ func TestValidate(t *testing.T) {
 		{RWRatios: []float64{-0.1}},
 		{Rates: []float64{0}},
 		{Rates: []float64{-1}},
+		// A finite rate whose offered GB/s overflows.
+		{Rates: []float64{1e308}},
 		{WindowTxns: 8},
 		{ProbeHops: 2},
 		{KneeFactor: 0.5},
