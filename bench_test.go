@@ -259,6 +259,28 @@ func BenchmarkCacheAccess(b *testing.B) {
 	_ = out
 }
 
+// BenchmarkCacheAccessResident measures the LLC model's hit path: the gpu
+// L2 geometry (24 ways, 32-byte lines, hashed sets) holding a 256 KB
+// array, four lines per set, walked again in the order it was filled, so
+// every hit lands on its set's least recently used way.
+func BenchmarkCacheAccessResident(b *testing.B) {
+	c := cache.New(cache.Config{
+		Name: "bench-l2", CapacityBytes: 1536 << 10, LineBytes: 32, Ways: 24, HashSets: true,
+	})
+	const lines = 8192
+	var out []mem.Request
+	for i := 0; i < lines; i++ {
+		out = c.Access(mem.Request{Addr: uint64(i) * 32, Size: 32, Op: mem.Read}, out[:0])
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out = c.Access(mem.Request{Addr: uint64(i%lines) * 32, Size: 32, Op: mem.Read}, out[:0])
+	}
+	if c.Stats().Misses != lines {
+		b.Fatalf("%d misses, want only the %d warm-up fills", c.Stats().Misses, lines)
+	}
+}
+
 // BenchmarkPatternIter measures the request-generator throughput: one
 // op is one request, pulled through mem.Fill a buffer at a time.
 func BenchmarkPatternIter(b *testing.B) {

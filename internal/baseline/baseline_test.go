@@ -1,6 +1,8 @@
 package baseline
 
 import (
+	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -91,6 +93,43 @@ func TestCompareExactlyAtBandPasses(t *testing.T) {
 	rep = Compare(e, measuredRun(106), e.Tolerance, false)
 	if rep.Verdict != VerdictFail {
 		t.Fatalf("verdict on +6%% = %q, want fail (two-sided band)", rep.Verdict)
+	}
+}
+
+// TestCompareTinyReferenceStaysFinite pins the overflow case: a finite
+// reference so small that (measured-reference)/reference is ±Inf must
+// fail at every band Tolerance.Validate accepts, with a finite delta and
+// a report JSON can encode.
+func TestCompareTinyReferenceStaysFinite(t *testing.T) {
+	e := runEntry(t, Tolerance{})
+	e.Reference.Kernels[0].GBps = 5e-324
+	for _, band := range []float64{0.05, 1, 10} {
+		tol := Tolerance{GBpsFrac: band, NsFrac: -1}
+		if err := tol.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		for _, got := range []float64{10, -10} {
+			rep := Compare(e, measuredRun(got), tol, false)
+			m := metricByName(t, rep, "gbps[copy]")
+			if math.IsInf(m.Delta, 0) || math.IsNaN(m.Delta) || math.Signbit(m.Delta) != (got < 0) {
+				t.Errorf("band %v, measured %v: delta = %v, want finite with the drift's sign", band, got, m.Delta)
+			}
+			if rep.Verdict != VerdictFail || m.Verdict != VerdictFail {
+				t.Errorf("band %v, measured %v: verdict %q, metric %q, want fail", band, got, rep.Verdict, m.Verdict)
+			}
+			if _, err := json.Marshal(rep); err != nil {
+				t.Errorf("band %v, measured %v: report does not encode: %v", band, got, err)
+			}
+		}
+	}
+	// A band so narrow that |delta|/band overflows keeps a finite drift
+	// ratio too.
+	rep := Compare(e, measuredRun(95), Tolerance{GBpsFrac: 5e-324, NsFrac: -1}, false)
+	if math.IsInf(rep.DriftRatio, 0) {
+		t.Errorf("drift ratio = %v, want finite", rep.DriftRatio)
+	}
+	if _, err := json.Marshal(rep); err != nil {
+		t.Errorf("narrow band: report does not encode: %v", err)
 	}
 }
 

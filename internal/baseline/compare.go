@@ -97,16 +97,7 @@ func (c *cmp) add(name string, ref, got, band float64) {
 	if band <= 0 {
 		return
 	}
-	var delta float64
-	switch {
-	case ref != 0:
-		delta = (got - ref) / ref
-	case got != 0:
-		// A zero reference with a nonzero measurement has no relative
-		// delta; treat it as 100% drift rather than emitting Inf
-		// (which JSON cannot carry).
-		delta = 1
-	}
+	delta := relDelta(ref, got)
 	m := Metric{Name: name, Reference: ref, Measured: got, Delta: delta, Band: band}
 	abs := math.Abs(delta)
 	m.Margin = abs - band
@@ -119,21 +110,38 @@ func (c *cmp) add(name string, ref, got, band float64) {
 		m.Verdict = VerdictPass
 	}
 	if ratio := abs / band; ratio > c.rep.DriftRatio {
-		c.rep.DriftRatio = ratio
+		// A band far below the delta overflows the ratio; the largest
+		// float says the same and JSON can carry it.
+		c.rep.DriftRatio = min(ratio, math.MaxFloat64)
 	}
 	c.push(m)
+}
+
+// relDelta is (got-ref)/ref where that is finite. A zero reference with
+// a nonzero measurement has no relative delta and reads as +1 (100%
+// drift); a quotient that overflows — a finite reference so small, or a
+// difference so large — reads as the largest float in its own
+// direction, which fails every band Tolerance.Validate accepts. Either
+// way the report carries no Inf, which JSON cannot encode.
+func relDelta(ref, got float64) float64 {
+	if ref == 0 {
+		if got != 0 {
+			return 1
+		}
+		return 0
+	}
+	d := (got - ref) / ref
+	if math.IsInf(d, 0) {
+		return math.Copysign(math.MaxFloat64, d)
+	}
+	return d
 }
 
 // addShift judges a warn-only identity metric (the knee rate): any
 // difference is drift worth flagging, but a shifted knee alone — with
 // knee bandwidth still in band — is a warning, never a failure.
 func (c *cmp) addShift(name string, ref, got float64) {
-	m := Metric{Name: name, Reference: ref, Measured: got}
-	if ref != 0 {
-		m.Delta = (got - ref) / ref
-	} else if got != 0 {
-		m.Delta = 1
-	}
+	m := Metric{Name: name, Reference: ref, Measured: got, Delta: relDelta(ref, got)}
 	if math.Abs(m.Delta) > 1e-9 {
 		m.Verdict = VerdictWarn
 	} else {

@@ -18,6 +18,7 @@
 package cache
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 
@@ -117,23 +118,34 @@ func (s Stats) L1TransferBytes(lineBytes uint32) uint64 {
 // kernel invocations see warm caches exactly as hardware does. Reset
 // restores the cold state.
 //
-// Way state is stored structure-of-arrays: a probe scans the set's slice
-// of the contiguous tag array (plus one validity word) instead of a
-// strided walk over 24-byte way structs, so the per-request scans that
-// dominate strided DRAM-resident workloads touch a third of the memory.
-// Invalid ways keep tag and LRU stamp zero, which the victim selection
-// relies on.
+// Neither the probe nor the victim choice scans a full set's ways:
+//
+//   - a probe of a set with more than scanWays valid ways compares one
+//     8-bit tag fingerprint per way, eight ways to a packed word (SWAR),
+//     and confirms each candidate by its valid bit and full tag; a miss
+//     in a full 24-way set reads three fingerprint words and, barring a
+//     fingerprint collision, no tag;
+//   - each set keeps an exact LRU recency list, a ring of byte links
+//     holding precisely its valid ways, with its MRU and LRU way bytes,
+//     so a miss on a full set takes the LRU way.
+//
+// Tags, valid masks and dirty masks are arrays; each set's ring ends,
+// fingerprints and links share one metadata block. Per way that is 11
+// bytes: the tag, a fingerprint and two links. The valid mask is the
+// only truth about occupancy: an invalidated way keeps its stale tag,
+// fingerprint and links, which nothing trusts.
 type Cache struct {
 	cfg   Config
 	sets  uint64
 	ways  int
-	tick  uint64
 	stats Stats
 
-	tags  []uint64 // sets x ways line tags
-	used  []uint64 // sets x ways LRU timestamps (0 = never / invalid)
-	valid []uint64 // per-set validity bitmask (Ways <= 64, enforced by Validate)
-	dirty []uint64 // per-set dirty bitmask
+	tags    []uint64 // sets x ways line tags
+	valid   []uint64 // per-set validity bitmask (Ways <= 64, enforced by Validate)
+	dirty   []uint64 // per-set dirty bitmask
+	meta    []byte   // sets x stride metadata blocks
+	stride  uint64   // bytes per metadata block, a multiple of 8
+	linkOff uint64   // block offset of the per-way (next, prev) link pairs
 
 	// Power-of-two geometry in shift/mask form: lineShift replaces the
 	// per-line division by LineBytes, setsMask the modulo by the set
@@ -156,6 +168,16 @@ type Cache struct {
 	wcValid [8]bool
 }
 
+// Metadata block layout, in bytes: the MRU and LRU way, padding to
+// metaFP, ceil(Ways/8) fingerprint words (way i in byte metaFP+i, the
+// pad bytes of the last word unused), then one (next, prev) link pair
+// per way from Cache.linkOff. Ways <= 64 fits every way index in a byte.
+const (
+	metaMRU = 0 // most recently used way
+	metaLRU = 1 // least recently used way
+	metaFP  = 8
+)
+
 // New builds a cache, panicking on invalid configuration (configurations
 // are compile-time constants of the device packages).
 func New(cfg Config) *Cache {
@@ -165,8 +187,10 @@ func New(cfg Config) *Cache {
 	c := &Cache{cfg: cfg, sets: cfg.Sets(), ways: cfg.Ways}
 	c.lineShift = mem.Log2(uint64(cfg.LineBytes))
 	c.setsMask = c.sets - 1
+	c.linkOff = metaFP + 8*uint64((cfg.Ways+7)/8)
+	c.stride = (c.linkOff + 2*uint64(cfg.Ways) + 7) &^ 7
 	c.tags = make([]uint64, c.sets*uint64(cfg.Ways))
-	c.used = make([]uint64, c.sets*uint64(cfg.Ways))
+	c.meta = make([]byte, c.sets*c.stride)
 	c.valid = make([]uint64, c.sets)
 	c.dirty = make([]uint64, c.sets)
 	return c
@@ -180,11 +204,8 @@ func (c *Cache) Stats() Stats { return c.stats }
 
 // Reset restores cold state and clears statistics.
 func (c *Cache) Reset() {
-	clear(c.tags)
-	clear(c.used)
-	clear(c.valid)
+	clear(c.valid) // the valid masks alone say what the sets hold
 	clear(c.dirty)
-	c.tick = 0
 	c.stats = Stats{}
 	c.lastLine = [8]uint64{}
 	c.lastValid = [8]bool{}
@@ -256,52 +277,35 @@ func (c *Cache) Access(r mem.Request, out []mem.Request) []mem.Request {
 
 		set := c.setIndex(lineID)
 		base := set * uint64(c.ways)
-		tags := c.tags[base : base+uint64(c.ways)]
+		m := c.block(set)
 		vmask := c.valid[set]
-		c.tick++
-
-		// Probe the valid ways' tags (a line occupies at most one way).
-		hitIdx := -1
-		for m := vmask; m != 0; m &= m - 1 {
-			i := bits.TrailingZeros64(m)
-			if tags[i] == lineID {
-				hitIdx = i
-				break
-			}
-		}
-		if hitIdx >= 0 {
+		if i := c.probe(m, vmask, base, lineID); i >= 0 {
 			c.stats.Hits++
 			c.stats.L1Transfers++
-			c.used[base+uint64(hitIdx)] = c.tick
+			c.toMRU(m, uint8(i))
 			if r.Op == mem.Write {
-				c.dirty[set] |= 1 << uint(hitIdx)
+				c.dirty[set] |= 1 << uint(i)
 			}
 			continue
 		}
 
 		// Miss: pick the victim. The first invalid way past index 0 wins
-		// outright; otherwise the earliest least-recently-used way —
-		// invalid ways keep a zero LRU stamp, so an invalid way 0 loses
-		// only to another invalid way, exactly the replacement order of
-		// the reference implementation.
+		// outright; with every way past 0 valid, an invalid way 0 wins,
+		// and a full set gives up its least recently used way — the
+		// replacement order of the reference implementation.
 		c.stats.Misses++
-		victim := 0
+		victim := uint8(0)
+		full := false
 		if inv := ^vmask & (^uint64(0) >> (64 - uint(c.ways))); inv>>1 != 0 {
-			victim = bits.TrailingZeros64(inv >> 1)
-			victim++
-		} else {
-			used := c.used[base : base+uint64(c.ways)]
-			for i := 1; i < len(used); i++ {
-				if used[i] < used[victim] {
-					victim = i
-				}
-			}
+			victim = uint8(bits.TrailingZeros64(inv>>1) + 1)
+		} else if vmask&1 != 0 {
+			victim, full = m[metaLRU], true
 		}
-		vbit := uint64(1) << uint(victim)
-		if vmask&vbit != 0 && c.dirty[set]&vbit != 0 {
+		vbit := uint64(1) << victim
+		if full && c.dirty[set]&vbit != 0 {
 			c.stats.Writebacks++
 			out = append(out, mem.Request{
-				Addr:   tags[victim] << c.lineShift,
+				Addr:   c.tags[base+uint64(victim)] << c.lineShift,
 				Size:   uint32(line),
 				Op:     mem.Write,
 				Stream: r.Stream,
@@ -322,9 +326,14 @@ func (c *Cache) Access(r mem.Request, out []mem.Request) []mem.Request {
 				Stream: r.Stream,
 			})
 		}
-		tags[victim] = lineID
-		c.used[base+uint64(victim)] = c.tick
-		c.valid[set] |= vbit
+		c.tags[base+uint64(victim)] = lineID
+		m[metaFP+uint64(victim)] = fingerprint(lineID)
+		if full {
+			c.rotate(m, victim)
+		} else {
+			c.push(m, victim, vmask == 0)
+			c.valid[set] = vmask | vbit
+		}
 		if r.Op == mem.Write {
 			c.dirty[set] |= vbit
 		} else {
@@ -369,21 +378,131 @@ func (c *Cache) FlushWC(out []mem.Request) []mem.Request {
 
 // invalidate drops a line if present (without writeback: used by
 // non-temporal stores which overwrite the whole line). The dropped way
-// returns to the never-used state: zero tag and LRU stamp.
+// leaves the valid mask and the recency list; its stale tag,
+// fingerprint and links stay behind, untrusted.
 func (c *Cache) invalidate(lineID uint64) {
 	set := c.setIndex(lineID)
-	base := set * uint64(c.ways)
-	tags := c.tags[base : base+uint64(c.ways)]
-	for m := c.valid[set]; m != 0; m &= m - 1 {
-		i := bits.TrailingZeros64(m)
-		if tags[i] == lineID {
-			bit := uint64(1) << uint(i)
-			c.valid[set] &^= bit
-			c.dirty[set] &^= bit
-			tags[i] = 0
-			c.used[base+uint64(i)] = 0
-			return
+	m := c.block(set)
+	vmask, base := c.valid[set], set*uint64(c.ways)
+	i := c.probe(m, vmask, base, lineID)
+	if i < 0 {
+		return
+	}
+	bit := uint64(1) << uint(i)
+	c.valid[set] &^= bit
+	c.dirty[set] &^= bit
+	c.unlink(m, uint8(i))
+}
+
+// block returns a set's metadata block.
+func (c *Cache) block(set uint64) []byte {
+	off := set * c.stride
+	return c.meta[off : off+c.stride]
+}
+
+// Fingerprint probe constants: a multiplicative hash whose top byte
+// mixes every tag bit (the set index reuses the low bits, so a low-byte
+// fingerprint would repeat within a set), and the per-byte SWAR masks.
+const (
+	fpMul  = 0x9E3779B97F4A7C15
+	bytes1 = 0x0101010101010101
+	low7   = 0x7F7F7F7F7F7F7F7F
+)
+
+// scanWays is the most valid ways a probe compares tag by tag: up to
+// four compares cost no more than the SWAR pass over a 20- or 24-way
+// set's three fingerprint words, measured on the LLC and L2 geometries.
+const scanWays = 4
+
+// fingerprint is the 8-bit tag summary stored per way.
+func fingerprint(lineID uint64) uint8 { return uint8((lineID * fpMul) >> 56) }
+
+// scan returns the valid way of the set holding lineID, or -1, by
+// comparing the valid ways' tags.
+func (c *Cache) scan(vmask, base, lineID uint64) int {
+	for ; vmask != 0; vmask &= vmask - 1 {
+		if i := bits.TrailingZeros64(vmask); c.tags[base+uint64(i)] == lineID {
+			return i
 		}
+	}
+	return -1
+}
+
+// probe returns the valid way of the set holding lineID, or -1. Past
+// scanWays valid ways, each packed fingerprint word yields its matching
+// bytes in one SWAR step, and only those candidates are checked against
+// the valid mask and the full tag.
+func (c *Cache) probe(m []byte, vmask, base, lineID uint64) int {
+	if bits.OnesCount64(vmask) <= scanWays {
+		return c.scan(vmask, base, lineID)
+	}
+	pat := uint64(fingerprint(lineID)) * bytes1
+	for w := uint64(0); metaFP+w < c.linkOff; w += 8 {
+		x := binary.LittleEndian.Uint64(m[metaFP+w:]) ^ pat
+		// High bit of each byte of x that is zero; exact, with no
+		// borrow between bytes.
+		for hit := ^((x&low7 + low7) | x | low7); hit != 0; hit &= hit - 1 {
+			i := w + uint64(bits.TrailingZeros64(hit)>>3)
+			if vmask>>i&1 != 0 && c.tags[base+i] == lineID {
+				return int(i)
+			}
+		}
+	}
+	return -1
+}
+
+// Each set's valid ways form a ring: next links run from the MRU way
+// toward the LRU way and wrap from it to the MRU way, prev links the
+// other way. The ring makes the list tail's move to the MRU end — a hit
+// on the LRU way, every full set's victim — a rotation.
+
+// nextAt and prevAt are the block offsets of way w's links.
+func (c *Cache) nextAt(w uint8) uint64 { return c.linkOff + 2*uint64(w) }
+func (c *Cache) prevAt(w uint8) uint64 { return c.linkOff + 2*uint64(w) + 1 }
+
+// rotate moves the LRU way w to the MRU end.
+func (c *Cache) rotate(m []byte, w uint8) {
+	m[metaMRU] = w
+	m[metaLRU] = m[c.prevAt(w)]
+}
+
+// toMRU moves a valid way to the MRU end; the LRU way's move is a
+// rotation.
+func (c *Cache) toMRU(m []byte, w uint8) {
+	switch w {
+	case m[metaMRU]:
+	case m[metaLRU]:
+		c.rotate(m, w)
+	default:
+		c.unlink(m, w)
+		c.push(m, w, false)
+	}
+}
+
+// push links a way not on the ring at its MRU end; empty says the ring
+// holds no way.
+func (c *Cache) push(m []byte, w uint8, empty bool) {
+	if empty {
+		m[c.nextAt(w)], m[c.prevAt(w)] = w, w
+		m[metaLRU] = w
+	} else {
+		mru, lru := m[metaMRU], m[metaLRU]
+		m[c.nextAt(w)], m[c.prevAt(w)] = mru, lru
+		m[c.prevAt(mru)], m[c.nextAt(lru)] = w, w
+	}
+	m[metaMRU] = w
+}
+
+// unlink removes a way from the ring. Removing the last way leaves stale
+// ends, unread until a way is pushed onto the empty ring.
+func (c *Cache) unlink(m []byte, w uint8) {
+	next, prev := m[c.nextAt(w)], m[c.prevAt(w)]
+	m[c.nextAt(prev)], m[c.prevAt(next)] = next, prev
+	if m[metaMRU] == w {
+		m[metaMRU] = next
+	}
+	if m[metaLRU] == w {
+		m[metaLRU] = prev
 	}
 }
 

@@ -1,10 +1,11 @@
 package cache
 
 // refCache is the frozen pre-optimization cache: array-of-structs ways,
-// two-pass probe/victim scans. The live Cache reorganized this state
-// into tag/LRU arrays with validity bitmasks for scan locality; the
-// parity tests in parity_test.go hold the two implementations to
-// identical emitted traffic and statistics, request for request.
+// two-pass probe/victim scans over LRU stamps. The live Cache replaced
+// both scans with a fingerprint probe and per-set recency lists; the
+// parity tests in parity_test.go and FuzzAccess hold the two
+// implementations to identical emitted traffic and statistics, request
+// for request.
 
 import (
 	"mpstream/internal/sim/mem"
