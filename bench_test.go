@@ -312,7 +312,7 @@ func BenchmarkSurface(b *testing.B) {
 	cfg := surface.Config{}.WithDefaults()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := surface.Generate(dev, cfg); err != nil {
+		if _, err := surface.GenerateShardWith(context.Background(), dev, cfg, 0, cfg.CurveCount(), nil); err != nil {
 			b.Fatal(err)
 		}
 	}

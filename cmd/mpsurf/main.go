@@ -191,20 +191,8 @@ func runRecordBaseline(ctx context.Context, w io.Writer, server, name, target,
 	if err != nil {
 		return err
 	}
-	client := cluster.NewClient()
-	srv := strings.TrimRight(server, "/")
-	view, err := client.SubmitAndWait(ctx, srv, "/v1/surface",
-		cluster.SurfaceRequest{Target: target, Config: &cfg, Async: true}, nil)
-	if err != nil {
-		return err
-	}
-	if view.Status == "failed" {
-		return fmt.Errorf("server: %s", view.Error)
-	}
-	if view.Status != "done" {
-		return fmt.Errorf("measurement job %s ended %s; baseline not recorded", view.ID, view.Status)
-	}
-	e, err := client.RecordBaseline(ctx, srv, cluster.BaselineRequest{Name: name, Target: target, FromJob: view.ID})
+	e, err := cluster.NewClient().MeasureBaseline(ctx, server, "/v1/surface",
+		cluster.SurfaceRequest{Target: target, Config: &cfg, Async: true}, name, target)
 	if err != nil {
 		return err
 	}
@@ -218,7 +206,7 @@ func runRecordBaseline(ctx context.Context, w io.Writer, server, name, target,
 func buildConfig(patterns, ratios, rates, size string, window, probe int, kneeFactor float64) (surface.Config, error) {
 	var cfg surface.Config
 	var err error
-	for _, f := range splitList(patterns) {
+	for _, f := range report.SplitList(patterns) {
 		p, err := parsePattern(f)
 		if err != nil {
 			return cfg, err
@@ -265,23 +253,9 @@ func parsePattern(s string) (mem.Pattern, error) {
 	return p, nil
 }
 
-func splitList(s string) []string {
-	if strings.TrimSpace(s) == "" {
-		return nil
-	}
-	parts := strings.Split(s, ",")
-	out := make([]string, 0, len(parts))
-	for _, p := range parts {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 func parseFloats(axis, s string) ([]float64, error) {
 	var out []float64
-	for _, f := range splitList(s) {
+	for _, f := range report.SplitList(s) {
 		v, err := strconv.ParseFloat(f, 64)
 		if err != nil {
 			return nil, fmt.Errorf("bad -%s value %q", axis, f)

@@ -194,20 +194,8 @@ func runRecordBaseline(ctx context.Context, w io.Writer, server, name, target, s
 	if base.ArrayBytes, err = report.ParseBytes(size); err != nil {
 		return err
 	}
-	client := cluster.NewClient()
-	srv := strings.TrimRight(server, "/")
-	view, err := client.SubmitAndWait(ctx, srv, "/v1/run",
-		cluster.RunRequest{Target: target, Config: &base}, nil)
-	if err != nil {
-		return err
-	}
-	if view.Status == "failed" {
-		return fmt.Errorf("server: %s", view.Error)
-	}
-	if view.Status != "done" {
-		return fmt.Errorf("measurement job %s ended %s; baseline not recorded", view.ID, view.Status)
-	}
-	e, err := client.RecordBaseline(ctx, srv, cluster.BaselineRequest{Name: name, Target: target, FromJob: view.ID})
+	e, err := cluster.NewClient().MeasureBaseline(ctx, server, "/v1/run",
+		cluster.RunRequest{Target: target, Config: &base}, name, target)
 	if err != nil {
 		return err
 	}

@@ -128,9 +128,6 @@ func OpenDirStore(dir string) (*DirStore, []error, error) {
 	return s, warns, nil
 }
 
-// Dir returns the backing directory.
-func (s *DirStore) Dir() string { return s.dir }
-
 func (s *DirStore) path(fingerprint string) string {
 	// Fingerprints are hex digests, but sanitize defensively: the name
 	// must stay inside the store directory.

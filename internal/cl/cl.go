@@ -1,5 +1,5 @@
 // Package cl is an OpenCL-flavoured host runtime over the simulated
-// devices: platforms, contexts, buffers, programs, kernels, and in-order
+// devices: contexts, buffers, programs, kernels, and in-order
 // command queues with profiling events.
 //
 // The benchmark core is written against this API the same way MP-STREAM
@@ -24,24 +24,6 @@ import (
 	"mpstream/internal/sim/mem"
 )
 
-// Platform is a set of available devices, the OpenCL platform analogue.
-type Platform struct {
-	devices []device.Device
-}
-
-// NewPlatform builds a platform over the given devices.
-func NewPlatform(devs ...device.Device) *Platform {
-	return &Platform{devices: devs}
-}
-
-// Devices lists the platform's devices.
-func (p *Platform) Devices() []device.Device { return p.devices }
-
-// DeviceByID finds a device by its short id.
-func (p *Platform) DeviceByID(id string) (device.Device, error) {
-	return device.ByID(p.devices, id)
-}
-
 // Context owns buffers and programs for one device.
 type Context struct {
 	dev device.Device
@@ -54,9 +36,6 @@ type Context struct {
 func CreateContext(dev device.Device) *Context {
 	return &Context{dev: dev, Functional: true}
 }
-
-// Device returns the context's device.
-func (c *Context) Device() device.Device { return c.dev }
 
 // Buffer is a device-resident array.
 type Buffer struct {
@@ -84,9 +63,6 @@ func (c *Context) CreateBuffer(dt kernel.DataType, elems int) (*Buffer, error) {
 	}
 	return b, nil
 }
-
-// Elems returns the element count.
-func (b *Buffer) Elems() int { return b.elems }
 
 // Bytes returns the buffer size in bytes.
 func (b *Buffer) Bytes() int64 { return int64(b.elems) * int64(b.dt.Bytes()) }
@@ -153,9 +129,6 @@ func (p *Program) BuildKernel(spec kernel.Kernel) (*Kernel, error) {
 	return &Kernel{ctx: p.ctx, spec: spec, compiled: compiled}, nil
 }
 
-// Spec returns the kernel configuration.
-func (k *Kernel) Spec() kernel.Kernel { return k.spec }
-
 // Compiled exposes the device plan (resources, fmax).
 func (k *Kernel) Compiled() device.Compiled { return k.compiled }
 
@@ -195,9 +168,6 @@ type Event struct {
 	Start float64
 	End   float64
 }
-
-// Seconds returns the command duration in seconds.
-func (e *Event) Seconds() float64 { return e.End - e.Start }
 
 // CommandQueue is an in-order queue with a virtual clock: seconds since
 // the queue was created.

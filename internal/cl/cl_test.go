@@ -17,28 +17,14 @@ func gpuContext(t *testing.T) *Context {
 	return CreateContext(d)
 }
 
-func TestPlatform(t *testing.T) {
-	p := NewPlatform(targets.All()...)
-	if len(p.Devices()) != 4 {
-		t.Fatalf("got %d devices", len(p.Devices()))
-	}
-	d, err := p.DeviceByID("aocl")
-	if err != nil || d.Info().ID != "aocl" {
-		t.Errorf("DeviceByID: %v, %v", d, err)
-	}
-	if _, err := p.DeviceByID("nope"); err == nil {
-		t.Error("unknown device accepted")
-	}
-}
-
 func TestBufferCreation(t *testing.T) {
 	ctx := gpuContext(t)
 	b, err := ctx.CreateBuffer(kernel.Int32, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Elems() != 1024 || b.Bytes() != 4096 || b.Type() != kernel.Int32 {
-		t.Errorf("buffer metadata wrong: %d elems %d bytes", b.Elems(), b.Bytes())
+	if b.elems != 1024 || b.Bytes() != 4096 || b.Type() != kernel.Int32 {
+		t.Errorf("buffer metadata wrong: %d elems %d bytes", b.elems, b.Bytes())
 	}
 	if len(b.Int32s()) != 1024 {
 		t.Error("functional buffer must have backing data")
@@ -88,7 +74,7 @@ func TestWriteReadBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ev.Seconds() <= 0 {
+	if ev.End-ev.Start <= 0 {
 		t.Error("write must take time over the link")
 	}
 	if b.Int32s()[2] != 3 {
@@ -131,7 +117,7 @@ func TestKernelBuildAndRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ev.Seconds() <= 0 {
+	if ev.End-ev.Start <= 0 {
 		t.Error("kernel must take time")
 	}
 	want := kernel.Expected(kernel.Triad, 3, 2, 0.5)
@@ -145,7 +131,7 @@ func TestKernelBuildAndRun(t *testing.T) {
 func TestSetArgsValidation(t *testing.T) {
 	ctx := gpuContext(t)
 	prog := ctx.CreateProgram()
-	kCopy, err := prog.BuildKernel(kernel.New(kernel.Copy))
+	kCopy, err := prog.BuildKernel(kernel.Kernel{Op: kernel.Copy, VecWidth: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +168,7 @@ func TestSetArgsValidation(t *testing.T) {
 func TestEnqueueUnboundKernel(t *testing.T) {
 	ctx := gpuContext(t)
 	q := ctx.CreateCommandQueue()
-	k, err := ctx.CreateProgram().BuildKernel(kernel.New(kernel.Copy))
+	k, err := ctx.CreateProgram().BuildKernel(kernel.Kernel{Op: kernel.Copy, VecWidth: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +222,7 @@ func TestTimingOnlyKernelRun(t *testing.T) {
 	ctx := gpuContext(t)
 	ctx.Functional = false
 	q := ctx.CreateCommandQueue()
-	k, err := ctx.CreateProgram().BuildKernel(kernel.New(kernel.Copy))
+	k, err := ctx.CreateProgram().BuildKernel(kernel.Kernel{Op: kernel.Copy, VecWidth: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +235,7 @@ func TestTimingOnlyKernelRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ev.Seconds() <= 0 {
+	if ev.End-ev.Start <= 0 {
 		t.Error("timing-only kernel must still take time")
 	}
 }

@@ -149,16 +149,6 @@ func (c *Client) Run(ctx context.Context, worker string, req RunRequest) (JobVie
 	return out.Job, err
 }
 
-// RecordBaseline registers (or re-records) a named baseline on the
-// server and returns the stored entry.
-func (c *Client) RecordBaseline(ctx context.Context, server string, req BaselineRequest) (baseline.Entry, error) {
-	var out struct {
-		Baseline baseline.Entry `json:"baseline"`
-	}
-	err := c.do(ctx, http.MethodPost, server+"/v1/baselines", req, &out)
-	return out.Baseline, err
-}
-
 // Job polls one job's current view.
 func (c *Client) Job(ctx context.Context, worker, id string) (JobView, error) {
 	var out jobEnvelope
@@ -383,6 +373,29 @@ func (c *Client) Check(ctx context.Context, w io.Writer, server, name string, as
 		return fmt.Errorf("baseline %q drifted out of tolerance (%d violations)", name, len(rep.Violations))
 	}
 	return nil
+}
+
+// MeasureBaseline submits a measurement job (a run or surface request
+// posted to path) to a server, follows it to its end, and records the
+// finished job as the named baseline — the CLIs' -record-baseline.
+func (c *Client) MeasureBaseline(ctx context.Context, server, path string, req any, name, target string) (baseline.Entry, error) {
+	server = strings.TrimRight(server, "/")
+	view, err := c.SubmitAndWait(ctx, server, path, req, nil)
+	if err != nil {
+		return baseline.Entry{}, err
+	}
+	if view.Status == "failed" {
+		return baseline.Entry{}, fmt.Errorf("server: %s", view.Error)
+	}
+	if view.Status != "done" {
+		return baseline.Entry{}, fmt.Errorf("measurement job %s ended %s; baseline not recorded", view.ID, view.Status)
+	}
+	var out struct {
+		Baseline baseline.Entry `json:"baseline"`
+	}
+	err = c.do(ctx, http.MethodPost, server+"/v1/baselines",
+		BaselineRequest{Name: name, Target: target, FromJob: view.ID}, &out)
+	return out.Baseline, err
 }
 
 // probeHealth is the healthz subset a peer probe reads.

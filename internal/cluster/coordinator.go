@@ -23,7 +23,7 @@ import (
 // errors. Callers fall back to local execution on it.
 var ErrUnavailable = errors.New("cluster: fleet unavailable")
 
-// Defaults for Options zero values.
+// Defaults for Options zero values, and the fixed scheduler settings.
 const (
 	// DefaultShardUnit is the per-shard work floor: a fleet job is
 	// partitioned into the largest shard count that still leaves at
@@ -56,23 +56,16 @@ const specFloorMS = 25.0
 // Options configures a Coordinator. The zero value is production-
 // shaped.
 type Options struct {
-	// Client performs the worker HTTP calls; nil means NewClient().
-	Client *Client
 	// HeartbeatTTL is how long a registration lives without a
 	// heartbeat; <= 0 means DefaultHeartbeatTTL.
 	HeartbeatTTL time.Duration
-	// ShardUnit, MaxAttempts, RetryBackoff and MaxBackoff tune the
-	// shard scheduler; <= 0 means the defaults above.
+	// ShardUnit, RetryBackoff and MaxBackoff tune the shard scheduler;
+	// <= 0 means the defaults above.
 	ShardUnit    int
-	MaxAttempts  int
 	RetryBackoff time.Duration
 	MaxBackoff   time.Duration
-	// DisableSpeculation turns off speculative tail re-execution;
-	// SpecFactor and SpecMinSamples tune its trigger (<= 0 means the
-	// defaults above).
+	// DisableSpeculation turns off speculative tail re-execution.
 	DisableSpeculation bool
-	SpecFactor         float64
-	SpecMinSamples     int
 	// Now is the liveness clock; nil means time.Now. Tests inject fake
 	// clocks here.
 	Now func() time.Time
@@ -83,29 +76,17 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Client == nil {
-		o.Client = NewClient()
-	}
 	if o.HeartbeatTTL <= 0 {
 		o.HeartbeatTTL = DefaultHeartbeatTTL
 	}
 	if o.ShardUnit <= 0 {
 		o.ShardUnit = DefaultShardUnit
 	}
-	if o.MaxAttempts <= 0 {
-		o.MaxAttempts = DefaultMaxAttempts
-	}
 	if o.RetryBackoff <= 0 {
 		o.RetryBackoff = DefaultRetryBackoff
 	}
 	if o.MaxBackoff <= 0 {
 		o.MaxBackoff = DefaultMaxBackoff
-	}
-	if o.SpecFactor <= 0 {
-		o.SpecFactor = DefaultSpecFactor
-	}
-	if o.SpecMinSamples <= 0 {
-		o.SpecMinSamples = DefaultSpecMinSamples
 	}
 	return o
 }
@@ -148,7 +129,7 @@ func New(opts Options) *Coordinator {
 	}
 	return &Coordinator{
 		opts:   opts,
-		client: opts.Client,
+		client: NewClient(),
 		reg:    newRegistry(opts.HeartbeatTTL, opts.Now),
 		log:    log,
 		stop:   make(chan struct{}),
@@ -550,7 +531,7 @@ func (c *Coordinator) Surface(ctx context.Context, spec SurfaceSpec, hooks Fleet
 func (c *Coordinator) Eval(ctx context.Context, target string, cfg core.Config, timeoutMS int64) (*core.Result, error) {
 	excluded := make(map[string]bool)
 	var lastErr error = ErrNoWorkers
-	for attempt := 1; attempt <= c.opts.MaxAttempts; attempt++ {
+	for attempt := 1; attempt <= DefaultMaxAttempts; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}

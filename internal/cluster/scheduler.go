@@ -146,7 +146,7 @@ func (d *dispatcher) run() []shardOutcome {
 // dispatch hands queued shards to workers with free capacity, in shard
 // index order, honoring per-shard backoff gates and exclusions. When
 // the queue has work but the fleet has no alive worker at all, it
-// counts an idle-wait round and — after MaxAttempts such rounds with
+// counts an idle-wait round and — after DefaultMaxAttempts such rounds with
 // nothing in flight — fails the remaining shards.
 func (d *dispatcher) dispatch() {
 	now := time.Now()
@@ -190,7 +190,7 @@ func (d *dispatcher) dispatch() {
 		return
 	}
 	// Queued work, nothing running, no alive worker: one idle-wait
-	// round. The job survives MaxAttempts such rounds (paced by the
+	// round. The job survives DefaultMaxAttempts such rounds (paced by the
 	// retry backoff schedule) before giving up, so a restarting fleet
 	// has the same grace it had under the per-shard retry loop.
 	d.stalls++
@@ -201,7 +201,7 @@ func (d *dispatcher) dispatch() {
 		"trace", obs.TraceID(d.ctx))
 	d.hooks.shard(ShardUpdate{Shard: -1, State: "waiting", Error: ErrNoWorkers.Error(),
 		Queued: len(d.pending)})
-	if d.stalls > d.c.opts.MaxAttempts {
+	if d.stalls > DefaultMaxAttempts {
 		for len(d.pending) > 0 {
 			i := d.pending[0]
 			d.unqueue(i)
@@ -283,22 +283,22 @@ func (d *dispatcher) inflightCount() int {
 // tail condition is the queue being empty: every worker that frees up
 // from here on would sit idle, so duplicating a straggler costs
 // capacity nothing else wants. The threshold is the completed-shard
-// mean latency scaled by SpecFactor (floored so sub-millisecond shards
-// don't speculate on jitter), and it needs SpecMinSamples completed
+// mean latency scaled by DefaultSpecFactor (floored so sub-millisecond shards
+// don't speculate on jitter), and it needs DefaultSpecMinSamples completed
 // shards before it means anything. One duplicate per shard, on an
 // idle worker other than the one already running it.
 func (d *dispatcher) maybeSpeculate() {
 	if d.c.opts.DisableSpeculation || len(d.pending) > 0 || d.settledN == d.n {
 		return
 	}
-	if len(d.durations) < d.c.opts.SpecMinSamples {
+	if len(d.durations) < DefaultSpecMinSamples {
 		return
 	}
 	var sum float64
 	for _, v := range d.durations {
 		sum += v
 	}
-	threshold := sum / float64(len(d.durations)) * d.c.opts.SpecFactor
+	threshold := sum / float64(len(d.durations)) * DefaultSpecFactor
 	if threshold < specFloorMS {
 		threshold = specFloorMS
 	}
@@ -426,7 +426,7 @@ func (d *dispatcher) handle(r attemptResult) {
 			// running and will decide it; don't pile on a third execution.
 			return
 		}
-		if d.attempts[i] >= d.c.opts.MaxAttempts {
+		if d.attempts[i] >= DefaultMaxAttempts {
 			d.lose(i, fmt.Errorf("shard %d lost after %d attempts: %w", i, d.attempts[i], r.err))
 			return
 		}

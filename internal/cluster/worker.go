@@ -10,8 +10,6 @@ import (
 
 // JoinOptions configures a worker's join loop.
 type JoinOptions struct {
-	// Client performs the coordinator HTTP calls; nil means NewClient().
-	Client *Client
 	// Coordinator is the coordinator's base URL.
 	Coordinator string
 	// Self is the registration the worker advertises.
@@ -31,10 +29,7 @@ type JoinOptions struct {
 // coordinator stops recognizing the worker (a coordinator restart
 // loses its in-memory registry; workers heal it automatically).
 func Join(ctx context.Context, opts JoinOptions) {
-	client := opts.Client
-	if client == nil {
-		client = NewClient()
-	}
+	client := NewClient()
 	retry := opts.RetryEvery
 	if retry <= 0 {
 		retry = 2 * time.Second

@@ -322,7 +322,7 @@ func RunSurface(dev device.Device, cfg surface.Config) (*surface.Surface, error)
 
 // RunSurfaceContext is RunSurface under a context: the injection-rate
 // ladder stops between rungs when ctx ends and the partial surface is
-// returned with its Stopped tag set (see surface.GenerateWith).
+// returned with its Stopped tag set (see surface.GenerateShardWith).
 func RunSurfaceContext(ctx context.Context, dev device.Device, cfg surface.Config) (*surface.Surface, error) {
 	return RunSurfaceWith(ctx, dev, cfg, nil)
 }

@@ -8,7 +8,6 @@ import (
 	"mpstream/internal/device/targets"
 	"mpstream/internal/kernel"
 	"mpstream/internal/sim/mem"
-	"mpstream/internal/stats"
 	"mpstream/internal/surface"
 )
 
@@ -306,10 +305,10 @@ func TestCrossTargetOrdering(t *testing.T) {
 	}
 	// Rough factors from the paper at 16 MB: gpu/cpu ~8x, cpu/aocl ~10x,
 	// aocl/sdaccel ~3.4x; accept wide bands.
-	if r := stats.Ratio(bw["gpu"], bw["cpu"]); r < 4 || r > 16 {
+	if r := bw["gpu"] / bw["cpu"]; r < 4 || r > 16 {
 		t.Errorf("gpu/cpu ratio = %.1f, want ~8", r)
 	}
-	if r := stats.Ratio(bw["aocl"], bw["sdaccel"]); r < 2 || r > 6 {
+	if r := bw["aocl"] / bw["sdaccel"]; r < 2 || r > 6 {
 		t.Errorf("aocl/sdaccel ratio = %.1f, want ~3.4", r)
 	}
 }

@@ -27,7 +27,7 @@ func TestQuickRandomConfigsAllTargets(t *testing.T) {
 		cfg.NTimes = 1
 		cfg.Ops = []kernel.Op{kernel.Ops()[int(opSel)%4]}
 		cfg.Type = kernel.DataTypes()[int(dtSel)%2]
-		cfg.VecWidth = kernel.VecWidths()[int(vwSel)%5]
+		cfg.VecWidth = []int{1, 2, 4, 8, 16}[int(vwSel)%5]
 		cfg.OptimalLoop = false
 		cfg.Loop = kernel.LoopModes()[int(loopSel)%3]
 		switch patSel % 3 {

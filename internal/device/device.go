@@ -158,8 +158,6 @@ func (e Exec) Elems(k kernel.Kernel) int {
 
 // Compiled is a kernel lowered for one device.
 type Compiled interface {
-	// Kernel returns the configuration this plan was compiled from.
-	Kernel() kernel.Kernel
 	// Seconds predicts the simulated duration of one kernel invocation
 	// over device-resident arrays.
 	Seconds(e Exec) (float64, error)
@@ -378,9 +376,6 @@ type Plan struct {
 	Synth *fabric.Synthesis // FPGA synthesis; nil for non-FPGA targets
 	Memo  Memo              // Seconds' answer when it depends on the Exec alone
 }
-
-// Kernel implements Compiled.
-func (p *Plan) Kernel() kernel.Kernel { return p.K }
 
 // Resources implements Compiled.
 func (p *Plan) Resources() (fabric.Resources, bool) {

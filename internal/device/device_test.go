@@ -24,7 +24,7 @@ func TestKindString(t *testing.T) {
 }
 
 func TestExecValidate(t *testing.T) {
-	k := kernel.New(kernel.Copy) // elem 4 bytes
+	k := kernel.Kernel{Op: kernel.Copy, VecWidth: 1} // elem 4 bytes
 	if err := (Exec{ArrayBytes: 4096, Pattern: mem.ContiguousPattern()}).Validate(k); err != nil {
 		t.Errorf("valid exec rejected: %v", err)
 	}
@@ -123,7 +123,7 @@ func TestKernelSourceCoalesces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, bytes := mem.TotalBytes(src)
+	n, bytes := totalBytes(src)
 	if n != 32 { // 2 streams x 1 KB / 64 B
 		t.Errorf("coalesced txns = %d, want 32", n)
 	}
@@ -178,7 +178,7 @@ func TestTxnCountMatchesSource(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				n, _ := mem.TotalBytes(src)
+				n, _ := totalBytes(src)
 				want := TxnCount(op, 1024, 4, p, window)
 				if uint64(n) != want {
 					t.Errorf("op %v pattern %v window %d: source yields %d, TxnCount says %d",
@@ -316,7 +316,7 @@ func testBoard() *Board {
 // and every other run on the board's cache.
 func TestSampleCaches(t *testing.T) {
 	b := testBoard()
-	k := kernel.New(kernel.Copy)
+	k := kernel.Kernel{Op: kernel.Copy, VecWidth: 1}
 	type call struct {
 		maxTxns uint64
 		c       *cache.Cache
@@ -374,7 +374,7 @@ func TestSampleCaches(t *testing.T) {
 // windows have ended, and the board samples normally afterwards.
 func TestSamplePanicReachesCaller(t *testing.T) {
 	b := testBoard()
-	k := kernel.New(kernel.Copy)
+	k := kernel.Kernel{Op: kernel.Copy, VecWidth: 1}
 	e := Exec{ArrayBytes: 1 << 20, Pattern: mem.ContiguousPattern()}
 	want, err := b.Sample(k, e, 64, b.ServiceDRAM)
 	if err != nil {
@@ -401,6 +401,21 @@ func TestSamplePanicReachesCaller(t *testing.T) {
 		}
 		if got, err := b.Sample(k, e, 64, b.ServiceDRAM); err != nil || got != want {
 			t.Errorf("after the %d-txn panic: Sample = %+v, %v; want %+v", window, got, err, want)
+		}
+	}
+}
+
+// totalBytes drains a source, returning the transaction count and byte sum.
+func totalBytes(s mem.Source) (n int, bytes uint64) {
+	var buf [256]mem.Request
+	for {
+		k := s.NextBatch(buf[:])
+		for _, r := range buf[:k] {
+			bytes += uint64(r.Size)
+		}
+		n += k
+		if k < len(buf) {
+			return n, bytes
 		}
 	}
 }

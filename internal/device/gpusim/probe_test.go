@@ -53,7 +53,7 @@ func TestOccupancyClamps(t *testing.T) {
 	}
 	// Monotone: wider vectors never raise residency.
 	prev := 1 << 30
-	for _, v := range kernel.VecWidths() {
+	for _, v := range []int{1, 2, 4, 8, 16} {
 		k := kernel.Kernel{Op: kernel.Copy, Type: kernel.Float64, VecWidth: v, Loop: kernel.NDRange}
 		if got := d.Occupancy(k); got > prev {
 			t.Errorf("occupancy rose from %d to %d at vec%d", prev, got, v)

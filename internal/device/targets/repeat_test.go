@@ -70,7 +70,7 @@ func TestRepeatParity(t *testing.T) {
 			for _, size := range []int64{repeatSmall, repeatLarge} {
 				t.Run(fmt.Sprintf("%s/%v/%d", id, p.Kind, size), func(t *testing.T) {
 					dev := repeatTargets()[i]
-					k := kernel.New(kernel.Copy)
+					k := kernel.Kernel{Op: kernel.Copy, VecWidth: 1}
 					k.Loop = dev.Info().OptimalLoop
 					a := device.Exec{ArrayBytes: size, Pattern: p}
 					elems := a.Elems(k)

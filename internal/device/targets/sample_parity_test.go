@@ -71,7 +71,7 @@ func TestConcurrentSampleMatchesSequential(t *testing.T) {
 		for _, op := range []kernel.Op{kernel.Copy, kernel.Triad} {
 			for _, p := range []mem.Pattern{mem.ContiguousPattern(), mem.ColMajorPattern()} {
 				t.Run(fmt.Sprintf("%s/%v/%v", tg.name, op, p.Kind), func(t *testing.T) {
-					k := kernel.New(op)
+					k := kernel.Kernel{Op: op, VecWidth: 1}
 					small := device.Exec{ArrayBytes: repeatSmall, Pattern: p}
 					large := device.Exec{ArrayBytes: repeatLarge, Pattern: p}
 					txns := func(e device.Exec) uint64 {
@@ -170,7 +170,7 @@ func TestSampledSecondsUnchanged(t *testing.T) {
 	for _, c := range sampledSeconds {
 		t.Run(fmt.Sprintf("%s/%v/%v", c.target, c.op, c.pattern), func(t *testing.T) {
 			dev := targets[c.target].new()
-			k := kernel.New(c.op)
+			k := kernel.Kernel{Op: c.op, VecWidth: 1}
 			k.Loop = dev.Info().OptimalLoop
 			p := mem.Pattern{Kind: c.pattern}
 			if got := seconds(t, dev, k, device.Exec{ArrayBytes: repeatLarge, Pattern: p}); math.Float64bits(got) != c.bits {

@@ -61,7 +61,7 @@ func TestPeakBandwidthTable(t *testing.T) {
 func TestAllTargetsCompileDefaults(t *testing.T) {
 	for _, d := range All() {
 		for _, op := range kernel.Ops() {
-			k := kernel.New(op)
+			k := kernel.Kernel{Op: op, VecWidth: 1}
 			k.Loop = d.Info().OptimalLoop
 			if _, err := d.Compile(k); err != nil {
 				t.Errorf("%s: compile %s: %v", d.Info().ID, k.Name(), err)
@@ -87,11 +87,11 @@ func TestBoardContract(t *testing.T) {
 				t.Errorf("Info().PeakMemGBps = %v, DRAM model peak %v", got, want)
 			}
 
-			if _, err := d.Compile(kernel.New(kernel.Chase)); err == nil || !strings.HasPrefix(err.Error(), info.ID+": ") {
+			if _, err := d.Compile(kernel.Kernel{Op: kernel.Chase, VecWidth: 1}); err == nil || !strings.HasPrefix(err.Error(), info.ID+": ") {
 				t.Errorf("compiling chase: error %v, want one prefixed %q", err, info.ID+": ")
 			}
 
-			k := kernel.New(kernel.Copy)
+			k := kernel.Kernel{Op: kernel.Copy, VecWidth: 1}
 			k.Loop = info.OptimalLoop
 			plan, err := d.Compile(k)
 			if err != nil {

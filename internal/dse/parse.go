@@ -3,9 +3,9 @@ package dse
 import (
 	"fmt"
 	"strconv"
-	"strings"
 
 	"mpstream/internal/kernel"
+	"mpstream/internal/report"
 )
 
 // ParseSpace assembles a search grid from comma-separated per-axis
@@ -26,14 +26,14 @@ func ParseSpace(vecs, loops, unrolls, simds, cus, dtypes string) (Space, error) 
 	if s.CUs, err = parseInts("cus", cus); err != nil {
 		return s, err
 	}
-	for _, f := range splitList(loops) {
+	for _, f := range report.SplitList(loops) {
 		lm, err := kernel.ParseLoopMode(f)
 		if err != nil {
 			return s, err
 		}
 		s.Loops = append(s.Loops, lm)
 	}
-	for _, f := range splitList(dtypes) {
+	for _, f := range report.SplitList(dtypes) {
 		dt, err := kernel.ParseDataType(f)
 		if err != nil {
 			return s, err
@@ -43,23 +43,9 @@ func ParseSpace(vecs, loops, unrolls, simds, cus, dtypes string) (Space, error) 
 	return s, nil
 }
 
-func splitList(s string) []string {
-	if strings.TrimSpace(s) == "" {
-		return nil
-	}
-	parts := strings.Split(s, ",")
-	out := make([]string, 0, len(parts))
-	for _, p := range parts {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 func parseInts(axis, s string) ([]int, error) {
 	var out []int
-	for _, f := range splitList(s) {
+	for _, f := range report.SplitList(s) {
 		n, err := strconv.Atoi(f)
 		if err != nil {
 			return nil, fmt.Errorf("bad -%s value %q", axis, f)

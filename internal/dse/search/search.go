@@ -63,7 +63,7 @@ type Options struct {
 	// (the bandwidth delivered at acceptable loaded latency). Under the
 	// knee objective the evaluator must populate dse.Point.KneeGBps —
 	// Run wraps its evaluator with WithKneeObjective automatically;
-	// RunWith callers do it themselves.
+	// RunWithHooks callers do it themselves.
 	Objective string `json:"objective,omitempty"`
 }
 
@@ -177,20 +177,11 @@ type Engine struct {
 // Space returns the grid under search.
 func (e *Engine) Space() dse.Space { return e.space }
 
-// Op returns the kernel operation being optimized.
-func (e *Engine) Op() kernel.Op { return e.op }
-
-// Dims returns the lattice shape (cached dse.Space.Dims).
-func (e *Engine) Dims() []int { return e.dims }
-
 // Size returns the full grid size.
 func (e *Engine) Size() int { return e.size }
 
 // Budget returns the unique-evaluation budget.
 func (e *Engine) Budget() int { return e.budget }
-
-// Unique returns the number of unique evaluations performed so far.
-func (e *Engine) Unique() int { return len(e.points) }
 
 // Exhausted reports whether the budget is spent.
 func (e *Engine) Exhausted() bool { return len(e.points) >= e.budget }
@@ -392,20 +383,16 @@ type Hooks struct {
 	Observe func(dse.Point)
 }
 
-// RunWith is Run with the evaluation and dedup key injected — the hook
-// the service layer uses to put its LRU result cache in front of the
-// simulator. fingerprint must map canonically-equal configurations to
-// equal keys (core.Config.Fingerprint bound to a target id does).
+// RunWithHooks runs a search with the evaluation and dedup key
+// injected — the hook the service layer uses to put its LRU result
+// cache in front of the simulator — and a context and an evaluation
+// observer attached (see Hooks). fingerprint must map
+// canonically-equal configurations to equal keys (core.Config.Fingerprint
+// bound to a target id does).
 //
 // The base configuration's Ops are forced to the single target op,
 // mirroring dse.Explore, so exhaustive results are comparable
 // point-for-point.
-func RunWith(eval Evaluator, fingerprint func(core.Config) string, base core.Config, space dse.Space, op kernel.Op, opts Options) (*Result, error) {
-	return RunWithHooks(eval, fingerprint, base, space, op, opts, Hooks{})
-}
-
-// RunWithHooks is RunWith with a context and an evaluation observer
-// attached (see Hooks).
 func RunWithHooks(eval Evaluator, fingerprint func(core.Config) string, base core.Config, space dse.Space, op kernel.Op, opts Options, h Hooks) (*Result, error) {
 	strat, err := Lookup(opts.Strategy)
 	if err != nil {

@@ -130,8 +130,8 @@ func TestDedupNeverReevaluates(t *testing.T) {
 	for _, strat := range []string{"random", "hillclimb", "anneal"} {
 		calls := map[string]int{}
 		eval := syntheticEval(op, func(cfg core.Config) float64 { return float64(cfg.VecWidth) }, calls)
-		res, err := search.RunWith(eval, syntheticFP, base, space, op,
-			search.Options{Strategy: strat, Budget: space.Size(), Seed: 7})
+		res, err := search.RunWithHooks(eval, syntheticFP, base, space, op,
+			search.Options{Strategy: strat, Budget: space.Size(), Seed: 7}, search.Hooks{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,8 +157,8 @@ func TestBudgetRespected(t *testing.T) {
 		for _, budget := range []int{1, 4, 0, space.Size() + 100} {
 			calls := map[string]int{}
 			eval := syntheticEval(op, func(cfg core.Config) float64 { return float64(cfg.VecWidth * cfg.Attrs.Unroll) }, calls)
-			res, err := search.RunWith(eval, syntheticFP, base, space, op,
-				search.Options{Strategy: strat, Budget: budget, Seed: 3})
+			res, err := search.RunWithHooks(eval, syntheticFP, base, space, op,
+				search.Options{Strategy: strat, Budget: budget, Seed: 3}, search.Hooks{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -185,8 +185,8 @@ func TestStrategiesFindOptimum(t *testing.T) {
 		eval := syntheticEval(op, func(cfg core.Config) float64 {
 			return float64(cfg.VecWidth) + 0.5*float64(cfg.Attrs.Unroll)
 		}, map[string]int{})
-		res, err := search.RunWith(eval, syntheticFP, base, space, op,
-			search.Options{Strategy: strat, Budget: space.Size(), Seed: 11})
+		res, err := search.RunWithHooks(eval, syntheticFP, base, space, op,
+			search.Options{Strategy: strat, Budget: space.Size(), Seed: 11}, search.Hooks{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,10 +204,10 @@ func TestStrategiesFindOptimum(t *testing.T) {
 func TestErrors(t *testing.T) {
 	base, space, op := testBase(), testSpace(), kernel.Copy
 	eval := syntheticEval(op, func(core.Config) float64 { return 1 }, map[string]int{})
-	if _, err := search.RunWith(eval, syntheticFP, base, space, op, search.Options{Strategy: "gradient-descent"}); err == nil {
+	if _, err := search.RunWithHooks(eval, syntheticFP, base, space, op, search.Options{Strategy: "gradient-descent"}, search.Hooks{}); err == nil {
 		t.Error("unknown strategy must error")
 	}
-	if _, err := search.RunWith(eval, syntheticFP, base, space, op, search.Options{Budget: -1}); err == nil {
+	if _, err := search.RunWithHooks(eval, syntheticFP, base, space, op, search.Options{Budget: -1}, search.Hooks{}); err == nil {
 		t.Error("negative budget must error")
 	}
 }
@@ -238,8 +238,8 @@ func TestAllInfeasible(t *testing.T) {
 		return dse.Point{Label: label, Config: cfg, Err: fmt.Errorf("does not fit")}
 	}
 	for _, strat := range search.Strategies() {
-		res, err := search.RunWith(eval, syntheticFP, base, space, op,
-			search.Options{Strategy: strat, Budget: 2, Seed: 5})
+		res, err := search.RunWithHooks(eval, syntheticFP, base, space, op,
+			search.Options{Strategy: strat, Budget: 2, Seed: 5}, search.Hooks{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -94,20 +94,6 @@ func (s Space) At(base core.Config, idx []int) core.Config {
 	return cfg
 }
 
-// Flatten converts an index vector to its flat enumeration position:
-// the position the configuration occupies in Configs' output.
-func (s Space) Flatten(idx []int) int {
-	ax := s.axes()
-	if len(idx) != len(ax) {
-		panic("dse: index vector length does not match space dimensions")
-	}
-	flat := 0
-	for k, a := range ax {
-		flat = flat*a.n + idx[k]
-	}
-	return flat
-}
-
 // Unflatten converts a flat enumeration position to its index vector.
 func (s Space) Unflatten(flat int) []int {
 	ax := s.axes()
@@ -180,7 +166,7 @@ func (s Space) ConfigsRange(base core.Config, lo, hi int) []core.Config {
 
 // Configs enumerates the grid over a base configuration in flat order:
 // the first non-empty axis varies slowest, the last fastest, matching
-// Flatten/Unflatten.
+// Unflatten.
 func (s Space) Configs(base core.Config) []core.Config {
 	cfgs := []core.Config{base}
 	for _, a := range s.axes() {

@@ -120,7 +120,7 @@ func TestSpacePartition(t *testing.T) {
 			if r.Lo != lo {
 				t.Fatalf("Partition(%d) shard %d starts at %d, want %d", parts, i, r.Lo, lo)
 			}
-			if d := r.Size() - rs[len(rs)-1].Size(); d < 0 || d > 1 {
+			if d := (r.Hi - r.Lo) - (rs[len(rs)-1].Hi - rs[len(rs)-1].Lo); d < 0 || d > 1 {
 				t.Fatalf("Partition(%d) shard sizes unbalanced: %v", parts, rs)
 			}
 			if got := s.ConfigsRange(base, r.Lo, r.Hi); !reflect.DeepEqual(got, all[r.Lo:r.Hi]) {
@@ -187,4 +187,19 @@ func TestSpaceIndexPanics(t *testing.T) {
 			f()
 		}()
 	}
+}
+
+// Flatten converts an index vector to its flat enumeration position:
+// the position the configuration occupies in Configs' output. It is the
+// inverse the tests check Unflatten against.
+func (s Space) Flatten(idx []int) int {
+	ax := s.axes()
+	if len(idx) != len(ax) {
+		panic("dse: index vector length does not match space dimensions")
+	}
+	flat := 0
+	for k, a := range ax {
+		flat = flat*a.n + idx[k]
+	}
+	return flat
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -140,7 +141,7 @@ func TestFig4bShape(t *testing.T) {
 	if !(vec[4] > simd[4] && vec[4] > cu[4]) {
 		t.Errorf("vectorization must win at N=16: vec=%v simd=%v cu=%v", vec[4], simd[4], cu[4])
 	}
-	if !(simd[4] < simd[stats.ArgMax(simd)] && cu[4] < cu[stats.ArgMax(cu)]) {
+	if !(simd[4] < slices.Max(simd) && cu[4] < slices.Max(cu)) {
 		t.Error("SIMD/CU must degrade past their interior peaks")
 	}
 }
@@ -294,7 +295,7 @@ func TestStrideSweep(t *testing.T) {
 	for _, s := range e.Series {
 		// Stride 1 is contiguous: it must be the fastest point, and
 		// throughput must fall towards a floor as the stride widens.
-		if stats.ArgMax(s.GBps) != 0 {
+		if slices.Index(s.GBps, slices.Max(s.GBps)) != 0 {
 			t.Errorf("%s: stride 1 must be fastest: %v", s.Name, s.GBps)
 		}
 		last := len(s.GBps) - 1

@@ -246,10 +246,3 @@ func (s Synthesis) DrainSeconds(segments int64) float64 {
 	}
 	return float64(segments) * float64(s.Depth) / (s.FmaxMHz * 1e6)
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -125,7 +125,7 @@ func Run(cfg Config) (*Result, error) {
 		// Verify before moving on (results feed the next op's inputs in
 		// classic STREAM; here inputs are fixed, so check a directly).
 		want := kernel.Expected(op, cfg.Scalar, 2, 0.5)
-		for i := 0; i < n; i += maxInt(1, n/64) {
+		for i := 0; i < n; i += max(1, n/64) {
 			if a[i] != want {
 				return nil, fmt.Errorf("hoststream: %v validation failed at %d: %v != %v", op, i, a[i], want)
 			}
@@ -176,11 +176,4 @@ func parallelApply(op kernel.Op, q float64, a, b, c []float64, workers int) {
 	for w := 0; w < workers; w++ {
 		<-done
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -185,15 +185,6 @@ type Kernel struct {
 	Attrs    Attrs
 }
 
-// VecWidths lists the vector widths the benchmark sweeps.
-func VecWidths() []int { return []int{1, 2, 4, 8, 16} }
-
-// New returns a scalar contiguous kernel for op with sensible defaults
-// (int words, vector width 1, NDRange).
-func New(op Op) Kernel {
-	return Kernel{Op: op, Type: Int32, VecWidth: 1, Loop: NDRange}
-}
-
 // ElemBytes is the access granularity: word size times vector width.
 func (k Kernel) ElemBytes() uint32 {
 	return k.Type.Bytes() * uint32(k.VecWidth)

@@ -68,17 +68,9 @@ func (c *Counter) Value() uint64 {
 	return c.v.Load()
 }
 
-// Gauge is a settable instantaneous value.
+// Gauge is an instantaneous value moved by Add.
 type Gauge struct {
 	bits atomic.Uint64 // float64 bits
-}
-
-// Set stores v. No-op on a nil receiver.
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.bits.Store(math.Float64bits(v))
 }
 
 // Add adds delta (negative to subtract). No-op on a nil receiver.

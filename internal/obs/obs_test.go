@@ -23,7 +23,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 
 	g := r.Gauge("test_gauge", "help")
-	g.Set(2.5)
+	g.Add(2.5)
 	g.Add(-1)
 	if got := g.Value(); got != 1.5 {
 		t.Fatalf("gauge = %v, want 1.5", got)
@@ -33,7 +33,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 func TestNilRegistryAndInstrumentsAreNoops(t *testing.T) {
 	var r *Registry
 	r.Counter("x_total", "").Inc()
-	r.Gauge("x", "").Set(1)
+	r.Gauge("x", "").Add(1)
 	r.Histogram("x_seconds", "", DurationBuckets).Observe(1)
 	r.GaugeFunc("y", "", func() float64 { return 1 })
 	r.Collect(func(emit func(Sample)) { emit(Sample{Name: "z"}) })
@@ -96,7 +96,7 @@ func TestHistogramExposition(t *testing.T) {
 func TestExpositionFormatValid(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("a_total", "counts a", "k", `quote " slash \ done`).Add(7)
-	r.Gauge("b", "gauge b").Set(-2.25)
+	r.Gauge("b", "gauge b").Add(-2.25)
 	r.Histogram("c_seconds", "hist c", DurationBuckets).Observe(0.3)
 	r.GaugeFunc("d", "func d", func() float64 { return 9 })
 	r.Collect(func(emit func(Sample)) {

@@ -160,14 +160,6 @@ func NewRecorder(origin string, capacity int) *Recorder {
 	return &Recorder{store: NewSpanStore(capacity), origin: origin}
 }
 
-// Origin returns the recorder's origin label ("" on nil).
-func (r *Recorder) Origin() string {
-	if r == nil {
-		return ""
-	}
-	return r.origin
-}
-
 // Ingest stores externally recorded spans (a worker's, shipped back
 // on a shard result) verbatim — their origin identifies the worker.
 func (r *Recorder) Ingest(spans ...Span) {

@@ -10,9 +10,6 @@ package paperdata
 
 import "mpstream/internal/kernel"
 
-// TargetIDs lists the four targets in figure order.
-func TargetIDs() []string { return []string{"aocl", "sdaccel", "cpu", "gpu"} }
-
 // Fig1Sizes returns the 9 array sizes of Figure 1(a): 1 KB .. 64 MB in
 // x4 steps.
 func Fig1Sizes() []int64 {

@@ -9,6 +9,7 @@ import (
 	"io"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -341,13 +342,6 @@ func untransform(v float64, log bool) float64 {
 	return v
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // HumanBytes renders a byte count the way the figures label sizes.
 func HumanBytes(n int64) string {
 	switch {
@@ -362,34 +356,55 @@ func HumanBytes(n int64) string {
 	}
 }
 
-// ParseBytes parses a human size like "4MB", "64K", "1GB" or a plain byte
-// count. Units are binary (1K = 1024).
+// SplitList splits a comma-separated flag value, trimming blanks and
+// dropping empty fields; an empty or blank value yields nil.
+func SplitList(s string) []string {
+	if strings.TrimSpace(s) == "" {
+		return nil
+	}
+	parts := strings.Split(s, ",")
+	out := make([]string, 0, len(parts))
+	for _, p := range parts {
+		if p = strings.TrimSpace(p); p != "" {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// byteUnits maps the size suffixes ParseBytes accepts to their binary
+// multipliers, longest suffix first within each unit.
+var byteUnits = []struct {
+	suffix string
+	mult   float64
+}{
+	{"GIB", 1 << 30}, {"GB", 1 << 30}, {"G", 1 << 30},
+	{"MIB", 1 << 20}, {"MB", 1 << 20}, {"M", 1 << 20},
+	{"KIB", 1 << 10}, {"KB", 1 << 10}, {"K", 1 << 10},
+	{"B", 1},
+}
+
+// ParseBytes parses a human size like "4MB", "64K", "1GiB" or a plain
+// byte count. Units are binary (1K = 1KB = 1KiB = 1024); any other
+// trailing text is an error.
 func ParseBytes(s string) (int64, error) {
 	t := strings.TrimSpace(strings.ToUpper(s))
-	mult := int64(1)
-	switch {
-	case strings.HasSuffix(t, "GB"):
-		mult, t = 1<<30, strings.TrimSuffix(t, "GB")
-	case strings.HasSuffix(t, "G"):
-		mult, t = 1<<30, strings.TrimSuffix(t, "G")
-	case strings.HasSuffix(t, "MB"):
-		mult, t = 1<<20, strings.TrimSuffix(t, "MB")
-	case strings.HasSuffix(t, "M"):
-		mult, t = 1<<20, strings.TrimSuffix(t, "M")
-	case strings.HasSuffix(t, "KB"):
-		mult, t = 1<<10, strings.TrimSuffix(t, "KB")
-	case strings.HasSuffix(t, "K"):
-		mult, t = 1<<10, strings.TrimSuffix(t, "K")
-	case strings.HasSuffix(t, "B"):
-		t = strings.TrimSuffix(t, "B")
+	mult := 1.0
+	for _, u := range byteUnits {
+		if strings.HasSuffix(t, u.suffix) {
+			t, mult = strings.TrimSpace(strings.TrimSuffix(t, u.suffix)), u.mult
+			break
+		}
 	}
-	var n float64
-	if _, err := fmt.Sscanf(t, "%g", &n); err != nil || n <= 0 {
+	n, err := strconv.ParseFloat(t, 64)
+	if err != nil || !(n > 0) {
 		return 0, fmt.Errorf("report: cannot parse size %q", s)
 	}
-	v := int64(n * float64(mult))
-	if v <= 0 {
+	// Range-check before converting: an out-of-range float-to-int64
+	// conversion is platform-dependent.
+	v := n * mult
+	if !(v >= 1 && v < 1<<63) {
 		return 0, fmt.Errorf("report: size %q out of range", s)
 	}
-	return v, nil
+	return int64(v), nil
 }

@@ -179,6 +179,10 @@ func TestParseBytes(t *testing.T) {
 		"512B":  512,
 		"0.5MB": 512 << 10,
 		" 2kb ": 2048,
+		"4MiB":  4 << 20,
+		"64KiB": 64 << 10,
+		"1GiB":  1 << 30,
+		"4 MB":  4 << 20,
 	}
 	for in, want := range good {
 		got, err := ParseBytes(in)
@@ -190,9 +194,30 @@ func TestParseBytes(t *testing.T) {
 			t.Errorf("ParseBytes(%q) = %d, want %d", in, got, want)
 		}
 	}
-	for _, bad := range []string{"", "abc", "-4MB", "0"} {
+	for _, bad := range []string{"", "abc", "-4MB", "0", "0.5B", "4x", "4MBB", "4 MB x",
+		"1e30G", "9.3e18", "NaN", "Inf", "+InfMB", "-Inf"} {
 		if _, err := ParseBytes(bad); err == nil {
 			t.Errorf("ParseBytes(%q) accepted", bad)
 		}
 	}
+}
+
+// FuzzParseBytes: an accepted size is positive and survives a round trip
+// through HumanBytes.
+func FuzzParseBytes(f *testing.F) {
+	for _, s := range []string{"4MB", "64KiB", "1GiB", "0.5MB", "1e30G", "4x", "NaN", "9007199254740993"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		v, err := ParseBytes(s)
+		if err != nil {
+			return
+		}
+		if v <= 0 {
+			t.Fatalf("ParseBytes(%q) = %d, want positive", s, v)
+		}
+		if back, err := ParseBytes(HumanBytes(v)); err != nil || back != v {
+			t.Fatalf("ParseBytes(HumanBytes(%d)) = %d, %v", v, back, err)
+		}
+	})
 }

@@ -39,7 +39,3 @@ func FromContext(ctx context.Context) string {
 	}
 	return FromErr(ctx.Err())
 }
-
-// Stopped reports whether err is a cancellation or deadline (as opposed
-// to nil or a genuine failure).
-func Stopped(err error) bool { return FromErr(err) != "" }

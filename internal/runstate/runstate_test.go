@@ -26,9 +26,6 @@ func TestFromErr(t *testing.T) {
 		if got := runstate.FromErr(c.err); got != c.want {
 			t.Errorf("FromErr(%v) = %q, want %q", c.err, got, c.want)
 		}
-		if got := runstate.Stopped(c.err); got != (c.want != "") {
-			t.Errorf("Stopped(%v) = %v", c.err, got)
-		}
 	}
 }
 

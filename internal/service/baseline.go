@@ -396,10 +396,3 @@ func (l *alertLog) unsubscribe(ch <-chan Alert) {
 	}
 	l.mu.Unlock()
 }
-
-// Alerts returns the retained non-pass verdicts, oldest first.
-func (s *Server) Alerts() []Alert {
-	backlog, ch := s.alerts.subscribe()
-	s.alerts.unsubscribe(ch)
-	return backlog
-}

@@ -402,11 +402,10 @@ func TestBaselineBadRequests(t *testing.T) {
 // TestCheckObeysSubmitLimits: a stored baseline whose configuration
 // exceeds the server's resource limits is refused when a check is
 // submitted, exactly like the equivalent /v1/run or /v1/surface
-// request. Recording does not enforce the limits, and limits can
-// change across a restart on the same data directory, so the check
-// submission must.
+// request. Recording does not enforce the limits, so the check
+// submission must, before any simulation.
 func TestCheckObeysSubmitLimits(t *testing.T) {
-	e := surfEnv(t, service.Options{MaxNTimes: 5, MaxSurfacePoints: 4})
+	e := surfEnv(t, service.Options{})
 
 	cfg := smallConfig()
 	_, data := e.post(t, "/v1/run", service.RunRequest{Target: "cpu", Config: &cfg})
@@ -415,7 +414,7 @@ func TestCheckObeysSubmitLimits(t *testing.T) {
 		t.Fatalf("run job = %+v", run)
 	}
 	manyReps := cfg
-	manyReps.NTimes = 50
+	manyReps.NTimes = service.DefaultMaxNTimes + 1
 	resp, data := e.post(t, "/v1/baselines", service.BaselineRequest{
 		Name: "run-over", Target: "cpu", Result: run.Result, Config: &manyReps,
 	})
@@ -430,7 +429,10 @@ func TestCheckObeysSubmitLimits(t *testing.T) {
 		t.Fatalf("surface job = %+v", surf)
 	}
 	longLadder := scfg
-	longLadder.Rates = []float64{0.25, 0.5, 0.75, 0.9, 1.0}
+	longLadder.Rates = make([]float64, service.DefaultMaxSurfacePoints+1)
+	for i := range longLadder.Rates {
+		longLadder.Rates[i] = float64(i+1) / float64(len(longLadder.Rates))
+	}
 	resp, data = e.post(t, "/v1/baselines", service.BaselineRequest{
 		Name: "surface-over", Target: "gpu", Surface: surf.Surface, SurfaceConfig: &longLadder,
 	})
@@ -444,7 +446,12 @@ func TestCheckObeysSubmitLimits(t *testing.T) {
 			t.Errorf("check %s: status %d, want 400: %s", name, resp.StatusCode, data)
 		}
 	}
-	if _, total, _ := e.srv.Jobs("", 0); total != 2 {
-		t.Errorf("%d jobs retained, want only the two measurements (refused checks must not enqueue)", total)
+	_, data = e.get(t, "/v1/jobs")
+	var jobs service.JobsResponse
+	if err := json.Unmarshal(data, &jobs); err != nil {
+		t.Fatal(err)
+	}
+	if jobs.Total != 2 {
+		t.Errorf("%d jobs retained, want only the two measurements (refused checks must not enqueue)", jobs.Total)
 	}
 }

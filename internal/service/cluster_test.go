@@ -958,8 +958,7 @@ func TestFleetSweepSpeculationDedup(t *testing.T) {
 		func(o *cluster.Options) {
 			o.ShardUnit = 1
 			o.DisableSpeculation = false
-			o.SpecFactor = 1 // the 25ms floor governs; fast shards finish in ~1ms
-			o.SpecMinSamples = 3
+			// The 25ms floor governs the trigger: fast shards finish in ~1ms.
 		},
 		func(i int) service.Options {
 			if i != 1 {

@@ -216,9 +216,6 @@ func (j *Job) Context() context.Context {
 	return j.ctx
 }
 
-// Progress returns the live progress snapshot.
-func (j *Job) Progress() progress.Snapshot { return j.prog.Snapshot() }
-
 // rootSpanID names the job's root span ("" when tracing is off) — the
 // anchor the trace endpoint filters the process-wide span store by.
 func (j *Job) rootSpanID() string { return j.spanJob.ID() }

@@ -19,13 +19,10 @@ func (s *Server) initObs(opts Options) {
 		s.jobs.onFinish = s.jobFinished // log lines still flow
 		return
 	}
-	s.reg = opts.Metrics
-	if s.reg == nil {
-		s.reg = obs.NewRegistry()
-	}
+	s.reg = obs.NewRegistry()
 	// Span recording rides the DisableMetrics switch so the overhead
 	// benchmark's uninstrumented baseline stays span-free too.
-	s.rec = obs.NewRecorder(opts.Origin, opts.SpanCapacity)
+	s.rec = obs.NewRecorder(opts.Origin, obs.DefaultSpanCapacity)
 	s.jobs.rec = s.rec
 	s.jobs.onFinish = s.jobFinished
 
@@ -182,14 +179,6 @@ func (s *Server) initObs(opts Options) {
 
 	obs.RegisterSimMetrics(s.reg)
 }
-
-// Metrics exposes the server's registry (nil when metrics are
-// disabled); cmd/mpserved mounts extra process-level collectors on it.
-func (s *Server) Metrics() *obs.Registry { return s.reg }
-
-// Recorder exposes the server's span recorder (nil when telemetry is
-// disabled) — the store behind GET /v1/jobs/{id}/trace.
-func (s *Server) Recorder() *obs.Recorder { return s.rec }
 
 // jobSubmitted records one accepted submission; called after enqueue
 // succeeds.

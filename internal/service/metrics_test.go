@@ -106,12 +106,9 @@ func TestMetricsEndpoint(t *testing.T) {
 }
 
 // TestMetricsDisabled pins the uninstrumented baseline: DisableMetrics
-// serves no /v1/metrics route and Server.Metrics is nil.
+// serves no /v1/metrics route.
 func TestMetricsDisabled(t *testing.T) {
 	e := newEnv(t, service.Options{DisableMetrics: true})
-	if e.srv.Metrics() != nil {
-		t.Error("Metrics() non-nil with DisableMetrics")
-	}
 	resp, _ := e.get(t, "/v1/metrics")
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("metrics status %d with DisableMetrics, want 404", resp.StatusCode)

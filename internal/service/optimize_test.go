@@ -69,8 +69,9 @@ func TestOptimizeSync(t *testing.T) {
 // (explicit or implied by an unbudgeted huge space), and unknown
 // targets.
 func TestOptimizeBadRequests(t *testing.T) {
-	e := newEnv(t, service.Options{MaxOptimizeBudget: 16})
+	e := newEnv(t, service.Options{})
 	base := smallConfig()
+	huge := dse.Space{VecWidths: []int{1, 2, 4, 8, 16}, Unrolls: make([]int, 1000)}
 
 	cases := []struct {
 		name string
@@ -87,12 +88,10 @@ func TestOptimizeBadRequests(t *testing.T) {
 		// budget above a *small* space clamps to the space size instead,
 		// so the oversized space is what makes this case bite.
 		{"budget beyond limit",
-			service.OptimizeRequest{Target: "cpu", Base: &base, Budget: 17,
-				Space: dse.Space{VecWidths: []int{1, 2, 4, 8, 16}, Unrolls: []int{1, 2, 4, 8, 16, 32}}},
+			service.OptimizeRequest{Target: "cpu", Base: &base, Budget: service.DefaultMaxOptimizeBudget + 1, Space: huge},
 			"exceeds limit"},
 		{"unbudgeted huge space",
-			service.OptimizeRequest{Target: "cpu", Base: &base,
-				Space: dse.Space{VecWidths: []int{1, 2, 4, 8, 16}, Unrolls: make([]int, 1000)}},
+			service.OptimizeRequest{Target: "cpu", Base: &base, Space: huge},
 			"exceeds limit"},
 		{"unknown target",
 			service.OptimizeRequest{Target: "tpu", Base: &base, Space: optSpace()},

@@ -53,7 +53,8 @@ import (
 	"mpstream/internal/surface"
 )
 
-// Defaults for Options zero values.
+// Defaults for Options zero values, and the admission limits every
+// server enforces.
 const (
 	DefaultQueueDepth   = 256
 	DefaultCacheEntries = 512
@@ -108,27 +109,6 @@ type Options struct {
 	// GOMAXPROCS across the job workers so concurrent sweeps cannot
 	// oversubscribe the CPU to Workers x GOMAXPROCS goroutines.
 	SweepWorkers int
-	// MaxSweepPoints rejects sweeps whose grid exceeds it; <= 0 means
-	// DefaultMaxSweepPoints.
-	MaxSweepPoints int
-	// MaxOptimizeBudget rejects optimize jobs whose effective
-	// evaluation budget exceeds it; <= 0 means
-	// DefaultMaxOptimizeBudget.
-	MaxOptimizeBudget int
-	// MaxJobsRetained bounds the job index: once exceeded, the oldest
-	// finished jobs are evicted (queued and running jobs are never
-	// evicted). <= 0 means DefaultMaxJobsRetained.
-	MaxJobsRetained int
-	// MaxNTimes rejects runs repeating more than this many iterations;
-	// <= 0 means DefaultMaxNTimes.
-	MaxNTimes int
-	// MaxVerifyArrayBytes rejects verified runs over arrays larger than
-	// this (verification materializes the arrays in host memory);
-	// <= 0 means DefaultMaxVerifyArrayBytes.
-	MaxVerifyArrayBytes int64
-	// MaxSurfacePoints rejects surface requests whose ladder exceeds
-	// it; <= 0 means DefaultMaxSurfacePoints.
-	MaxSurfacePoints int
 	// MaxTimeout clamps per-job deadlines (the requests' timeout_ms
 	// field): a requested deadline beyond it is silently shortened to
 	// it. <= 0 means DefaultMaxTimeout.
@@ -150,10 +130,6 @@ type Options struct {
 	// Nil means a standalone server. The server does not own the
 	// coordinator; the caller Closes it.
 	Cluster *cluster.Coordinator
-	// Metrics receives the server's telemetry; nil builds a private
-	// registry (read it back via Server.Metrics). Ignored when
-	// DisableMetrics is set.
-	Metrics *obs.Registry
 	// Logger receives the server's structured diagnostics; nil discards
 	// them.
 	Logger *slog.Logger
@@ -161,14 +137,9 @@ type Options struct {
 	// worker ID on workers, "coordinator" on a coordinator); "" means
 	// the spans carry no origin (standalone server).
 	Origin string
-	// SpanCapacity bounds the in-memory span ring; <= 0 means
-	// obs.DefaultSpanCapacity. Ignored when DisableMetrics is set
-	// (span recording rides the same switch as the metrics registry,
-	// keeping the uninstrumented benchmark baseline honest).
-	SpanCapacity int
-	// DisableMetrics turns all metric instrumentation off (Server.
-	// Metrics returns nil and /v1/metrics serves 404) — the
-	// uninstrumented baseline the overhead benchmark compares against.
+	// DisableMetrics turns all metric instrumentation and span
+	// recording off (/v1/metrics serves 404) — the uninstrumented
+	// baseline the overhead benchmark compares against.
 	DisableMetrics bool
 	// Baselines is the named-reference store behind /v1/baselines and
 	// /v1/check; nil means an in-memory store (no durability). Pass a
@@ -205,24 +176,6 @@ func (o Options) withDefaults() Options {
 		if o.SweepWorkers < 1 {
 			o.SweepWorkers = 1
 		}
-	}
-	if o.MaxSweepPoints <= 0 {
-		o.MaxSweepPoints = DefaultMaxSweepPoints
-	}
-	if o.MaxOptimizeBudget <= 0 {
-		o.MaxOptimizeBudget = DefaultMaxOptimizeBudget
-	}
-	if o.MaxJobsRetained <= 0 {
-		o.MaxJobsRetained = DefaultMaxJobsRetained
-	}
-	if o.MaxNTimes <= 0 {
-		o.MaxNTimes = DefaultMaxNTimes
-	}
-	if o.MaxVerifyArrayBytes <= 0 {
-		o.MaxVerifyArrayBytes = DefaultMaxVerifyArrayBytes
-	}
-	if o.MaxSurfacePoints <= 0 {
-		o.MaxSurfacePoints = DefaultMaxSurfacePoints
 	}
 	if o.MaxTimeout <= 0 {
 		o.MaxTimeout = DefaultMaxTimeout
@@ -293,7 +246,7 @@ func New(opts Options) *Server {
 	s := &Server{
 		opts:      opts,
 		infos:     opts.TargetInfos(),
-		jobs:      newJobStore(opts.MaxJobsRetained),
+		jobs:      newJobStore(DefaultMaxJobsRetained),
 		queue:     make(chan *Job, opts.QueueDepth),
 		cache:     newResultCache(opts.CacheEntries),
 		optCache:  newOptimizeCache(opts.CacheEntries),
@@ -339,17 +292,6 @@ func (s *Server) Close() {
 
 // CacheStats reports result-cache telemetry.
 func (s *Server) CacheStats() CacheStats { return s.cache.stats() }
-
-// Job looks up a job by id.
-func (s *Server) Job(id string) (*Job, bool) { return s.jobs.get(id) }
-
-// Jobs lists job views in stable submit-time order, optionally filtered
-// to one state ("" = all) and limited to the most recent limit entries
-// (<= 0 = all). total counts retained jobs before filtering, matched
-// the jobs passing the state filter before the limit.
-func (s *Server) Jobs(state Status, limit int) (views []View, total, matched int) {
-	return s.jobs.snapshots(state, limit)
-}
 
 // CancelJob requests cancellation of a job. A queued job lands in
 // canceled immediately; a running one stops at its next evaluation-unit
@@ -428,8 +370,8 @@ func (s *Server) submitSweep(ctx context.Context, target string, base core.Confi
 	}
 	// The points limit bounds the work this server actually performs:
 	// a shard is charged its slice, a plain sweep its whole grid.
-	if n := hi - lo; n > s.opts.MaxSweepPoints {
-		return nil, fmt.Errorf("service: sweep grid has %d points, limit %d", n, s.opts.MaxSweepPoints)
+	if n := hi - lo; n > DefaultMaxSweepPoints {
+		return nil, fmt.Errorf("service: sweep grid has %d points, limit %d", n, DefaultMaxSweepPoints)
 	}
 	return s.submit(ctx, KindSweep, target, timeout, func(j *Job) {
 		j.base, j.space, j.op = base, space, op
@@ -468,9 +410,9 @@ func (s *Server) SubmitOptimize(ctx context.Context, target string, base core.Co
 	if size := space.Size(); opts.Budget == 0 || opts.Budget > size {
 		opts.Budget = size
 	}
-	if opts.Budget > s.opts.MaxOptimizeBudget {
+	if opts.Budget > DefaultMaxOptimizeBudget {
 		return nil, fmt.Errorf("service: optimize budget %d exceeds limit %d (pass an explicit budget)",
-			opts.Budget, s.opts.MaxOptimizeBudget)
+			opts.Budget, DefaultMaxOptimizeBudget)
 	}
 	return s.submit(ctx, KindOptimize, target, timeout, func(j *Job) {
 		j.base, j.space, j.op, j.sopts = base, space, op, opts
@@ -585,16 +527,16 @@ func (s *Server) admitRun(target string, cfg core.Config) (core.Config, error) {
 	if err := cfg.Validate(); err != nil {
 		return cfg, err
 	}
-	if cfg.NTimes > s.opts.MaxNTimes {
-		return cfg, fmt.Errorf("service: ntimes %d exceeds limit %d", cfg.NTimes, s.opts.MaxNTimes)
+	if cfg.NTimes > DefaultMaxNTimes {
+		return cfg, fmt.Errorf("service: ntimes %d exceeds limit %d", cfg.NTimes, DefaultMaxNTimes)
 	}
 	if info.MemBytes > 0 && cfg.ArrayBytes > info.MemBytes {
 		return cfg, fmt.Errorf("service: array bytes %d exceed %s device memory %d",
 			cfg.ArrayBytes, info.ID, info.MemBytes)
 	}
-	if cfg.Verify && cfg.ArrayBytes > s.opts.MaxVerifyArrayBytes {
+	if cfg.Verify && cfg.ArrayBytes > DefaultMaxVerifyArrayBytes {
 		return cfg, fmt.Errorf("service: verified arrays are limited to %d bytes (got %d); set verify false for timing-only runs",
-			s.opts.MaxVerifyArrayBytes, cfg.ArrayBytes)
+			DefaultMaxVerifyArrayBytes, cfg.ArrayBytes)
 	}
 	return cfg, nil
 }
@@ -611,8 +553,8 @@ func (s *Server) admitSurface(target string, cfg surface.Config) (surface.Config
 	if err := cfg.Validate(); err != nil {
 		return cfg, err
 	}
-	if n := cfg.Points(); n > s.opts.MaxSurfacePoints {
-		return cfg, fmt.Errorf("service: surface ladder has %d points, limit %d", n, s.opts.MaxSurfacePoints)
+	if n := cfg.Points(); n > DefaultMaxSurfacePoints {
+		return cfg, fmt.Errorf("service: surface ladder has %d points, limit %d", n, DefaultMaxSurfacePoints)
 	}
 	if cfg.WindowTxns > DefaultMaxSurfaceWindowTxns {
 		return cfg, fmt.Errorf("service: surface window of %d transactions exceeds limit %d",

@@ -730,15 +730,16 @@ func waitStatus(t *testing.T, e *testEnv, id string, want service.Status) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		j, ok := e.srv.Job(id)
-		if !ok {
-			t.Fatalf("job %s vanished", id)
+		resp, data := e.get(t, "/v1/jobs/"+id)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("job %s: status %d: %s", id, resp.StatusCode, data)
 		}
-		if j.Snapshot().Status == want {
+		status := decodeJob(t, data).Status
+		if status == want {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("job %s never reached %s (now %s)", id, want, j.Snapshot().Status)
+			t.Fatalf("job %s never reached %s (now %s)", id, want, status)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -830,38 +831,6 @@ func TestSweepFactoryFailureFailsJob(t *testing.T) {
 	}
 	if job.Sweep != nil {
 		t.Error("failed sweep must not carry an exploration")
-	}
-}
-
-// TestJobEviction bounds the job index in a long-lived server.
-func TestJobEviction(t *testing.T) {
-	e := newEnv(t, service.Options{MaxJobsRetained: 2})
-	var ids []string
-	for _, vec := range []int{1, 2, 4, 8} {
-		cfg := smallConfig()
-		cfg.VecWidth = vec
-		_, data := e.post(t, "/v1/run", service.RunRequest{Target: "cpu", Config: &cfg})
-		job := decodeJob(t, data)
-		if job.Status != service.StatusDone {
-			t.Fatalf("job = %+v", job)
-		}
-		ids = append(ids, job.ID)
-	}
-	_, data := e.get(t, "/v1/jobs")
-	var jl service.JobsResponse
-	if err := json.Unmarshal(data, &jl); err != nil {
-		t.Fatal(err)
-	}
-	if len(jl.Jobs) > 2 {
-		t.Errorf("retained %d jobs, want <= 2", len(jl.Jobs))
-	}
-	resp, _ := e.get(t, "/v1/jobs/"+ids[0])
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("oldest job should be evicted, got %d", resp.StatusCode)
-	}
-	resp, _ = e.get(t, "/v1/jobs/"+ids[len(ids)-1])
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("newest job must survive eviction, got %d", resp.StatusCode)
 	}
 }
 

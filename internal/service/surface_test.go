@@ -2,6 +2,7 @@ package service_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"strings"
@@ -61,7 +62,7 @@ func TestSurfaceSync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := surface.Generate(dev, cfg)
+	want, err := surface.GenerateShardWith(context.Background(), dev, cfg, 0, cfg.CurveCount(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,9 +13,6 @@ type Range struct {
 	Hi int `json:"hi"`
 }
 
-// Size returns the number of units the range covers.
-func (r Range) Size() int { return r.Hi - r.Lo }
-
 // Split divides [0, n) into at most parts contiguous ranges of
 // near-equal size: sizes differ by at most one unit, larger ranges
 // first, and concatenating the ranges in order covers [0, n) exactly

@@ -10,7 +10,7 @@ func checkCover(t *testing.T, n int, rs []Range) {
 		if r.Lo != lo {
 			t.Fatalf("range %d starts at %d, want %d (%v)", i, r.Lo, lo, rs)
 		}
-		if r.Size() < 1 {
+		if r.Hi-r.Lo < 1 {
 			t.Fatalf("range %d is empty (%v)", i, rs)
 		}
 		lo = r.Hi
@@ -31,10 +31,10 @@ func TestSplitCoversAndBalances(t *testing.T) {
 		checkCover(t, tc.n, rs)
 		// Balanced within one unit, larger shards first.
 		for i := 1; i < len(rs); i++ {
-			if rs[i].Size() > rs[i-1].Size() {
+			if rs[i].Hi-rs[i].Lo > rs[i-1].Hi-rs[i-1].Lo {
 				t.Errorf("Split(%d, %d): range %d larger than its predecessor (%v)", tc.n, tc.parts, i, rs)
 			}
-			if rs[0].Size()-rs[i].Size() > 1 {
+			if (rs[0].Hi-rs[0].Lo)-(rs[i].Hi-rs[i].Lo) > 1 {
 				t.Errorf("Split(%d, %d): imbalance > 1 unit (%v)", tc.n, tc.parts, rs)
 			}
 		}
@@ -64,8 +64,8 @@ func TestUnitCountFloorsShardSize(t *testing.T) {
 		rs := Split(tc.n, got)
 		checkCover(t, tc.n, rs)
 		for i, r := range rs {
-			if tc.n >= unit && r.Size() < unit {
-				t.Errorf("UnitCount(%d, %d): shard %d size %d below floor", tc.n, tc.unit, i, r.Size())
+			if tc.n >= unit && r.Hi-r.Lo < unit {
+				t.Errorf("UnitCount(%d, %d): shard %d size %d below floor", tc.n, tc.unit, i, r.Hi-r.Lo)
 			}
 		}
 	}

@@ -214,11 +214,6 @@ func (c *Cache) Reset() {
 	c.wcValid = [8]bool{}
 }
 
-// ResetStats clears statistics but keeps cache contents warm.
-func (c *Cache) ResetStats() {
-	c.stats = Stats{}
-}
-
 // Access presents one request. It appends to out (and returns the extended
 // slice) the memory-side requests the access generates: line fills as
 // reads, writebacks and bypassed stores as writes. Reusing out across
@@ -531,13 +526,6 @@ const missFilterBatch = 128
 // NewMissFilter wraps src with the cache.
 func NewMissFilter(c *Cache, src mem.Source) *MissFilter {
 	return &MissFilter{cache: c, src: src}
-}
-
-// Remaining is an upper bound on pending memory-side requests: queued
-// traffic plus one potential request per upstream element (a fill and a
-// writeback can momentarily exceed this, so treat it as approximate).
-func (f *MissFilter) Remaining() int {
-	return len(f.queue) - f.qHead + (f.inLen - f.inPos) + f.src.Remaining()
 }
 
 // NextBatch yields memory-side requests: queued traffic drains with one

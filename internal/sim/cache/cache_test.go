@@ -225,17 +225,6 @@ func TestResetRestoresColdState(t *testing.T) {
 	}
 }
 
-func TestResetStatsKeepsContents(t *testing.T) {
-	c := New(tinyConfig())
-	access(c, 0, 4, mem.Read, 0)
-	c.ResetStats()
-	access(c, 128, 4, mem.Read, 0) // move lastLine away
-	outs := access(c, 0, 4, mem.Read, 0)
-	if len(outs) != 0 {
-		t.Error("contents must stay warm across ResetStats")
-	}
-}
-
 func TestCapacityResidentSecondPassAllHits(t *testing.T) {
 	c := New(llcConfig())
 	// 256 KB footprint in a 1 MB cache.
@@ -317,13 +306,13 @@ func TestMissFilterRemaining(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := NewMissFilter(c, it)
-	if f.Remaining() != 16 {
-		t.Errorf("initial Remaining = %d, want 16", f.Remaining())
-	}
+	// 16 x 4B reads share one 64B line: one fill, then nothing remains.
 	var one [1]mem.Request
-	mem.Fill(f, one[:])
-	if f.Remaining() > 15 {
-		t.Errorf("Remaining after one fill = %d, want <= 15", f.Remaining())
+	if n := mem.Fill(f, one[:]); n != 1 || one[0].Size != 64 {
+		t.Fatalf("first fill = %d %+v, want one 64B line", n, one[0])
+	}
+	if rest := drain(f); len(rest) != 0 {
+		t.Errorf("after the fill %d requests remain, want 0", len(rest))
 	}
 }
 

@@ -142,14 +142,6 @@ func (r Result) RequestedGBps() float64 {
 	return float64(r.Bytes) / r.Seconds / 1e9
 }
 
-// BusGBps is the raw bus traffic rate, including burst-granularity waste.
-func (r Result) BusGBps() float64 {
-	if r.Seconds <= 0 {
-		return 0
-	}
-	return float64(r.BusBytes) / r.Seconds / 1e9
-}
-
 // RowHitRate returns the fraction of transactions that hit an open row.
 func (r Result) RowHitRate() float64 {
 	total := r.RowHits + r.RowMisses

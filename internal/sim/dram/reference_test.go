@@ -113,7 +113,7 @@ func refIssue(cfg Config, res *Result, chans []refChanState, r mem.Request, burs
 	}
 	ch.lastOp, ch.hasOp = r.Op, true
 
-	bursts := mem.LinesTouched(r, cfg.BurstBytes)
+	bursts := linesTouched(r, cfg.BurstBytes)
 	transfer := float64(bursts) * burstNs
 
 	var ready float64
@@ -344,4 +344,15 @@ func refServiceLoaded(m *Model, bg, probe mem.Source, opts LoadedOptions, ring i
 	res.MeasuredSpanNs = maxEnd - measureStart
 	refFinish(&res.Result, chans, start, cfg, !bgOK && !probeOK)
 	return res
+}
+
+// linesTouched returns how many aligned lines of lineBytes a request
+// spans.
+func linesTouched(r mem.Request, lineBytes uint32) int {
+	if r.Size == 0 {
+		return 0
+	}
+	first := mem.Align(r.Addr, lineBytes)
+	last := mem.Align(r.Addr+uint64(r.Size)-1, lineBytes)
+	return int((last-first)/uint64(lineBytes)) + 1
 }

@@ -8,10 +8,7 @@
 // bandwidth in Figure 1(a).
 package link
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Config describes one direction-symmetric link.
 type Config struct {
@@ -53,9 +50,6 @@ func New(cfg Config) *Link {
 	return &Link{cfg: cfg}
 }
 
-// Config returns the link configuration.
-func (l *Link) Config() Config { return l.cfg }
-
 // TransferSeconds returns the time to move n bytes one way: latency +
 // per-chunk setup + n/bandwidth.
 func (l *Link) TransferSeconds(n uint64) float64 {
@@ -69,25 +63,4 @@ func (l *Link) TransferSeconds(n uint64) float64 {
 	return l.cfg.LatencyUs*1e-6 +
 		float64(chunks)*l.cfg.SetupUs*1e-6 +
 		float64(n)/(l.cfg.GBps*1e9)
-}
-
-// Transfer returns TransferSeconds as a time.Duration.
-func (l *Link) Transfer(n uint64) time.Duration {
-	return time.Duration(l.TransferSeconds(n) * float64(time.Second))
-}
-
-// RoundTripSeconds returns the time for a minimal command round trip
-// (doorbell + completion), the floor for any launch/synchronize pair.
-func (l *Link) RoundTripSeconds() float64 {
-	return 2 * (l.cfg.LatencyUs + l.cfg.SetupUs) * 1e-6
-}
-
-// EffectiveGBps reports the achieved bandwidth for a transfer of n bytes,
-// exposing the latency wall at small sizes.
-func (l *Link) EffectiveGBps(n uint64) float64 {
-	s := l.TransferSeconds(n)
-	if s <= 0 {
-		return 0
-	}
-	return float64(n) / s / 1e9
 }

@@ -6,6 +6,9 @@ import (
 	"testing/quick"
 )
 
+// gbps is the achieved bandwidth of an n-byte transfer over l.
+func gbps(l *Link, n uint64) float64 { return float64(n) / l.TransferSeconds(n) / 1e9 }
+
 func gen3x8() Config {
 	return Config{Name: "gen3x8", GBps: 6.0, LatencyUs: 1.5, SetupUs: 8, MaxPayloadBytes: 4 << 20}
 }
@@ -40,14 +43,11 @@ func TestZeroBytesFree(t *testing.T) {
 	if l.TransferSeconds(0) != 0 {
 		t.Error("zero-byte transfer must take zero time")
 	}
-	if l.EffectiveGBps(0) != 0 {
-		t.Error("zero-byte effective bandwidth must be 0")
-	}
 }
 
 func TestLargeTransferApproachesPeak(t *testing.T) {
 	l := New(gen3x8())
-	eff := l.EffectiveGBps(1 << 30)
+	eff := gbps(l, 1<<30)
 	// Chunk setup costs keep it a bit under peak.
 	if eff < 0.98*6.0 || eff > 6.0 {
 		t.Errorf("1 GiB effective = %.3f GB/s, want ~6", eff)
@@ -56,7 +56,7 @@ func TestLargeTransferApproachesPeak(t *testing.T) {
 
 func TestSmallTransferLatencyBound(t *testing.T) {
 	l := New(gen3x8())
-	eff := l.EffectiveGBps(4096)
+	eff := gbps(l, 4096)
 	// 4 KB over ~9.5us setup+latency: well under 1 GB/s.
 	if eff > 0.5 {
 		t.Errorf("4 KB effective = %.3f GB/s, want latency-dominated (<0.5)", eff)
@@ -82,19 +82,11 @@ func TestChunking(t *testing.T) {
 	}
 }
 
-func TestRoundTrip(t *testing.T) {
-	l := New(gen3x8())
-	want := 2 * (1.5 + 8) * 1e-6
-	if got := l.RoundTripSeconds(); math.Abs(got-want) > 1e-15 {
-		t.Errorf("round trip = %v, want %v", got, want)
-	}
-}
-
 func TestTransferDuration(t *testing.T) {
 	l := New(gen3x8())
-	d := l.Transfer(6_000_000_000) // 1 second of payload at 6 GB/s
-	if d.Seconds() < 1.0 || d.Seconds() > 1.02 {
-		t.Errorf("duration = %v, want ~1s plus chunk setup", d)
+	d := l.TransferSeconds(6_000_000_000) // 1 second of payload at 6 GB/s
+	if d < 1.0 || d > 1.02 {
+		t.Errorf("duration = %vs, want ~1s plus chunk setup", d)
 	}
 }
 
@@ -110,7 +102,7 @@ func TestQuickMonotoneAndBounded(t *testing.T) {
 		if l.TransferSeconds(x) > l.TransferSeconds(y) {
 			return false
 		}
-		return l.EffectiveGBps(y) <= l.Config().GBps+1e-9
+		return y == 0 || gbps(l, y) <= gen3x8().GBps+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

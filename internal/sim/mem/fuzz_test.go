@@ -23,7 +23,6 @@ type fuzzSource struct {
 	next uint64
 }
 
-func (s *fuzzSource) Remaining() int { return 1 << 30 }
 func (s *fuzzSource) NextBatch(dst []Request) int {
 	for i := range dst {
 		dst[i] = Request{Addr: s.next, Size: 64, Op: s.op}

@@ -243,12 +243,6 @@ func NewIter(p Pattern, base uint64, elems int, elemBytes uint32, op Op, stream 
 	return it, nil
 }
 
-// Remaining returns the number of requests not yet emitted.
-func (it *Iter) Remaining() int { return it.elems - it.emitted }
-
-// Total returns the total number of requests the iterator will emit.
-func (it *Iter) Total() int { return it.elems }
-
 // Reset rewinds the iterator to the start of the walk.
 func (it *Iter) Reset() {
 	it.emitted, it.idx, it.lane = 0, 0, 0
@@ -259,7 +253,6 @@ type Source interface {
 	// NextBatch fills dst from the stream and returns the count filled.
 	// A short count (< len(dst)) means the stream is exhausted.
 	NextBatch(dst []Request) int
-	Remaining() int
 }
 
 // Interleave produces requests from several sources round-robin, one from
@@ -288,19 +281,6 @@ const interleaveBatch = 64
 // NewInterleave builds a round-robin combinator over srcs.
 func NewInterleave(srcs ...Source) *Interleave {
 	return &Interleave{srcs: srcs}
-}
-
-// Remaining sums the remaining requests over all sources, plus anything
-// already prefetched into the buffers.
-func (in *Interleave) Remaining() int {
-	n := 0
-	for _, s := range in.srcs {
-		n += s.Remaining()
-	}
-	for i := range in.bufs {
-		n += in.lens[i] - in.pos[i]
-	}
-	return n
 }
 
 // NextBatch emits the round-robin stream; sources are pulled a batch at
@@ -377,16 +357,6 @@ func NewCoalescer(src Source, maxBytes uint32) *Coalescer {
 		maxBytes = 1
 	}
 	return &Coalescer{src: src, maxBytes: maxBytes}
-}
-
-// Remaining is an upper bound: the source's remaining plus any pending
-// merged transaction and prefetched upstream requests.
-func (c *Coalescer) Remaining() int {
-	n := c.src.Remaining() + (c.bufLen - c.bufPos)
-	if c.havePend {
-		n++
-	}
-	return n
 }
 
 // NextBatch emits merged transactions. A contiguous *Iter upstream takes
@@ -530,14 +500,6 @@ func NewLimit(src Source, n int) *Limit {
 	return &Limit{src: src, left: n}
 }
 
-// Remaining returns the smaller of the budget and the source's remaining.
-func (l *Limit) Remaining() int {
-	if r := l.src.Remaining(); r < l.left {
-		return r
-	}
-	return l.left
-}
-
 // ChaseIter is the loaded-latency probe's request generator: a
 // pointer-chase walk over an array, visiting pseudo-random elements in a
 // deterministic sequence. Each request models one hop of the chase —
@@ -603,9 +565,6 @@ func (c *ChaseIter) Reset() {
 	c.state = uint64(c.elems) ^ chaseInc
 }
 
-// Remaining returns the hops not yet emitted.
-func (c *ChaseIter) Remaining() int { return c.count - c.emitted }
-
 // Mix emits requests from a read source and a write source in a fixed
 // ratio, deterministically (error diffusion, no RNG): readFrac of the
 // emitted requests are reads. It is the background-traffic generator of
@@ -646,16 +605,6 @@ func NewMix(reads, writes Source, readFrac float64, group int) *Mix {
 	return &Mix{reads: reads, writes: writes, readFrac: readFrac, group: group}
 }
 
-// Remaining sums both sides, saturating instead of overflowing when a
-// side reports an effectively infinite count (a wrapping walk).
-func (m *Mix) Remaining() int {
-	r, w := m.reads.Remaining(), m.writes.Remaining()
-	if sum := r + w; sum >= r && sum >= w {
-		return sum
-	}
-	return math.MaxInt
-}
-
 // Reset restores the mixer to its initial schedule and rewinds both
 // sides, so the replayed mix is identical to a freshly built one.
 // Sides that cannot rewind are left untouched.
@@ -669,36 +618,9 @@ func (m *Mix) Reset() {
 	}
 }
 
-// TotalBytes drains a source, returning the transaction count and byte sum.
-// It is a test and sizing helper; draining a large source is O(elements).
-func TotalBytes(s Source) (n int, bytes uint64) {
-	var buf [256]Request
-	for {
-		k := s.NextBatch(buf[:])
-		for _, r := range buf[:k] {
-			bytes += uint64(r.Size)
-		}
-		n += k
-		if k < len(buf) {
-			return n, bytes
-		}
-	}
-}
-
 // Align rounds addr down to a multiple of unit (unit must be a power of 2).
 func Align(addr uint64, unit uint32) uint64 {
 	return addr &^ (uint64(unit) - 1)
-}
-
-// LinesTouched returns how many aligned lines of lineBytes a request
-// spans. It is the cache/DRAM granularity helper.
-func LinesTouched(r Request, lineBytes uint32) int {
-	if r.Size == 0 {
-		return 0
-	}
-	first := Align(r.Addr, lineBytes)
-	last := Align(r.Addr+uint64(r.Size)-1, lineBytes)
-	return int((last-first)/uint64(lineBytes)) + 1
 }
 
 // CheckPow2 reports whether v is a positive power of two.

@@ -189,13 +189,12 @@ func TestIterReset(t *testing.T) {
 
 func TestIterRemaining(t *testing.T) {
 	it := mustIter(t, ContiguousPattern(), 0, 5, 4, Read, 0)
-	if it.Remaining() != 5 || it.Total() != 5 {
-		t.Fatal("initial Remaining/Total wrong")
-	}
 	var two [2]Request
-	Fill(it, two[:])
-	if it.Remaining() != 3 {
-		t.Errorf("Remaining after 2 = %d, want 3", it.Remaining())
+	if n := Fill(it, two[:]); n != 2 {
+		t.Fatalf("first fill = %d, want 2", n)
+	}
+	if rest := collect(it); len(rest) != 3 || rest[0].Addr != 8 {
+		t.Errorf("after 2, the rest = %+v, want 3 requests from addr 8", rest)
 	}
 }
 
@@ -203,9 +202,6 @@ func TestInterleave(t *testing.T) {
 	a := mustIter(t, ContiguousPattern(), 0, 3, 4, Read, 0)
 	b := mustIter(t, ContiguousPattern(), 0x1000, 3, 4, Write, 1)
 	in := NewInterleave(a, b)
-	if in.Remaining() != 6 {
-		t.Fatalf("Remaining = %d, want 6", in.Remaining())
-	}
 	got := collect(in)
 	if len(got) != 6 {
 		t.Fatalf("got %d, want 6", len(got))
@@ -274,9 +270,9 @@ func TestCoalescerRespectsOpBoundary(t *testing.T) {
 
 func TestCoalescerPreservesBytes(t *testing.T) {
 	it := mustIter(t, ContiguousPattern(), 12, 100, 4, Read, 0)
-	n1, b1 := TotalBytes(it)
+	n1, b1 := totalBytes(it)
 	it.Reset()
-	n2, b2 := TotalBytes(NewCoalescer(it, 32))
+	n2, b2 := totalBytes(NewCoalescer(it, 32))
 	if b1 != b2 {
 		t.Errorf("coalescer changed bytes: %d vs %d", b1, b2)
 	}
@@ -303,25 +299,6 @@ func TestAlign(t *testing.T) {
 	}
 	if Align(0x1200, 64) != 0x1200 {
 		t.Error("aligned address must be unchanged")
-	}
-}
-
-func TestLinesTouched(t *testing.T) {
-	cases := []struct {
-		r    Request
-		line uint32
-		want int
-	}{
-		{Request{Addr: 0, Size: 64}, 64, 1},
-		{Request{Addr: 1, Size: 64}, 64, 2},
-		{Request{Addr: 0, Size: 0}, 64, 0},
-		{Request{Addr: 60, Size: 8}, 64, 2},
-		{Request{Addr: 0, Size: 256}, 64, 4},
-	}
-	for _, c := range cases {
-		if got := LinesTouched(c.r, c.line); got != c.want {
-			t.Errorf("LinesTouched(%+v, %d) = %d, want %d", c.r, c.line, got, c.want)
-		}
 	}
 }
 
@@ -392,9 +369,9 @@ func TestQuickCoalescerConserves(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		nRaw, bRaw := TotalBytes(it)
+		nRaw, bRaw := totalBytes(it)
 		it.Reset()
-		nCo, bCo := TotalBytes(NewCoalescer(it, window))
+		nCo, bCo := totalBytes(NewCoalescer(it, window))
 		return bRaw == bCo && nCo <= nRaw
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -405,9 +382,6 @@ func TestQuickCoalescerConserves(t *testing.T) {
 func TestLimit(t *testing.T) {
 	it := mustIter(t, ContiguousPattern(), 0, 10, 4, Read, 0)
 	lim := NewLimit(it, 3)
-	if lim.Remaining() != 3 {
-		t.Errorf("Remaining = %d, want 3", lim.Remaining())
-	}
 	got := collect(lim)
 	if len(got) != 3 {
 		t.Fatalf("Limit yielded %d, want 3", len(got))
@@ -415,9 +389,6 @@ func TestLimit(t *testing.T) {
 	// Budget larger than the source.
 	it.Reset()
 	lim = NewLimit(it, 100)
-	if lim.Remaining() != 10 {
-		t.Errorf("Remaining = %d, want 10", lim.Remaining())
-	}
 	if got := collect(lim); len(got) != 10 {
 		t.Errorf("yielded %d, want 10", len(got))
 	}
@@ -432,9 +403,6 @@ func TestChaseIter(t *testing.T) {
 	ch, err := NewChaseIter(1<<20, 256, 64, 100, 7)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if ch.Remaining() != 100 {
-		t.Errorf("Remaining = %d, want 100", ch.Remaining())
 	}
 	got := collect(ch)
 	if len(got) != 100 {
@@ -512,24 +480,17 @@ func TestMixDrainsBothSides(t *testing.T) {
 	reads := mustIter(t, ContiguousPattern(), 0, 5, 4, Read, 1)
 	writes := mustIter(t, ContiguousPattern(), 1<<31, 5, 4, Write, 0)
 	m := NewMix(reads, writes, 0.9, 0) // reads exhaust first
-	if m.Remaining() != 10 {
-		t.Errorf("Remaining = %d, want 10", m.Remaining())
-	}
 	got := collect(m)
 	if len(got) != 10 {
 		t.Errorf("mix yielded %d, want 10", len(got))
 	}
 }
 
-// infiniteSource reports an effectively unbounded count.
-type infiniteSource struct{ Source }
-
-func (infiniteSource) Remaining() int { return int(^uint(0) >> 1) }
-
-func TestMixRemainingSaturates(t *testing.T) {
-	a := infiniteSource{mustIter(t, ContiguousPattern(), 0, 4, 4, Read, 1)}
-	b := infiniteSource{mustIter(t, ContiguousPattern(), 1<<31, 4, 4, Write, 0)}
-	if got := NewMix(a, b, 0.5, 0).Remaining(); got <= 0 {
-		t.Errorf("Remaining overflowed to %d", got)
+// totalBytes drains a source, returning the transaction count and byte sum.
+func totalBytes(s Source) (n int, bytes uint64) {
+	reqs := collect(s)
+	for _, r := range reqs {
+		bytes += uint64(r.Size)
 	}
+	return len(reqs), bytes
 }

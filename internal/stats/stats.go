@@ -1,6 +1,6 @@
-// Package stats provides the small summary-statistics toolkit used by the
-// benchmark runner and report generators: min/max/mean, geometric mean,
-// standard deviation and relative comparisons.
+// Package stats provides the summary statistics used by the benchmark
+// runner and report generators: min/max/mean, median and standard
+// deviation.
 //
 // STREAM-style benchmarks report the best (minimum) time across repetitions
 // and the bandwidth derived from it; Summary keeps all the moments so both
@@ -58,118 +58,4 @@ func Summarize(xs []float64) (Summary, error) {
 		s.Median = (sorted[mid-1] + sorted[mid]) / 2
 	}
 	return s, nil
-}
-
-// GeoMean returns the geometric mean of xs. All samples must be positive;
-// it returns ErrEmpty for an empty slice and NaN if any sample is
-// non-positive.
-func GeoMean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	var logSum float64
-	for _, x := range xs {
-		if x <= 0 {
-			return math.NaN(), nil
-		}
-		logSum += math.Log(x)
-	}
-	return math.Exp(logSum / float64(len(xs))), nil
-}
-
-// HarmonicMean returns the harmonic mean of xs (the right mean for rates
-// over equal byte counts). It returns ErrEmpty for an empty slice and NaN
-// if any sample is non-positive.
-func HarmonicMean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	var inv float64
-	for _, x := range xs {
-		if x <= 0 {
-			return math.NaN(), nil
-		}
-		inv += 1 / x
-	}
-	return float64(len(xs)) / inv, nil
-}
-
-// Ratio returns a/b, or 0 when b is 0. It is the "speedup" helper used by
-// shape checks (who wins, by what factor).
-func Ratio(a, b float64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return a / b
-}
-
-// WithinFactor reports whether got is within a multiplicative factor f of
-// want, i.e. want/f <= got <= want*f. It requires f >= 1 and positive
-// inputs; otherwise it returns false.
-func WithinFactor(got, want, f float64) bool {
-	if f < 1 || got <= 0 || want <= 0 {
-		return false
-	}
-	return got >= want/f && got <= want*f
-}
-
-// RelErr returns |got-want|/|want|, or +Inf when want is 0 and got is not.
-func RelErr(got, want float64) float64 {
-	if want == 0 {
-		if got == 0 {
-			return 0
-		}
-		return math.Inf(1)
-	}
-	return math.Abs(got-want) / math.Abs(want)
-}
-
-// ArgMax returns the index of the maximum element of xs, or -1 when empty.
-// Ties resolve to the earliest index.
-func ArgMax(xs []float64) int {
-	if len(xs) == 0 {
-		return -1
-	}
-	best := 0
-	for i, x := range xs {
-		if x > xs[best] {
-			best = i
-		}
-	}
-	return best
-}
-
-// ArgMin returns the index of the minimum element of xs, or -1 when empty.
-// Ties resolve to the earliest index.
-func ArgMin(xs []float64) int {
-	if len(xs) == 0 {
-		return -1
-	}
-	best := 0
-	for i, x := range xs {
-		if x < xs[best] {
-			best = i
-		}
-	}
-	return best
-}
-
-// IsNondecreasing reports whether xs is sorted in non-decreasing order.
-func IsNondecreasing(xs []float64) bool {
-	for i := 1; i < len(xs); i++ {
-		if xs[i] < xs[i-1] {
-			return false
-		}
-	}
-	return true
-}
-
-// IsNonincreasing reports whether xs is sorted in non-increasing order.
-func IsNonincreasing(xs []float64) bool {
-	for i := 1; i < len(xs); i++ {
-		if xs[i] > xs[i-1] {
-			return false
-		}
-	}
-	return true
 }

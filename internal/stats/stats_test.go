@@ -54,116 +54,6 @@ func TestSummarizeDoesNotMutate(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	g, err := GeoMean([]float64{1, 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(g-10) > 1e-9 {
-		t.Errorf("GeoMean = %v, want 10", g)
-	}
-	if _, err := GeoMean(nil); err != ErrEmpty {
-		t.Errorf("GeoMean(nil) error = %v, want ErrEmpty", err)
-	}
-	g, err = GeoMean([]float64{1, -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !math.IsNaN(g) {
-		t.Errorf("GeoMean with non-positive sample = %v, want NaN", g)
-	}
-}
-
-func TestHarmonicMean(t *testing.T) {
-	h, err := HarmonicMean([]float64{1, 1.0 / 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(h-0.5) > 1e-12 {
-		t.Errorf("HarmonicMean = %v, want 0.5", h)
-	}
-	if _, err := HarmonicMean(nil); err != ErrEmpty {
-		t.Errorf("HarmonicMean(nil) error = %v, want ErrEmpty", err)
-	}
-	h, err = HarmonicMean([]float64{2, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !math.IsNaN(h) {
-		t.Errorf("HarmonicMean with zero sample = %v, want NaN", h)
-	}
-}
-
-func TestRatio(t *testing.T) {
-	if Ratio(10, 4) != 2.5 {
-		t.Error("Ratio(10,4) != 2.5")
-	}
-	if Ratio(1, 0) != 0 {
-		t.Error("Ratio(_,0) must be 0")
-	}
-}
-
-func TestWithinFactor(t *testing.T) {
-	if !WithinFactor(10, 10, 1) {
-		t.Error("exact match within factor 1 must hold")
-	}
-	if !WithinFactor(5, 10, 2) || !WithinFactor(20, 10, 2) {
-		t.Error("boundary cases within factor 2 must hold")
-	}
-	if WithinFactor(4.9, 10, 2) || WithinFactor(20.1, 10, 2) {
-		t.Error("outside factor 2 must fail")
-	}
-	if WithinFactor(10, 10, 0.5) {
-		t.Error("factor < 1 must fail")
-	}
-	if WithinFactor(-1, 10, 2) || WithinFactor(10, -1, 2) {
-		t.Error("non-positive inputs must fail")
-	}
-}
-
-func TestRelErr(t *testing.T) {
-	if RelErr(11, 10) != 0.1 {
-		t.Error("RelErr(11,10) != 0.1")
-	}
-	if RelErr(0, 0) != 0 {
-		t.Error("RelErr(0,0) != 0")
-	}
-	if !math.IsInf(RelErr(1, 0), 1) {
-		t.Error("RelErr(1,0) must be +Inf")
-	}
-}
-
-func TestArgMaxMin(t *testing.T) {
-	xs := []float64{3, 9, 1, 9, 0}
-	if got := ArgMax(xs); got != 1 {
-		t.Errorf("ArgMax = %d, want 1 (earliest tie)", got)
-	}
-	if got := ArgMin(xs); got != 4 {
-		t.Errorf("ArgMin = %d, want 4", got)
-	}
-	if ArgMax(nil) != -1 || ArgMin(nil) != -1 {
-		t.Error("empty slice must yield -1")
-	}
-}
-
-func TestMonotoneChecks(t *testing.T) {
-	if !IsNondecreasing([]float64{1, 1, 2, 3}) {
-		t.Error("nondecreasing check failed")
-	}
-	if IsNondecreasing([]float64{2, 1}) {
-		t.Error("decreasing slice accepted")
-	}
-	if !IsNonincreasing([]float64{3, 3, 1}) {
-		t.Error("nonincreasing check failed")
-	}
-	if IsNonincreasing([]float64{1, 2}) {
-		t.Error("increasing slice accepted")
-	}
-	if !IsNondecreasing(nil) || !IsNonincreasing(nil) {
-		t.Error("empty slices are trivially monotone")
-	}
-}
-
 // Property: Min <= Median <= Max and Min <= Mean <= Max.
 func TestQuickSummaryBounds(t *testing.T) {
 	f := func(raw []float64) bool {
@@ -183,27 +73,6 @@ func TestQuickSummaryBounds(t *testing.T) {
 		}
 		return s.Min <= s.Median && s.Median <= s.Max &&
 			s.Min <= s.Mean+1e-9 && s.Mean <= s.Max+1e-9 && s.Stddev >= 0
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: for positive samples, harmonic mean <= geometric mean <= mean.
-func TestQuickMeanInequality(t *testing.T) {
-	f := func(raw []uint32) bool {
-		xs := make([]float64, 0, len(raw))
-		for _, x := range raw {
-			xs = append(xs, float64(x%100000)+1)
-		}
-		if len(xs) == 0 {
-			return true
-		}
-		s, _ := Summarize(xs)
-		g, _ := GeoMean(xs)
-		h, _ := HarmonicMean(xs)
-		const eps = 1e-9
-		return h <= g*(1+eps) && g <= s.Mean*(1+eps)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

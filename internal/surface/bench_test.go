@@ -16,7 +16,7 @@ func BenchmarkGenerate(b *testing.B) {
 	cfg := Config{}.WithDefaults()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Generate(dev, cfg); err != nil {
+		if _, err := generate(dev, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -33,7 +33,7 @@ func BenchmarkGenerateCurve(b *testing.B) {
 	cfg.RWRatios = cfg.RWRatios[:1]
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Generate(dev, cfg); err != nil {
+		if _, err := generate(dev, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -29,7 +29,7 @@ func TestGenerateWithObserver(t *testing.T) {
 	}
 	cfg := ctxTestConfig()
 	var rungs int
-	s, err := GenerateWith(context.Background(), dev, cfg, func(_ mem.Pattern, _ float64, p Point) {
+	s, err := GenerateShardWith(context.Background(), dev, cfg, 0, cfg.CurveCount(), func(_ mem.Pattern, _ float64, p Point) {
 		rungs++
 		if p.AchievedGBps <= 0 {
 			t.Errorf("observed rung with no bandwidth: %+v", p)
@@ -58,7 +58,7 @@ func TestGenerateWithCancelMidLadder(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	rungs := 0
-	s, err := GenerateWith(ctx, dev, cfg, func(_ mem.Pattern, _ float64, _ Point) {
+	s, err := GenerateShardWith(ctx, dev, cfg, 0, cfg.CurveCount(), func(_ mem.Pattern, _ float64, _ Point) {
 		rungs++
 		if rungs == 2 {
 			cancel()
@@ -95,7 +95,7 @@ func TestGenerateWithPreCanceled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	s, err := GenerateWith(ctx, dev, ctxTestConfig(), nil)
+	s, err := GenerateShardWith(ctx, dev, ctxTestConfig(), 0, ctxTestConfig().CurveCount(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,7 +38,7 @@ func FuzzSurfaceConfig(f *testing.F) {
 			return
 		}
 		before, _ := obs.SimStats()
-		s, err := Generate(dev, cfg)
+		s, err := generate(dev, cfg)
 		if err != nil {
 			return
 		}

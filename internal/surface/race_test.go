@@ -21,7 +21,7 @@ func TestParallelGenerateMatchesSequential(t *testing.T) {
 	gen := func(workers int) *Surface {
 		defer func(prev int) { maxWorkers = prev }(maxWorkers)
 		maxWorkers = workers
-		s, err := Generate(dev, cfg)
+		s, err := generate(dev, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,7 +44,7 @@ func TestConcurrentGenerate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Generate(dev, cfg)
+	want, err := generate(dev, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestConcurrentGenerate(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			got, err := Generate(dev, cfg)
+			got, err := generate(dev, cfg)
 			if err != nil {
 				t.Errorf("worker %d: %v", w, err)
 				return

@@ -44,7 +44,7 @@ func TestPartitionCurves(t *testing.T) {
 			if sh.Lo != lo {
 				t.Fatalf("PartitionCurves(%d) shard %d starts at %d, want %d", parts, i, sh.Lo, lo)
 			}
-			if d := sh.Size() - shards[len(shards)-1].Size(); d < 0 || d > 1 {
+			if d := (sh.Hi - sh.Lo) - (shards[len(shards)-1].Hi - shards[len(shards)-1].Lo); d < 0 || d > 1 {
 				t.Fatalf("PartitionCurves(%d) unbalanced: %v", parts, shards)
 			}
 			lo = sh.Hi
@@ -64,7 +64,7 @@ func TestShardedGenerateMatchesFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := Generate(dev, cfg)
+	full, err := generate(dev, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestShardedGenerateMatchesFull(t *testing.T) {
 			if err != nil {
 				t.Fatalf("shard [%d,%d): %v", sh.Lo, sh.Hi, err)
 			}
-			if len(s.Curves) != sh.Size() {
+			if len(s.Curves) != sh.Hi-sh.Lo {
 				t.Fatalf("shard [%d,%d) produced %d curves", sh.Lo, sh.Hi, len(s.Curves))
 			}
 			shards = append(shards, s)

@@ -151,7 +151,7 @@ type Shard = shard.Range
 // shards of near-equal size (differing by at most one curve, larger
 // shards first). Concatenating the shards in order covers every curve
 // exactly once, so shard generation followed by MergeShards reproduces
-// a single-node Generate.
+// a single-node run over the whole grid.
 func (c Config) PartitionCurves(parts int) []Shard {
 	return shard.Split(c.CurveCount(), parts)
 }
@@ -185,7 +185,7 @@ func (c Config) Validate() error {
 	}
 	// The element count is device-dependent (the traffic granule is the
 	// DRAM burst size), so only granule-independent pattern properties
-	// are checked here; Generate re-validates shapes against the real
+	// are checked here; GenerateShardWith re-validates shapes against the real
 	// burst before simulating anything.
 	for _, p := range c.Patterns {
 		switch p.Kind {
@@ -281,26 +281,16 @@ func workerCount() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Generate measures the surface of dev, which must expose its memory
-// system (device.MemorySystem — every simulated target does).
-func Generate(dev device.Device, cfg Config) (*Surface, error) {
-	return GenerateWith(context.Background(), dev, cfg, nil)
-}
-
-// GenerateWith is Generate with the cross-cutting execution concerns
-// injected: ctx cancels the measurement between ladder rungs (the
-// partial surface collected so far is returned, tagged via Stopped),
-// and observe — when non-nil — sees every rung as it lands.
-func GenerateWith(ctx context.Context, dev device.Device, cfg Config, observe Observer) (*Surface, error) {
-	return GenerateShardWith(ctx, dev, cfg, 0, cfg.CurveCount(), observe)
-}
-
 // GenerateShardWith measures only the curves at pattern-major indices
 // [lo, hi) of the configuration's curve grid — one worker's share of a
 // distributed surface. The idle-latency probe is re-measured per shard;
 // the simulator is deterministic, so every shard observes the same
 // value and MergeShards reassembles a surface identical to a
-// single-node Generate.
+// single-node run over the whole grid [0, cfg.CurveCount()).
+//
+// ctx cancels the measurement between ladder rungs (the partial surface
+// collected so far is returned, tagged via Stopped), and observe — when
+// non-nil — sees every rung as it lands.
 func GenerateShardWith(ctx context.Context, dev device.Device, cfg Config, lo, hi int, observe Observer) (*Surface, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -672,9 +662,6 @@ func background(pat mem.Pattern, elems int, burst uint32, readFrac float64, mixG
 // (LoadedOptions.MaxTxns) bounds the run instead.
 type repeat struct{ it *mem.Iter }
 
-// Remaining reports a window-dwarfing count (the walk never drains).
-func (r repeat) Remaining() int { return math.MaxInt }
-
 // Reset rewinds the cycling walk to its start.
 func (r repeat) Reset() { r.it.Reset() }
 
@@ -726,14 +713,6 @@ func detectKnee(c Curve, factor float64) Knee {
 	return Knee{Rate: p.Rate, GBps: p.AchievedGBps, LatencyNs: p.LatencyNs, Saturated: true}
 }
 
-// KneeGBps returns the knee bandwidth of curve i, or 0.
-func (s *Surface) KneeGBps(i int) float64 {
-	if i < 0 || i >= len(s.Curves) {
-		return 0
-	}
-	return s.Curves[i].Knee.GBps
-}
-
 // MinKneeGBps returns the most conservative knee over all curves — the
 // bandwidth the device sustains at acceptable latency under its least
 // favourable measured traffic. It is the scalar the DSE layer ranks by
@@ -746,19 +725,6 @@ func (s *Surface) MinKneeGBps() float64 {
 		}
 	}
 	return min
-}
-
-// FindCurve returns the curve whose pattern label and read fraction
-// match, for diffing surfaces measured from the same ladder config
-// (the baseline checker matches curves this way because labels — not
-// mem.Pattern structs — are what a stored reference round-trips).
-func (s *Surface) FindCurve(patternLabel string, readFrac float64) (Curve, bool) {
-	for _, c := range s.Curves {
-		if PatternLabel(c.Pattern) == patternLabel && c.ReadFrac == readFrac {
-			return c, true
-		}
-	}
-	return Curve{}, false
 }
 
 // Table renders the surface as one table, the shared shape of the

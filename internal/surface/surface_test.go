@@ -1,6 +1,7 @@
 package surface
 
 import (
+	"context"
 	"encoding/json"
 	"math"
 	"reflect"
@@ -11,6 +12,11 @@ import (
 	"mpstream/internal/device/targets"
 	"mpstream/internal/sim/mem"
 )
+
+// generate measures the whole curve grid of cfg, as a single node does.
+func generate(dev device.Device, cfg Config) (*Surface, error) {
+	return GenerateShardWith(context.Background(), dev, cfg, 0, cfg.CurveCount(), nil)
+}
 
 // smallConfig keeps unit-test surfaces fast.
 func smallConfig() Config {
@@ -70,7 +76,7 @@ func TestGenerateShapeAndMechanism(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := smallConfig()
-	s, err := Generate(dev, cfg)
+	s, err := generate(dev, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +137,7 @@ func TestGenerateDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := Generate(dev, cfg)
+		s, err := generate(dev, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +154,7 @@ func TestGenerateAllTargets(t *testing.T) {
 	cfg.RWRatios = []float64{2.0 / 3}
 	cfg.Rates = []float64{0.25, 1.0}
 	for _, dev := range targets.All() {
-		s, err := Generate(dev, cfg)
+		s, err := generate(dev, cfg)
 		if err != nil {
 			t.Errorf("%s: %v", dev.Info().ID, err)
 			continue
@@ -165,7 +171,7 @@ type fakeDevice struct{ device.Device }
 func (fakeDevice) Info() device.Info { return device.Info{ID: "fake"} }
 
 func TestGenerateNeedsMemorySystem(t *testing.T) {
-	_, err := Generate(fakeDevice{}, smallConfig())
+	_, err := generate(fakeDevice{}, smallConfig())
 	if err == nil || !strings.Contains(err.Error(), "memory system") {
 		t.Errorf("expected a memory-system error, got %v", err)
 	}
@@ -182,7 +188,7 @@ func TestStridedKneeBelowContiguous(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := Generate(dev, cfg)
+	s, err := generate(dev, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +213,7 @@ func TestJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := Generate(dev, smallConfig())
+	s, err := generate(dev, smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +235,7 @@ func TestTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := Generate(dev, smallConfig())
+	s, err := generate(dev, smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,12 +277,6 @@ func TestMinKneeGBps(t *testing.T) {
 	if got := (&Surface{}).MinKneeGBps(); got != 0 {
 		t.Errorf("empty surface MinKneeGBps = %g", got)
 	}
-	if got := s.KneeGBps(1); got != 7 {
-		t.Errorf("KneeGBps(1) = %g", got)
-	}
-	if got := s.KneeGBps(99); got != 0 {
-		t.Errorf("KneeGBps(99) = %g", got)
-	}
 }
 
 func TestPatternLabel(t *testing.T) {
@@ -309,7 +309,7 @@ func TestBackgroundWrapsInsideWindow(t *testing.T) {
 		WindowTxns: 65536,
 		ProbeHops:  128,
 	}
-	s, err := Generate(dev, cfg)
+	s, err := generate(dev, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +331,7 @@ func TestGenerateRejectsMisSizedShape(t *testing.T) {
 	}
 	cfg := smallConfig()
 	cfg.Patterns = []mem.Pattern{{Kind: mem.ColMajor2D, Rows: 1024, Cols: 1024}}
-	_, err = Generate(dev, cfg)
+	_, err = generate(dev, cfg)
 	if err == nil || !strings.Contains(err.Error(), "bursts") {
 		t.Errorf("mis-sized shape must fail fast with the granule named, got %v", err)
 	}
