@@ -7,9 +7,7 @@ import (
 	"fmt"
 	"os"
 
-	"mpstream/internal/core"
-	"mpstream/internal/device/targets"
-	"mpstream/internal/surface"
+	"mpstream"
 )
 
 func main() {
@@ -17,12 +15,12 @@ func main() {
 	if len(os.Args) > 1 {
 		target = os.Args[1]
 	}
-	dev, err := targets.ByID(target)
+	dev, err := mpstream.TargetByID(target)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	s, err := core.RunSurface(dev, surface.Config{})
+	s, err := mpstream.RunSurface(dev, mpstream.SurfaceConfig{})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

@@ -18,6 +18,7 @@
 package mpstream_test
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -204,7 +205,7 @@ func TestGoldenSurface(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s, err := core.RunSurface(dev, cfg)
+			s, err := core.RunSurfaceContext(context.Background(), dev, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

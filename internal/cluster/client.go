@@ -62,6 +62,18 @@ type jobEnvelope struct {
 	Job JobView `json:"job"`
 }
 
+// stampTrace copies the trace ID and parent span carried by req's
+// context onto its headers, so the receiving server's job joins the
+// caller's trace.
+func stampTrace(req *http.Request) {
+	if trace := obs.TraceID(req.Context()); trace != "" {
+		req.Header.Set(obs.TraceHeader, trace)
+	}
+	if parent := obs.SpanParent(req.Context()); parent != "" {
+		req.Header.Set(obs.SpanHeader, parent)
+	}
+}
+
 // do sends one JSON request and decodes the response into out (when
 // non-nil). Non-2xx responses decode the service error body into the
 // returned error.
@@ -81,12 +93,7 @@ func (c *Client) do(ctx context.Context, method, url string, body, out any) erro
 		return fmt.Errorf("cluster: %s %s: %w", method, url, err)
 	}
 	req.Header.Set("Content-Type", "application/json")
-	if trace := obs.TraceID(ctx); trace != "" {
-		req.Header.Set(obs.TraceHeader, trace)
-	}
-	if parent := obs.SpanParent(ctx); parent != "" {
-		req.Header.Set(obs.SpanHeader, parent)
-	}
+	stampTrace(req)
 	resp, err := c.HTTP.Do(req)
 	if err != nil {
 		return fmt.Errorf("cluster: %s %s: %w", method, url, err)
@@ -119,34 +126,6 @@ func (c *Client) Heartbeat(ctx context.Context, coord, id string) (known bool, e
 		return false, err
 	}
 	return out.Known, nil
-}
-
-// SweepShard submits one sweep shard to a worker. The request is
-// forced async: the returned view carries the job ID to await.
-func (c *Client) SweepShard(ctx context.Context, worker string, req SweepShardRequest) (JobView, error) {
-	req.Async = true
-	var out jobEnvelope
-	err := c.do(ctx, http.MethodPost, worker+"/v1/cluster/shard/sweep", req, &out)
-	return out.Job, err
-}
-
-// SurfaceShard submits one surface curve shard to a worker, async.
-func (c *Client) SurfaceShard(ctx context.Context, worker string, req SurfaceShardRequest) (JobView, error) {
-	req.Async = true
-	var out jobEnvelope
-	err := c.do(ctx, http.MethodPost, worker+"/v1/cluster/shard/surface", req, &out)
-	return out.Job, err
-}
-
-// Run executes one configuration on a worker synchronously — the
-// remote-eval primitive the optimizer's client pool uses. The
-// connection stays open for the duration of the run; a canceled ctx
-// abandons the request (a single run is one evaluation unit, so the
-// worker finishes at the same boundary local cancellation would).
-func (c *Client) Run(ctx context.Context, worker string, req RunRequest) (JobView, error) {
-	var out jobEnvelope
-	err := c.do(ctx, http.MethodPost, worker+"/v1/run", req, &out)
-	return out.Job, err
 }
 
 // Job polls one job's current view.
@@ -200,6 +179,9 @@ func (c *Client) CancelAndFetch(server, id string) (JobView, error) {
 // Submit posts one job request (any of the request types in this
 // package) to a server path like "/v1/sweep" and returns the job view
 // — terminal for a synchronous submission, queued for an async one.
+// The coordinator submits its shards and remote evaluations through
+// it; a synchronous /v1/run keeps the connection open for the run, and
+// a canceled ctx abandons the request.
 func (c *Client) Submit(ctx context.Context, server, path string, req any) (JobView, error) {
 	var out jobEnvelope
 	err := c.do(ctx, http.MethodPost, server+path, req, &out)
@@ -250,12 +232,7 @@ func (c *Client) AwaitJob(ctx context.Context, worker, id string, onPoint func(P
 	if err != nil {
 		return JobView{}, fmt.Errorf("cluster: await %s: %w", url, err)
 	}
-	if trace := obs.TraceID(ctx); trace != "" {
-		req.Header.Set(obs.TraceHeader, trace)
-	}
-	if parent := obs.SpanParent(ctx); parent != "" {
-		req.Header.Set(obs.SpanHeader, parent)
-	}
+	stampTrace(req)
 	resp, err := c.HTTP.Do(req)
 	if err != nil {
 		return JobView{}, fmt.Errorf("cluster: await %s: %w", url, err)

@@ -2,15 +2,17 @@
 // MP-STREAM's design-space exploration beyond one process. A worker is
 // an ordinary mpserved instance that registers itself (targets and
 // capacity), heartbeats, and executes shard jobs through the same
-// /v1/* HTTP API it serves to everyone else. The coordinator partitions
-// sweep grids (dse.Space.Partition) and surface ladders
-// (surface.Config.PartitionCurves) into many small contiguous shards
-// (sized by a per-shard work floor, not by fleet size) and feeds them
-// through a pull-based bounded queue: whichever worker frees a
-// capacity slot takes the next shard, so fast workers absorb more of
-// the grid, workers joining mid-job start pulling immediately, and a
-// dead worker's in-flight shards re-queue onto the survivors. At the
-// job's tail, straggling attempts are speculatively re-executed on
+// /v1/* HTTP API it serves to everyone else: a shard is a plain
+// /v1/sweep or /v1/surface request whose "shard" field bounds it to a
+// [lo, hi) range, which also keeps it from being re-sharded. The
+// coordinator partitions sweep grids (dse.Space.Partition) and surface
+// ladders (surface.Config.PartitionCurves) into many small contiguous
+// shards (sized by a per-shard work floor, not by fleet size) and
+// feeds them through a pull-based bounded queue: whichever worker
+// frees a capacity slot takes the next shard, so fast workers absorb
+// more of the grid, workers joining mid-job start pulling immediately,
+// and a dead worker's in-flight shards re-queue onto the survivors. At
+// the job's tail, straggling attempts are speculatively re-executed on
 // idle workers with first-result-wins dedup. The partial results merge
 // back into the canonical order — a distributed sweep is
 // byte-identical to a single-node one because the simulator is
@@ -37,6 +39,7 @@ import (
 	"mpstream/internal/dse/search"
 	"mpstream/internal/kernel"
 	"mpstream/internal/obs"
+	"mpstream/internal/shard"
 	"mpstream/internal/surface"
 )
 
@@ -102,34 +105,6 @@ type HeartbeatResponse struct {
 	Known bool `json:"known"`
 }
 
-// SweepShardRequest is the POST /v1/cluster/shard/sweep body: one
-// contiguous flat range [Lo, Hi) of a sweep grid. Lo == Hi == 0 is
-// rejected only when the space is non-trivial; use Hi = space size for
-// a whole grid.
-type SweepShardRequest struct {
-	Target string       `json:"target"`
-	Base   *core.Config `json:"base,omitempty"`
-	Space  dse.Space    `json:"space"`
-	Op     *kernel.Op   `json:"op,omitempty"`
-	// Lo and Hi bound the shard in the grid's flat enumeration order.
-	Lo        int   `json:"lo"`
-	Hi        int   `json:"hi"`
-	Async     bool  `json:"async,omitempty"`
-	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-}
-
-// SurfaceShardRequest is the POST /v1/cluster/shard/surface body: one
-// contiguous curve range [Lo, Hi) of a surface ladder in pattern-major
-// order.
-type SurfaceShardRequest struct {
-	Target    string          `json:"target"`
-	Config    *surface.Config `json:"config,omitempty"`
-	Lo        int             `json:"lo"`
-	Hi        int             `json:"hi"`
-	Async     bool            `json:"async,omitempty"`
-	TimeoutMS int64           `json:"timeout_ms,omitempty"`
-}
-
 // RunRequest is the POST /v1/run body. A nil config runs the paper's
 // baseline configuration.
 type RunRequest struct {
@@ -148,10 +123,15 @@ type RunRequest struct {
 // SweepRequest is the POST /v1/sweep body. A nil base starts from the
 // default configuration; op defaults to copy.
 type SweepRequest struct {
-	Target    string       `json:"target"`
-	Base      *core.Config `json:"base,omitempty"`
-	Space     dse.Space    `json:"space"`
-	Op        *kernel.Op   `json:"op,omitempty"`
+	Target string       `json:"target"`
+	Base   *core.Config `json:"base,omitempty"`
+	Space  dse.Space    `json:"space"`
+	Op     *kernel.Op   `json:"op,omitempty"`
+	// Shard restricts the sweep to the points [lo, hi) of the grid's
+	// flat enumeration — the unit a coordinator hands one worker. A
+	// sharded sweep always runs on the server that receives it: a shard
+	// is never re-sharded.
+	Shard     *shard.Range `json:"shard,omitempty"`
 	Async     bool         `json:"async,omitempty"`
 	TimeoutMS int64        `json:"timeout_ms,omitempty"`
 }
@@ -177,10 +157,14 @@ type OptimizeRequest struct {
 // SurfaceRequest is the POST /v1/surface body. A nil config measures
 // the default bandwidth–latency surface (surface.Config zero value).
 type SurfaceRequest struct {
-	Target    string          `json:"target"`
-	Config    *surface.Config `json:"config,omitempty"`
-	Async     bool            `json:"async,omitempty"`
-	TimeoutMS int64           `json:"timeout_ms,omitempty"`
+	Target string          `json:"target"`
+	Config *surface.Config `json:"config,omitempty"`
+	// Shard restricts the measurement to the curves [lo, hi) of the
+	// ladder in pattern-major order; like a sweep shard it always runs
+	// on the server that receives it.
+	Shard     *shard.Range `json:"shard,omitempty"`
+	Async     bool         `json:"async,omitempty"`
+	TimeoutMS int64        `json:"timeout_ms,omitempty"`
 }
 
 // BaselineRequest is the POST /v1/baselines body: register a named

@@ -12,7 +12,6 @@ import (
 
 	"mpstream/internal/core"
 	"mpstream/internal/dse"
-	"mpstream/internal/kernel"
 	"mpstream/internal/obs"
 	"mpstream/internal/shard"
 	"mpstream/internal/surface"
@@ -394,19 +393,11 @@ func (c *Coordinator) backoffDelay(attempt int) time.Duration {
 	return d
 }
 
-// SweepSpec describes one fleet sweep: the same parameters a local
-// sweep job carries. Base must already be canonical and validated (the
-// service submit path does both).
-type SweepSpec struct {
-	Target    string
-	Base      core.Config
-	Space     dse.Space
-	Op        kernel.Op
-	TimeoutMS int64
-}
-
-// Sweep partitions the grid, schedules the shards over the fleet, and
-// merges the shard rankings back into the canonical exploration.
+// Sweep partitions req's grid, schedules the shards over the fleet,
+// and merges the shard rankings back into the canonical exploration.
+// req is the sweep the service runs: its Base and Op must be set,
+// canonical and validated (the service submit path does all three),
+// and each shard forwards it to a worker with Shard set to its range.
 //
 // The merge is byte-identical to a single-node sweep: shards are
 // contiguous flat ranges in grid order, each worker ranks its shard
@@ -415,26 +406,17 @@ type SweepSpec struct {
 // equal-bandwidth points — exactly the global stable sort over the
 // flat enumeration. Returned alongside are the summed worker cache
 // hits and the stop tag ("" unless the fleet context ended first).
-func (c *Coordinator) Sweep(ctx context.Context, spec SweepSpec, hooks FleetHooks) (*dse.Exploration, int, string, error) {
-	if !c.HasWorkers(spec.Target) {
-		return nil, 0, "", fmt.Errorf("%w for target %q", ErrUnavailable, spec.Target)
+func (c *Coordinator) Sweep(ctx context.Context, req SweepRequest, hooks FleetHooks) (*dse.Exploration, int, string, error) {
+	if !c.HasWorkers(req.Target) {
+		return nil, 0, "", fmt.Errorf("%w for target %q", ErrUnavailable, req.Target)
 	}
-	ranges := spec.Space.Partition(c.shardCount(spec.Space.Size(), c.opts.ShardUnit))
-	submit := func(ctx context.Context, workerAddr string, shard int) (JobView, error) {
-		r := ranges[shard]
-		base := spec.Base
-		op := spec.Op
-		return c.client.SweepShard(ctx, workerAddr, SweepShardRequest{
-			Target:    spec.Target,
-			Base:      &base,
-			Space:     spec.Space,
-			Op:        &op,
-			Lo:        r.Lo,
-			Hi:        r.Hi,
-			TimeoutMS: spec.TimeoutMS,
-		})
+	ranges := req.Space.Partition(c.shardCount(req.Space.Size(), c.opts.ShardUnit))
+	submit := func(ctx context.Context, workerAddr string, i int) (JobView, error) {
+		sr := req
+		sr.Shard, sr.Async = &ranges[i], true
+		return c.client.Submit(ctx, workerAddr, "/v1/sweep", sr)
 	}
-	outcomes := c.runShards(ctx, len(ranges), spec.Target, hooks, submit)
+	outcomes := c.runShards(ctx, len(ranges), req.Target, hooks, submit)
 
 	_, msp := obs.StartSpan(ctx, "fleet.merge", "shards", strconv.Itoa(len(ranges)))
 	defer msp.End()
@@ -455,41 +437,29 @@ func (c *Coordinator) Sweep(ctx context.Context, spec SweepSpec, hooks FleetHook
 		infeasible += o.view.Sweep.Infeasible
 		cached += o.view.CachedPoints
 	}
-	ex := dse.Rank(pts, spec.Op)
+	ex := dse.Rank(pts, *req.Op)
 	ex.Infeasible = infeasible
 	return &ex, cached, stopped, nil
 }
 
-// SurfaceSpec describes one fleet surface measurement. Config must
-// already be canonical (WithDefaults) and validated.
-type SurfaceSpec struct {
-	Target    string
-	Config    surface.Config
-	TimeoutMS int64
-}
-
-// Surface partitions the ladder's curves, schedules the shards over
-// the fleet, and reassembles the canonical surface. Identical to a
+// Surface partitions req's ladder curves, schedules the shards over
+// the fleet, and reassembles the canonical surface. req's Config must
+// be set, canonical (WithDefaults) and validated; each shard forwards
+// req to a worker with Shard set to its curve range. Identical to a
 // single-node generation for the same reason sweeps are: curve shards
 // are contiguous in pattern-major order and the simulator is
 // deterministic.
-func (c *Coordinator) Surface(ctx context.Context, spec SurfaceSpec, hooks FleetHooks) (*surface.Surface, string, error) {
-	if !c.HasWorkers(spec.Target) {
-		return nil, "", fmt.Errorf("%w for target %q", ErrUnavailable, spec.Target)
+func (c *Coordinator) Surface(ctx context.Context, req SurfaceRequest, hooks FleetHooks) (*surface.Surface, string, error) {
+	if !c.HasWorkers(req.Target) {
+		return nil, "", fmt.Errorf("%w for target %q", ErrUnavailable, req.Target)
 	}
-	shards := spec.Config.PartitionCurves(c.shardCount(spec.Config.CurveCount(), 1))
-	submit := func(ctx context.Context, workerAddr string, shard int) (JobView, error) {
-		sh := shards[shard]
-		cfg := spec.Config
-		return c.client.SurfaceShard(ctx, workerAddr, SurfaceShardRequest{
-			Target:    spec.Target,
-			Config:    &cfg,
-			Lo:        sh.Lo,
-			Hi:        sh.Hi,
-			TimeoutMS: spec.TimeoutMS,
-		})
+	shards := req.Config.PartitionCurves(c.shardCount(req.Config.CurveCount(), 1))
+	submit := func(ctx context.Context, workerAddr string, i int) (JobView, error) {
+		sr := req
+		sr.Shard, sr.Async = &shards[i], true
+		return c.client.Submit(ctx, workerAddr, "/v1/surface", sr)
 	}
-	outcomes := c.runShards(ctx, len(shards), spec.Target, hooks, submit)
+	outcomes := c.runShards(ctx, len(shards), req.Target, hooks, submit)
 
 	_, msp := obs.StartSpan(ctx, "fleet.merge", "shards", strconv.Itoa(len(shards)))
 	defer msp.End()
@@ -545,7 +515,7 @@ func (c *Coordinator) Eval(ctx context.Context, target string, cfg core.Config, 
 		// graft under it.
 		ectx, sp := obs.StartSpan(ctx, "cluster.eval",
 			"worker", w.ID, "attempt", strconv.Itoa(attempt))
-		view, err := c.client.Run(ectx, w.Addr, RunRequest{Target: target, Config: &cc, TimeoutMS: timeoutMS})
+		view, err := c.client.Submit(ectx, w.Addr, "/v1/run", RunRequest{Target: target, Config: &cc, TimeoutMS: timeoutMS})
 		c.ingestSpans(ctx, &view)
 		switch {
 		case err == nil && view.Status == "done" && view.Result != nil:

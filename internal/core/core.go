@@ -311,31 +311,23 @@ func RunContext(ctx context.Context, dev device.Device, cfg Config) (*Result, er
 	return res, nil
 }
 
-// RunSurface measures dev's bandwidth–latency surface: the loaded-
-// latency characterization the surface package generates from the
-// device's memory model, entered through the same device plumbing as
-// Run (cold state, validated configuration). The device must expose its
-// memory system (device.MemorySystem); every simulated target does.
-func RunSurface(dev device.Device, cfg surface.Config) (*surface.Surface, error) {
-	return RunSurfaceWith(context.Background(), dev, cfg, nil)
-}
-
-// RunSurfaceContext is RunSurface under a context: the injection-rate
-// ladder stops between rungs when ctx ends and the partial surface is
-// returned with its Stopped tag set (see surface.GenerateShardWith).
+// RunSurfaceContext measures dev's bandwidth–latency surface: the
+// loaded-latency characterization the surface package generates from
+// the device's memory model, entered through the same device plumbing
+// as Run (cold state, validated configuration). The device must expose
+// its memory system (device.MemorySystem); every simulated target does.
+// The injection-rate ladder stops between rungs when ctx ends and the
+// partial surface is returned with its Stopped tag set (see
+// surface.GenerateShardWith).
 func RunSurfaceContext(ctx context.Context, dev device.Device, cfg surface.Config) (*surface.Surface, error) {
-	return RunSurfaceWith(ctx, dev, cfg, nil)
+	return RunSurfaceShard(ctx, dev, cfg, 0, cfg.CurveCount(), nil)
 }
 
-// RunSurfaceWith is RunSurfaceContext with a per-rung observer — the
-// hook the service layer uses to stream surface job events.
-func RunSurfaceWith(ctx context.Context, dev device.Device, cfg surface.Config, observe surface.Observer) (*surface.Surface, error) {
-	return RunSurfaceShard(ctx, dev, cfg, 0, cfg.CurveCount(), observe)
-}
-
-// RunSurfaceShard is RunSurfaceWith restricted to the curves at
+// RunSurfaceShard is RunSurfaceContext restricted to the curves at
 // pattern-major indices [lo, hi) — one worker's share of a distributed
-// surface measurement (see surface.GenerateShardWith).
+// surface measurement (see surface.GenerateShardWith) — with a
+// per-rung observer, the hook the service layer uses to stream surface
+// job events (nil for none).
 func RunSurfaceShard(ctx context.Context, dev device.Device, cfg surface.Config, lo, hi int, observe surface.Observer) (*surface.Surface, error) {
 	cfg = cfg.WithDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -379,7 +371,7 @@ func (c Config) SurfaceProbe() surface.Config {
 // DSE objective — configurations that look fast under pure throughput
 // but congest the memory system rank lower here.
 func KneeGBps(dev device.Device, cfg Config) (float64, error) {
-	s, err := RunSurface(dev, cfg.SurfaceProbe())
+	s, err := RunSurfaceContext(context.Background(), dev, cfg.SurfaceProbe())
 	if err != nil {
 		return 0, err
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -324,10 +325,10 @@ func TestRunSurface(t *testing.T) {
 	}
 	bad := cfg
 	bad.KneeFactor = 0.5
-	if _, err := RunSurface(dev(t, "gpu"), bad); err == nil {
+	if _, err := RunSurfaceContext(context.Background(), dev(t, "gpu"), bad); err == nil {
 		t.Error("sub-unity knee factor must fail validation")
 	}
-	s, err := RunSurface(dev(t, "gpu"), cfg)
+	s, err := RunSurfaceContext(context.Background(), dev(t, "gpu"), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -20,6 +21,7 @@ import (
 	"mpstream/internal/kernel"
 	"mpstream/internal/runstate"
 	"mpstream/internal/service"
+	"mpstream/internal/shard"
 	"mpstream/internal/sim/mem"
 	"mpstream/internal/surface"
 )
@@ -739,17 +741,17 @@ func TestClusterEndpoints(t *testing.T) {
 	}
 }
 
-// TestShardEndpoints: any server executes shard slices locally, the
-// slice points match the corresponding full-grid slice, and malformed
-// ranges are request errors.
+// TestShardEndpoints: any server executes a /v1/sweep that carries a
+// shard range locally, the slice points match the corresponding
+// full-grid slice, and malformed sweep and surface ranges are request
+// errors.
 func TestShardEndpoints(t *testing.T) {
 	e := newEnv(t, service.Options{})
 	req := sweepReq()
 
 	// A 5-point slice [3, 8) of the 16-point grid.
-	resp, data := e.post(t, "/v1/cluster/shard/sweep", cluster.SweepShardRequest{
-		Target: req.Target, Base: req.Base, Op: req.Op, Space: req.Space, Lo: 3, Hi: 8,
-	})
+	req.Shard = &shard.Range{Lo: 3, Hi: 8}
+	resp, data := e.post(t, "/v1/sweep", req)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("sweep shard status %d: %s", resp.StatusCode, data)
 	}
@@ -765,19 +767,72 @@ func TestShardEndpoints(t *testing.T) {
 	}
 
 	// Out-of-grid ranges are rejected.
-	for _, r := range [][2]int{{-1, 4}, {9, 4}, {0, 17}} {
-		resp, _ := e.post(t, "/v1/cluster/shard/sweep", cluster.SweepShardRequest{
-			Target: req.Target, Base: req.Base, Op: req.Op, Space: req.Space, Lo: r[0], Hi: r[1],
-		})
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("sweep shard [%d,%d) = %d, want 400", r[0], r[1], resp.StatusCode)
+	for _, r := range []shard.Range{{Lo: -1, Hi: 4}, {Lo: 9, Hi: 4}, {Lo: 0, Hi: 17}} {
+		req.Shard = &r
+		resp, data := e.post(t, "/v1/sweep", req)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), "out of the 16-point grid") {
+			t.Errorf("sweep shard [%d,%d) = %d %s, want 400 out of the grid", r.Lo, r.Hi, resp.StatusCode, data)
 		}
 	}
-	resp, _ = e.post(t, "/v1/cluster/shard/surface", cluster.SurfaceShardRequest{
-		Target: "gpu", Lo: 2, Hi: 99,
-	})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("surface shard out of range = %d, want 400", resp.StatusCode)
+	for _, r := range []shard.Range{{Lo: 2, Hi: 99}, {Lo: 3, Hi: 1}} {
+		resp, data := e.post(t, "/v1/surface", service.SurfaceRequest{Target: "gpu", Shard: &r})
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), "-curve ladder") {
+			t.Errorf("surface shard [%d,%d) = %d %s, want 400 out of the ladder", r.Lo, r.Hi, resp.StatusCode, data)
+		}
+	}
+}
+
+// TestShardedSweepNeverReshards: a coordinator with an alive worker
+// runs a /v1/sweep that carries a shard range itself, and no request
+// reaches the worker; the same body without the range is sharded to
+// the worker.
+func TestShardedSweepNeverReshards(t *testing.T) {
+	fe := newFleetEnv(t, 0, nil)
+	worker := newEnv(t, service.Options{Origin: "w0"})
+	var hits atomic.Int64
+	h := worker.srv.Handler()
+	counted := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(counted.Close)
+	fe.coord.Register(cluster.WorkerInfo{ID: "w0", Addr: counted.URL, Targets: targets.IDs(), Capacity: 2})
+
+	req := sweepReq()
+	req.Shard = &shard.Range{Lo: 3, Hi: 8}
+	resp, data := fe.post(t, "/v1/sweep", req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("sharded sweep status %d: %s", resp.StatusCode, data)
+	}
+	job := decodeJob(t, data)
+	if job.Status != service.StatusDone || job.Sweep == nil || len(job.Sweep.Ranked)+job.Sweep.Infeasible != 5 {
+		t.Fatalf("sharded sweep job = %+v, want 5 points done", job)
+	}
+	if n := hits.Load(); n != 0 {
+		t.Errorf("a sharded sweep sent %d requests to the worker, want 0", n)
+	}
+	if n := fe.coord.Stats().ShardsAssigned; n != 0 {
+		t.Errorf("a sharded sweep assigned %d fleet shards, want 0", n)
+	}
+	local := fe.compiles.Load()
+	if local == 0 {
+		t.Error("the coordinator compiled nothing for a sharded sweep it must run itself")
+	}
+
+	req.Shard = nil
+	resp, data = fe.post(t, "/v1/sweep", req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("whole sweep status %d: %s", resp.StatusCode, data)
+	}
+	job = decodeJob(t, data)
+	if job.Status != service.StatusDone || job.Sweep == nil || len(job.Sweep.Ranked)+job.Sweep.Infeasible != 16 {
+		t.Fatalf("whole sweep job = %+v, want 16 points done", job)
+	}
+	if hits.Load() == 0 || fe.coord.Stats().ShardsAssigned == 0 {
+		t.Errorf("the whole sweep did not reach the worker (%d requests, %d shards)", hits.Load(), fe.coord.Stats().ShardsAssigned)
+	}
+	if n := fe.compiles.Load(); n != local {
+		t.Errorf("the coordinator compiled %d kernels for the whole sweep, want 0", n-local)
 	}
 }
 

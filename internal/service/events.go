@@ -134,9 +134,12 @@ func (j *Job) Unsubscribe(ch <-chan Event) {
 	l.mu.Unlock()
 }
 
-// publishPoint emits the point event and the progress snapshot that
-// follows every completed evaluation unit.
+// publishPoint counts one completed evaluation unit on the job's
+// progress tracker, then emits its point event and the progress
+// snapshot that follows it.
 func (j *Job) publishPoint(p PointEvent) {
+	j.prog.Step(1)
+	j.prog.Observe(p.GBps)
 	j.publish(Event{Type: EventPoint, Point: &p})
 	ps := j.prog.Snapshot()
 	j.publish(Event{Type: EventProgress, Progress: &ps})

@@ -93,9 +93,9 @@ func decodeBody(w http.ResponseWriter, r *http.Request, dst any) (int, error) {
 // Handler returns the service's HTTP API:
 //
 //	POST   /v1/run              run one configuration (sync, or async with "async": true)
-//	POST   /v1/sweep            explore a parameter grid exhaustively
+//	POST   /v1/sweep            explore a parameter grid exhaustively ("shard": {"lo", "hi"} runs one slice locally)
 //	POST   /v1/optimize         search a parameter grid with a budgeted strategy
-//	POST   /v1/surface          measure a bandwidth–latency surface
+//	POST   /v1/surface          measure a bandwidth–latency surface ("shard" runs a curve range locally)
 //	GET    /v1/jobs             list jobs (?state=, ?limit=), stable submit-time order
 //	GET    /v1/jobs/{id}        poll one job (live progress snapshot included)
 //	DELETE /v1/jobs/{id}        cancel a queued or running job
@@ -118,8 +118,6 @@ func decodeBody(w http.ResponseWriter, r *http.Request, dst any) (int, error) {
 //	POST   /v1/cluster/heartbeat     worker liveness refresh (coordinators only)
 //	GET    /v1/cluster/workers       registry snapshot (coordinators only)
 //	GET    /v1/cluster/metrics       federated fleet metrics, one exposition with a worker label (coordinators only)
-//	POST   /v1/cluster/shard/sweep   execute one sweep grid shard [lo, hi)
-//	POST   /v1/cluster/shard/surface execute one surface curve shard [lo, hi)
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/run", s.handleRun)
@@ -154,8 +152,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/cluster/register", s.handleClusterRegister)
 	mux.HandleFunc("POST /v1/cluster/heartbeat", s.handleClusterHeartbeat)
 	mux.HandleFunc("GET /v1/cluster/workers", s.handleClusterWorkers)
-	mux.HandleFunc("POST /v1/cluster/shard/sweep", s.handleSweepShard)
-	mux.HandleFunc("POST /v1/cluster/shard/surface", s.handleSurfaceShard)
 	// The middleware mints/propagates trace IDs and measures every
 	// route; with metrics disabled it still carries traces through.
 	return obs.Middleware(s.reg, s.log, mux)
@@ -260,7 +256,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if req.Op != nil {
 		op = *req.Op
 	}
-	j, err := s.SubmitSweep(r.Context(), req.Target, base, req.Space, op, msToDuration(req.TimeoutMS))
+	j, err := s.SubmitSweep(r.Context(), req.Target, base, req.Space, op, req.Shard, msToDuration(req.TimeoutMS))
 	if err != nil {
 		s.writeSubmitError(w, r, err)
 		return
@@ -301,7 +297,7 @@ func (s *Server) handleSurface(w http.ResponseWriter, r *http.Request) {
 	if req.Config != nil {
 		cfg = *req.Config
 	}
-	j, err := s.SubmitSurface(r.Context(), req.Target, cfg, msToDuration(req.TimeoutMS))
+	j, err := s.SubmitSurface(r.Context(), req.Target, cfg, req.Shard, msToDuration(req.TimeoutMS))
 	if err != nil {
 		s.writeSubmitError(w, r, err)
 		return
@@ -695,53 +691,6 @@ func (s *Server) handleClusterWorkers(w http.ResponseWriter, _ *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, WorkersResponse{Workers: c.Workers()})
-}
-
-// handleSweepShard is POST /v1/cluster/shard/sweep: evaluate one
-// contiguous flat range of a sweep grid locally — the worker half of a
-// distributed sweep. Any server answers it; a shard is never
-// re-sharded.
-func (s *Server) handleSweepShard(w http.ResponseWriter, r *http.Request) {
-	var req cluster.SweepShardRequest
-	if code, err := decodeBody(w, r, &req); err != nil {
-		writeError(w, code, err)
-		return
-	}
-	base := core.DefaultConfig()
-	if req.Base != nil {
-		base = *req.Base
-	}
-	op := kernel.Copy
-	if req.Op != nil {
-		op = *req.Op
-	}
-	j, err := s.SubmitSweepShard(r.Context(), req.Target, base, req.Space, op, req.Lo, req.Hi, msToDuration(req.TimeoutMS))
-	if err != nil {
-		s.writeSubmitError(w, r, err)
-		return
-	}
-	s.respond(w, r, j, req.Async)
-}
-
-// handleSurfaceShard is POST /v1/cluster/shard/surface: measure the
-// curves [lo, hi) of a surface ladder locally — the worker half of a
-// distributed surface.
-func (s *Server) handleSurfaceShard(w http.ResponseWriter, r *http.Request) {
-	var req cluster.SurfaceShardRequest
-	if code, err := decodeBody(w, r, &req); err != nil {
-		writeError(w, code, err)
-		return
-	}
-	var cfg surface.Config
-	if req.Config != nil {
-		cfg = *req.Config
-	}
-	j, err := s.SubmitSurfaceShard(r.Context(), req.Target, cfg, req.Lo, req.Hi, msToDuration(req.TimeoutMS))
-	if err != nil {
-		s.writeSubmitError(w, r, err)
-		return
-	}
-	s.respond(w, r, j, req.Async)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {

@@ -49,6 +49,7 @@ import (
 	"mpstream/internal/kernel"
 	"mpstream/internal/obs"
 	"mpstream/internal/runstate"
+	"mpstream/internal/shard"
 	"mpstream/internal/sim/mem"
 	"mpstream/internal/surface"
 )
@@ -346,23 +347,19 @@ func (s *Server) SubmitRun(ctx context.Context, target string, cfg core.Config, 
 
 // SubmitSweep validates and enqueues a parameter grid on one target.
 // timeout bounds the job's execution once it starts running (clamped to
-// Options.MaxTimeout; 0 means none). On a coordinator with alive
-// workers the grid is sharded across the fleet.
-func (s *Server) SubmitSweep(ctx context.Context, target string, base core.Config, space dse.Space, op kernel.Op, timeout time.Duration) (*Job, error) {
-	return s.submitSweep(ctx, target, base, space, op, 0, space.Size(), timeout, true)
-}
-
-// SubmitSweepShard validates and enqueues the slice [lo, hi) of a
-// parameter grid's flat enumeration — the unit a fleet coordinator
-// assigns one worker. Shard jobs always execute locally.
-func (s *Server) SubmitSweepShard(ctx context.Context, target string, base core.Config, space dse.Space, op kernel.Op, lo, hi int, timeout time.Duration) (*Job, error) {
-	if size := space.Size(); lo < 0 || hi < lo || hi > size {
-		return nil, fmt.Errorf("service: sweep shard [%d,%d) out of the %d-point grid", lo, hi, size)
+// Options.MaxTimeout; 0 means none). A nil rng sweeps the whole grid,
+// sharded across the fleet on a coordinator with alive workers; a
+// non-nil rng sweeps only the points [lo, hi) of the grid's flat
+// enumeration — the unit a coordinator assigns one worker — and always
+// runs locally.
+func (s *Server) SubmitSweep(ctx context.Context, target string, base core.Config, space dse.Space, op kernel.Op, rng *shard.Range, timeout time.Duration) (*Job, error) {
+	lo, hi := 0, space.Size()
+	if rng != nil {
+		if rng.Lo < 0 || rng.Hi < rng.Lo || rng.Hi > hi {
+			return nil, fmt.Errorf("service: sweep shard [%d,%d) out of the %d-point grid", rng.Lo, rng.Hi, hi)
+		}
+		lo, hi = rng.Lo, rng.Hi
 	}
-	return s.submitSweep(ctx, target, base, space, op, lo, hi, timeout, false)
-}
-
-func (s *Server) submitSweep(ctx context.Context, target string, base core.Config, space dse.Space, op kernel.Op, lo, hi int, timeout time.Duration, fleet bool) (*Job, error) {
 	base.Ops = []kernel.Op{op}
 	base, err := s.admitRun(target, base)
 	if err != nil {
@@ -375,7 +372,7 @@ func (s *Server) submitSweep(ctx context.Context, target string, base core.Confi
 	}
 	return s.submit(ctx, KindSweep, target, timeout, func(j *Job) {
 		j.base, j.space, j.op = base, space, op
-		j.lo, j.hi, j.fleet = lo, hi, fleet
+		j.lo, j.hi, j.fleet = lo, hi, rng == nil
 	})
 }
 
@@ -425,29 +422,25 @@ func (s *Server) SubmitOptimize(ctx context.Context, target string, base core.Co
 // SubmitSurface validates and enqueues a bandwidth–latency surface
 // measurement on one target. The configuration is canonicalized
 // (defaults resolved) before fingerprinting so equivalent spellings
-// share one cache entry. On a coordinator with alive workers the
-// ladder's curves are sharded across the fleet.
-func (s *Server) SubmitSurface(ctx context.Context, target string, cfg surface.Config, timeout time.Duration) (*Job, error) {
-	return s.submitSurface(ctx, target, cfg, 0, cfg.CurveCount(), timeout, true)
-}
-
-// SubmitSurfaceShard validates and enqueues the curves [lo, hi) of a
-// surface ladder in pattern-major order — the unit a fleet coordinator
-// assigns one worker. Shard jobs always execute locally.
-func (s *Server) SubmitSurfaceShard(ctx context.Context, target string, cfg surface.Config, lo, hi int, timeout time.Duration) (*Job, error) {
-	if n := cfg.CurveCount(); lo < 0 || hi < lo || hi > n {
-		return nil, fmt.Errorf("service: surface shard [%d,%d) out of the %d-curve ladder", lo, hi, n)
+// share one cache entry. A nil rng measures the whole ladder, its
+// curves sharded across the fleet on a coordinator with alive workers;
+// a non-nil rng measures only the curves [lo, hi) in pattern-major
+// order — the unit a coordinator assigns one worker — and always runs
+// locally.
+func (s *Server) SubmitSurface(ctx context.Context, target string, cfg surface.Config, rng *shard.Range, timeout time.Duration) (*Job, error) {
+	lo, hi := 0, cfg.CurveCount()
+	if rng != nil {
+		if rng.Lo < 0 || rng.Hi < rng.Lo || rng.Hi > hi {
+			return nil, fmt.Errorf("service: surface shard [%d,%d) out of the %d-curve ladder", rng.Lo, rng.Hi, hi)
+		}
+		lo, hi = rng.Lo, rng.Hi
 	}
-	return s.submitSurface(ctx, target, cfg, lo, hi, timeout, false)
-}
-
-func (s *Server) submitSurface(ctx context.Context, target string, cfg surface.Config, lo, hi int, timeout time.Duration, fleet bool) (*Job, error) {
 	cfg, err := s.admitSurface(target, cfg)
 	if err != nil {
 		return nil, err
 	}
 	return s.submit(ctx, KindSurface, target, timeout, func(j *Job) {
-		j.scfg, j.lo, j.hi, j.fleet = cfg, lo, hi, fleet
+		j.scfg, j.lo, j.hi, j.fleet = cfg, lo, hi, rng == nil
 		j.view.Fingerprint = surfaceFingerprint(target, cfg, lo, hi)
 	})
 }
@@ -795,8 +788,8 @@ func (s *Server) surfaceUnit(ctx context.Context, j *Job, phase string) (*surfac
 	snap := j.Snapshot()
 	if fl := s.opts.Cluster; j.fleet && fl != nil {
 		j.prog.SetPhase(phase + ":fleet")
-		spec := cluster.SurfaceSpec{Target: snap.Target, Config: j.scfg, TimeoutMS: snap.TimeoutMS}
-		res, stopped, err := fl.Surface(ctx, spec, s.fleetHooks(j))
+		req := cluster.SurfaceRequest{Target: snap.Target, Config: &j.scfg, TimeoutMS: snap.TimeoutMS}
+		res, stopped, err := fl.Surface(ctx, req, s.fleetHooks(j))
 		switch {
 		case err == nil:
 			return res, nil
@@ -814,8 +807,6 @@ func (s *Server) surfaceUnit(ctx context.Context, j *Job, phase string) (*surfac
 	}
 	// The observer runs on the measuring goroutine, once per ladder rung.
 	observe := func(pat mem.Pattern, readFrac float64, p surface.Point) {
-		j.prog.Step(1)
-		j.prog.Observe(p.AchievedGBps)
 		j.publishPoint(PointEvent{
 			Label:     fmt.Sprintf("%s/r%.2g@%.2g", surface.PatternLabel(pat), readFrac, p.Rate),
 			GBps:      p.AchievedGBps,
@@ -866,8 +857,6 @@ func (s *Server) executeRun(ctx context.Context, j *Job) {
 		res = rehome(res, j.cfg)
 	}
 	gbps := maxKernelGBps(res)
-	j.prog.Step(1)
-	j.prog.Observe(gbps)
 	j.publishPoint(PointEvent{Label: label, GBps: gbps, Feasible: true, Cached: cached})
 	var rep *baseline.Report
 	if check {
@@ -916,8 +905,8 @@ func (s *Server) sweepUnits(ctx context.Context, j *Job) (*dse.Exploration, int,
 	snap := j.Snapshot()
 	if fl := s.opts.Cluster; j.fleet && fl != nil {
 		j.prog.SetPhase("sweep:fleet")
-		spec := cluster.SweepSpec{Target: snap.Target, Base: j.base, Space: j.space, Op: j.op, TimeoutMS: snap.TimeoutMS}
-		ex, cached, stopped, err := fl.Sweep(ctx, spec, s.fleetHooks(j))
+		req := cluster.SweepRequest{Target: snap.Target, Base: &j.base, Space: j.space, Op: &j.op, TimeoutMS: snap.TimeoutMS}
+		ex, cached, stopped, err := fl.Sweep(ctx, req, s.fleetHooks(j))
 		if !errors.Is(err, cluster.ErrUnavailable) {
 			// Workers evaluated the points, but the results are canonical,
 			// so priming the coordinator's own run cache makes later runs
@@ -948,8 +937,6 @@ func (s *Server) sweepUnits(ctx context.Context, j *Job) (*dse.Exploration, int,
 			if res, ok := s.cache.get(fps[i]); ok {
 				pts[i] = dse.Point{Label: dse.ConfigLabel(cfg), Config: cfg, Result: rehome(res, cfg)}
 				cachedPoints++
-				j.prog.Step(1)
-				j.prog.Observe(pts[i].GBps(j.op))
 				j.publishPoint(PointEvent{Label: pts[i].Label, GBps: pts[i].GBps(j.op), Feasible: true, Cached: true})
 				continue
 			}
@@ -975,10 +962,7 @@ func (s *Server) sweepUnits(ctx context.Context, j *Job) (*dse.Exploration, int,
 		// onPoint runs concurrently on the sweep workers; tracker and
 		// event log are safe for that.
 		onPoint := func(_ int, p dse.Point) {
-			j.prog.Step(1)
-			g := p.GBps(j.op)
-			j.prog.Observe(g)
-			pe := PointEvent{Label: p.Label, GBps: g, Feasible: p.Err == nil}
+			pe := PointEvent{Label: p.Label, GBps: p.GBps(j.op), Feasible: p.Err == nil}
 			if p.Err != nil {
 				pe.Error = p.Err.Error()
 			}
@@ -1024,8 +1008,6 @@ func (s *Server) sweepUnits(ctx context.Context, j *Job) (*dse.Exploration, int,
 func (s *Server) fleetHooks(j *Job) cluster.FleetHooks {
 	return cluster.FleetHooks{
 		OnPoint: func(p cluster.PointEvent) {
-			j.prog.Step(1)
-			j.prog.Observe(p.GBps)
 			j.publishPoint(PointEvent(p))
 		},
 		OnShard: func(u cluster.ShardUpdate) {
@@ -1101,10 +1083,7 @@ func (s *Server) executeOptimize(ctx context.Context, j *Job) {
 		hooks := search.Hooks{
 			Context: ctx,
 			Observe: func(p dse.Point) {
-				j.prog.Step(1)
-				g := p.GBps(j.op)
-				j.prog.Observe(g)
-				pe := PointEvent{Label: p.Label, GBps: g, Feasible: p.Err == nil, Cached: lastCached}
+				pe := PointEvent{Label: p.Label, GBps: p.GBps(j.op), Feasible: p.Err == nil, Cached: lastCached}
 				if p.Err != nil {
 					pe.Error = p.Err.Error()
 				}

@@ -204,7 +204,7 @@ type (
 
 // RunSurface measures a device's bandwidth–latency surface.
 func RunSurface(dev Device, cfg SurfaceConfig) (*Surface, error) {
-	return core.RunSurface(dev, cfg)
+	return core.RunSurfaceContext(context.Background(), dev, cfg)
 }
 
 // RunSurfaceContext is RunSurface under a context: the injection-rate

@@ -42,7 +42,6 @@ var allow = map[string]string{
 	"mpstream.OptimizeContext":      "root facade: public API listed in README",
 	"mpstream.SearchStrategies":     "root facade: public API listed in README",
 	"mpstream.SearchObjectives":     "root facade: public API listed in README",
-	"mpstream.RunSurface":           "root facade: public API listed in README",
 	"mpstream.RunSurfaceContext":    "root facade: public API listed in README",
 	"mpstream.NewService":           "root facade: public API listed in README",
 	"mpstream.RunExperiment":        "root facade: public API listed in README",
