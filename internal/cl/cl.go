@@ -5,15 +5,20 @@
 // The benchmark core is written against this API the same way MP-STREAM
 // is written against OpenCL. Execution is split in two:
 //
-//   - functionally, kernels really compute (a(i) = b(i) + q*c(i) on Go
-//     slices), so results are verified exactly as STREAM verifies its
-//     checksums;
+//   - functionally, kernels really compute (a(i) = b(i) + q*c(i)), so
+//     results are verified the way STREAM verifies its checksums. Every
+//     benchmark array is uniform (STREAM initializes each one to a
+//     constant and every kernel writes a(i) = f(b(i), c(i))), so one
+//     element decides the whole array: a functional buffer keeps its
+//     logical size for timing and argument checks but backs it with a
+//     single element, and kernels, fills and transfers compute on that
+//     element;
 //   - temporally, each command advances the queue's virtual clock by the
 //     duration the device model predicts, and events expose the
 //     start/end times CL_QUEUE_PROFILING_ENABLE would.
 //
-// Contexts can be switched to timing-only mode (Functional=false) for
-// sweeps over arrays too large to materialize.
+// Contexts can be switched to timing-only mode (Functional=false), in
+// which buffers hold no data and kernels do not execute.
 package cl
 
 import (
@@ -27,8 +32,8 @@ import (
 // Context owns buffers and programs for one device.
 type Context struct {
 	dev device.Device
-	// Functional controls whether buffers hold real data and kernels
-	// really execute. Timing is identical either way.
+	// Functional controls whether buffers hold their (one-element)
+	// data and kernels really execute. Timing is identical either way.
 	Functional bool
 }
 
@@ -37,15 +42,17 @@ func CreateContext(dev device.Device) *Context {
 	return &Context{dev: dev, Functional: true}
 }
 
-// Buffer is a device-resident array.
+// Buffer is a device-resident uniform array: elems elements that all
+// hold the same value.
 type Buffer struct {
 	ctx   *Context
 	dt    kernel.DataType
-	elems int
-	data  any // []int32 or []float64 when functional
+	elems int // logical length: sets transfer timing and SetArgs checks
+	data  any // one-element []int32 or []float64 when functional
 }
 
-// CreateBuffer allocates a device buffer of elems elements.
+// CreateBuffer creates a device buffer of elems elements. A functional
+// buffer allocates one element, the value every element holds.
 func (c *Context) CreateBuffer(dt kernel.DataType, elems int) (*Buffer, error) {
 	if elems <= 0 {
 		return nil, fmt.Errorf("cl: buffer size %d must be positive", elems)
@@ -54,9 +61,9 @@ func (c *Context) CreateBuffer(dt kernel.DataType, elems int) (*Buffer, error) {
 	if c.Functional {
 		switch dt {
 		case kernel.Int32:
-			b.data = make([]int32, elems)
+			b.data = make([]int32, 1)
 		case kernel.Float64:
-			b.data = make([]float64, elems)
+			b.data = make([]float64, 1)
 		default:
 			return nil, fmt.Errorf("cl: unsupported data type %v", dt)
 		}
@@ -70,17 +77,18 @@ func (b *Buffer) Bytes() int64 { return int64(b.elems) * int64(b.dt.Bytes()) }
 // Type returns the element type.
 func (b *Buffer) Type() kernel.DataType { return b.dt }
 
-// Data exposes the backing slice ([]int32 or []float64); nil in
-// timing-only contexts.
+// Data exposes the one-element backing slice ([]int32 or []float64),
+// the value of every element; nil in timing-only contexts.
 func (b *Buffer) Data() any { return b.data }
 
-// Int32s returns the backing slice for int buffers, or nil.
+// Int32s returns the one-element backing slice of an int buffer, or nil.
 func (b *Buffer) Int32s() []int32 {
 	s, _ := b.data.([]int32)
 	return s
 }
 
-// Float64s returns the backing slice for double buffers, or nil.
+// Float64s returns the one-element backing slice of a double buffer, or
+// nil.
 func (b *Buffer) Float64s() []float64 {
 	s, _ := b.data.([]float64)
 	return s
@@ -192,7 +200,9 @@ func (q *CommandQueue) advance(kind string, seconds float64) *Event {
 }
 
 // EnqueueWriteBuffer transfers host data into a device buffer over the
-// device link (clEnqueueWriteBuffer).
+// device link (clEnqueueWriteBuffer). The transfer is timed at the
+// buffer's logical size; host is the array's one-element form, the
+// same type as the buffer's Data.
 func (q *CommandQueue) EnqueueWriteBuffer(dst *Buffer, host any) (*Event, error) {
 	if q.ctx.Functional && host != nil {
 		if err := copyInto(dst.data, host); err != nil {
@@ -203,7 +213,8 @@ func (q *CommandQueue) EnqueueWriteBuffer(dst *Buffer, host any) (*Event, error)
 	return q.advance("write-buffer", sec), nil
 }
 
-// EnqueueReadBuffer transfers a device buffer back to host memory.
+// EnqueueReadBuffer transfers a device buffer back to host memory: into
+// host's single element, timed at the buffer's logical size.
 func (q *CommandQueue) EnqueueReadBuffer(src *Buffer, host any) (*Event, error) {
 	if q.ctx.Functional && host != nil {
 		if err := copyInto(host, src.data); err != nil {
@@ -214,6 +225,7 @@ func (q *CommandQueue) EnqueueReadBuffer(src *Buffer, host any) (*Event, error) 
 	return q.advance("read-buffer", sec), nil
 }
 
+// copyInto copies one one-element slice into another of the same type.
 func copyInto(dst, src any) error {
 	switch d := dst.(type) {
 	case []int32:
@@ -256,10 +268,11 @@ func (q *CommandQueue) EnqueueKernel(k *Kernel, pattern mem.Pattern) (*Event, er
 	return q.advance("kernel:"+k.spec.Op.String(), sec), nil
 }
 
-// apply executes the kernel functionally over its bound buffers,
-// dispatching to the monomorphic kernel paths when the buffers carry
-// matching concrete types (they always do for well-formed bindings; the
-// `any`-typed kernel.Apply remains as the mismatch-diagnosing fallback).
+// apply executes the kernel functionally over its bound buffers' single
+// elements, dispatching to the monomorphic kernel paths when the buffers
+// carry matching concrete types (they always do for well-formed
+// bindings; the `any`-typed kernel.Apply remains as the
+// mismatch-diagnosing fallback).
 func (k *Kernel) apply() error {
 	if d := k.dst.Int32s(); d != nil {
 		b := k.b.Int32s()

@@ -26,8 +26,17 @@ func TestBufferCreation(t *testing.T) {
 	if b.elems != 1024 || b.Bytes() != 4096 || b.Type() != kernel.Int32 {
 		t.Errorf("buffer metadata wrong: %d elems %d bytes", b.elems, b.Bytes())
 	}
-	if len(b.Int32s()) != 1024 {
-		t.Error("functional buffer must have backing data")
+	if len(b.Int32s()) != 1 {
+		t.Errorf("functional buffer backs its uniform array with %d elements, want 1", len(b.Int32s()))
+	}
+	// The logical size sets timing only: a 512 MiB array still holds one
+	// element.
+	big, err := ctx.CreateBuffer(kernel.Float64, 1<<26)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if big.Bytes() != 512<<20 || len(big.Float64s()) != 1 {
+		t.Errorf("big buffer: %d bytes, %d backing elements; want %d and 1", big.Bytes(), len(big.Float64s()), 512<<20)
 	}
 	if b.Float64s() != nil {
 		t.Error("int buffer must not expose float data")
@@ -52,46 +61,55 @@ func TestTimingOnlyBuffers(t *testing.T) {
 func TestFill(t *testing.T) {
 	ctx := gpuContext(t)
 	b, _ := ctx.CreateBuffer(kernel.Int32, 8)
-	b.Fill(3)
-	for _, v := range b.Int32s() {
-		if v != 3 {
-			t.Fatalf("Fill failed: %v", b.Int32s())
-		}
+	b.Fill(3.9) // int buffers truncate, as int32(v) does
+	if got := b.Int32s(); len(got) != 1 || got[0] != 3 {
+		t.Errorf("int Fill(3.9) = %v, want [3]", got)
 	}
 	f, _ := ctx.CreateBuffer(kernel.Float64, 8)
 	f.Fill(2.5)
-	if f.Float64s()[7] != 2.5 {
-		t.Error("float Fill failed")
+	if got := f.Float64s(); len(got) != 1 || got[0] != 2.5 {
+		t.Errorf("float Fill(2.5) = %v, want [2.5]", got)
+	}
+	// A timing-only buffer has nothing to fill.
+	ctx.Functional = false
+	n, _ := ctx.CreateBuffer(kernel.Float64, 8)
+	n.Fill(1)
+	if n.Data() != nil {
+		t.Error("Fill gave a timing-only buffer data")
 	}
 }
 
 func TestWriteReadBuffer(t *testing.T) {
 	ctx := gpuContext(t)
 	q := ctx.CreateCommandQueue()
-	b, _ := ctx.CreateBuffer(kernel.Int32, 4)
-	host := []int32{1, 2, 3, 4}
-	ev, err := q.EnqueueWriteBuffer(b, host)
+	b, _ := ctx.CreateBuffer(kernel.Int32, 1<<20)
+	// The host side of a transfer is the uniform array's one element.
+	ev, err := q.EnqueueWriteBuffer(b, []int32{3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ev.End-ev.Start <= 0 {
-		t.Error("write must take time over the link")
+	want := ctx.dev.Link().TransferSeconds(4 << 20)
+	if got := ev.End - ev.Start; got <= 0 || got != want {
+		t.Errorf("write took %v, want the link time of the logical 4 MiB, %v", got, want)
 	}
-	if b.Int32s()[2] != 3 {
+	if b.Int32s()[0] != 3 {
 		t.Error("write did not copy data")
 	}
-	back := make([]int32, 4)
+	back := []int32{0}
 	if _, err := q.EnqueueReadBuffer(b, back); err != nil {
 		t.Fatal(err)
 	}
-	if back[3] != 4 {
+	if back[0] != 3 {
 		t.Error("read did not copy data")
 	}
 	if _, err := q.EnqueueWriteBuffer(b, []float64{1}); err == nil {
 		t.Error("type mismatch accepted")
 	}
-	if _, err := q.EnqueueWriteBuffer(b, []int32{1}); err == nil {
-		t.Error("size mismatch accepted")
+	if _, err := q.EnqueueWriteBuffer(b, []int32{1, 2}); err == nil {
+		t.Error("a host array that is not one element accepted")
+	}
+	if _, err := q.EnqueueReadBuffer(b, []int32{}); err == nil {
+		t.Error("an empty host array accepted")
 	}
 }
 
@@ -121,10 +139,8 @@ func TestKernelBuildAndRun(t *testing.T) {
 		t.Error("kernel must take time")
 	}
 	want := kernel.Expected(kernel.Triad, 3, 2, 0.5)
-	for i, v := range a.Float64s() {
-		if v != want {
-			t.Fatalf("a[%d] = %v, want %v", i, v, want)
-		}
+	if got := a.Float64s(); len(got) != 1 || got[0] != want {
+		t.Errorf("a = %v, want [%v]", got, want)
 	}
 }
 
@@ -269,10 +285,8 @@ func TestFunctionalVerificationAllTargets(t *testing.T) {
 				t.Fatalf("%s/%s: %v", dev.Info().ID, op, err)
 			}
 			want := kernel.Expected(op, q, bInit, cInit)
-			for i, v := range a.Float64s() {
-				if v != want {
-					t.Fatalf("%s/%s: a[%d] = %v, want %v", dev.Info().ID, op, i, v, want)
-				}
+			if got := a.Float64s(); len(got) != 1 || got[0] != want {
+				t.Fatalf("%s/%s: a = %v, want [%v]", dev.Info().ID, op, got, want)
 			}
 		}
 	}

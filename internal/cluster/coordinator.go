@@ -294,17 +294,6 @@ func (h FleetHooks) shard(u ShardUpdate) {
 	}
 }
 
-// shardCount sizes a fleet job's partition: as many shards as the
-// per-shard work floor allows, independent of fleet size. The pull
-// queue, not the partition, decides which worker executes what, so
-// over-partitioning is how fast workers absorb more of the job. The
-// floor is per job kind — sweeps floor at ShardUnit grid points, while
-// surfaces floor at one curve per shard (a curve is already a coarse
-// unit: a full rate ladder of measured points).
-func (c *Coordinator) shardCount(units, unit int) int {
-	return shard.UnitCount(units, unit)
-}
-
 // shardOutcome is one shard's final state inside a fleet job.
 type shardOutcome struct {
 	view    JobView
@@ -410,7 +399,13 @@ func (c *Coordinator) Sweep(ctx context.Context, req SweepRequest, hooks FleetHo
 	if !c.HasWorkers(req.Target) {
 		return nil, 0, "", fmt.Errorf("%w for target %q", ErrUnavailable, req.Target)
 	}
-	ranges := req.Space.Partition(c.shardCount(req.Space.Size(), c.opts.ShardUnit))
+	// A fleet job has as many shards as the per-shard work floor allows,
+	// independent of fleet size: the pull queue, not the partition,
+	// decides which worker executes what, so over-partitioning is how
+	// fast workers absorb more of the job. Sweeps floor at ShardUnit grid
+	// points; surfaces (below) at one curve per shard, since a curve is
+	// already a coarse unit, a full rate ladder of measured points.
+	ranges := req.Space.Partition(shard.UnitCount(req.Space.Size(), c.opts.ShardUnit))
 	submit := func(ctx context.Context, workerAddr string, i int) (JobView, error) {
 		sr := req
 		sr.Shard, sr.Async = &ranges[i], true
@@ -453,7 +448,8 @@ func (c *Coordinator) Surface(ctx context.Context, req SurfaceRequest, hooks Fle
 	if !c.HasWorkers(req.Target) {
 		return nil, "", fmt.Errorf("%w for target %q", ErrUnavailable, req.Target)
 	}
-	shards := req.Config.PartitionCurves(c.shardCount(req.Config.CurveCount(), 1))
+	// The floor is one curve per shard; see Sweep on how shards are counted.
+	shards := req.Config.PartitionCurves(shard.UnitCount(req.Config.CurveCount(), 1))
 	submit := func(ctx context.Context, workerAddr string, i int) (JobView, error) {
 		sr := req
 		sr.Shard, sr.Async = &shards[i], true

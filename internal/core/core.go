@@ -61,8 +61,9 @@ type Config struct {
 	NTimes int `json:"ntimes"`
 	// Scalar is q in scale/triad; zero means DefaultScalar.
 	Scalar float64 `json:"scalar"`
-	// Verify enables functional execution and result checking. Disable
-	// only for sweeps over arrays too large to materialize.
+	// Verify enables functional execution and result checking. Both run
+	// on the arrays' one-element form (see package cl), so their cost
+	// does not grow with ArrayBytes.
 	Verify bool `json:"verify"`
 	// HostIO measures the host<->device path: each iteration re-writes
 	// the source arrays over the link and reads the result back, and the
@@ -228,7 +229,7 @@ func RunContext(ctx context.Context, dev device.Device, cfg Config) (*Result, er
 	// Host mirrors for HostIO mode.
 	var hostB, hostC, hostA any
 	if cfg.HostIO && cfg.Verify {
-		hostB, hostC, hostA = newHost(cfg.Type, elems, BInit), newHost(cfg.Type, elems, CInit), newHost(cfg.Type, elems, 0)
+		hostB, hostC, hostA = newHost(cfg.Type, BInit), newHost(cfg.Type, CInit), newHost(cfg.Type, 0)
 	}
 
 	res := &Result{Device: dev.Info(), Config: cfg}
@@ -397,26 +398,19 @@ func bestTime(times []float64) float64 {
 	return best
 }
 
-func newHost(dt kernel.DataType, elems int, v float64) any {
-	switch dt {
-	case kernel.Float64:
-		s := make([]float64, elems)
-		for i := range s {
-			s[i] = v
-		}
-		return s
-	default:
-		s := make([]int32, elems)
-		for i := range s {
-			s[i] = int32(v)
-		}
-		return s
+// newHost returns the one-element host mirror of a uniform array of
+// value v, the form cl buffer transfers take.
+func newHost(dt kernel.DataType, v float64) any {
+	if dt == kernel.Float64 {
+		return []float64{v}
 	}
+	return []int32{int32(v)}
 }
 
 // VerifySlice checks that every element of data ([]int32 or []float64)
-// equals want within tol (absolute). A nil slice (timing-only run) is an
-// error: verification requires functional execution.
+// equals want within tol (absolute); a cl buffer's Data holds the one
+// element that stands for its whole array. A nil slice (timing-only
+// run) is an error: verification requires functional execution.
 func VerifySlice(data any, want, tol float64) error {
 	switch d := data.(type) {
 	case []int32:

@@ -124,7 +124,7 @@ func NewWithConfig(cfg Config) *Device {
 		PeakWatts:   95, // 80 W TDP package plus DIMMs
 	}
 	return &Device{cfg: cfg, Board: device.NewBoard(info, cfg.MemBytes, cfg.DRAM, cfg.Loop,
-		cfg.LaunchOverheadSec, cfg.SampleWindowTxns, cache.New(cfg.LLC))}
+		cfg.LaunchOverheadSec, cfg.SampleWindowTxns, &cfg.LLC)}
 }
 
 // coreConcurrencyGBps is the Little's-law ceiling on DRAM traffic: each

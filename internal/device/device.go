@@ -237,19 +237,32 @@ type Board struct {
 	mem    *dram.Model
 	link   *link.Link
 	launch float64
-	window uint64       // sampling window in transactions
-	cache  *cache.Cache // nil when the board has no cache to reset
-	spare  *cache.Cache // the short sampling window's cache, built on first use
+	window uint64        // sampling window in transactions
+	llc    *cache.Config // the on-chip cache; nil when the board has none
+	cache  *cache.Cache  // built from llc on the first Sample
+	spare  *cache.Cache  // the short sampling window's cache, built on first use
 }
 
 // NewBoard builds a board; info's PeakMemGBps comes from dramCfg and its
 // MemBytes from memBytes. window is the sampling window (sample.Run).
+// llc configures the on-chip cache in the memory path, nil for none; it
+// is validated here (panicking like cache.New), but the cache itself is
+// built by the first Sample, so a board that never runs a kernel never
+// allocates it.
 func NewBoard(info Info, memBytes int64, dramCfg dram.Config, linkCfg link.Config,
-	launchSec float64, window uint64, c *cache.Cache) Board {
+	launchSec float64, window uint64, llc *cache.Config) Board {
 	info.PeakMemGBps = dramCfg.PeakGBps()
 	info.MemBytes = memBytes
-	return Board{info: info, mem: dram.New(dramCfg), link: link.New(linkCfg),
-		launch: launchSec, window: window, cache: c}
+	b := Board{info: info, mem: dram.New(dramCfg), link: link.New(linkCfg),
+		launch: launchSec, window: window}
+	if llc != nil {
+		if err := llc.Validate(); err != nil {
+			panic(err)
+		}
+		cfg := *llc
+		b.llc = &cfg
+	}
+	return b
 }
 
 // Info implements Device.
@@ -261,8 +274,9 @@ func (b *Board) LaunchOverheadSeconds() float64 { return b.launch }
 // Link implements Device.
 func (b *Board) Link() *link.Link { return b.link }
 
-// Reset implements Device: a cold on-chip cache. DRAM state needs no
-// reset; every simulation services its stream from cold.
+// Reset implements Device: a cold on-chip cache. A cache not built yet
+// is cold already, and DRAM state needs no reset: every simulation
+// services its stream from cold.
 func (b *Board) Reset() {
 	if b.cache != nil {
 		b.cache.Reset()
@@ -310,7 +324,10 @@ func (b *Board) Exact(n uint64) bool { return sample.Exact(n, b.window) }
 // run services one simulated window on cache c: a fresh request stream
 // bounded to maxTxns transactions (0 = the whole stream).
 //
-// An exact run is one run on the board's cache. A sampled run
+// The board's cache is built on the first call and persists, so
+// exact runs see the state earlier invocations left; a board without
+// a cache passes run a nil c. An exact run is one run on the board's
+// cache. A sampled run
 // simulates its two windows side by side: the short one on a
 // goroutine with the board's spare cache, the long one on the caller
 // with the board's cache, which is therefore left as the long window
@@ -330,6 +347,9 @@ func (b *Board) Sample(k kernel.Kernel, e Exec, window uint32,
 		return run(src, maxTxns, c)
 	}
 	total := TxnCount(k.Op, elems, elemB, e.Pattern, window)
+	if b.cache == nil && b.llc != nil {
+		b.cache = cache.New(*b.llc)
+	}
 	if b.Exact(total) {
 		return sample.Estimate{Seconds: runner(0, b.cache).Seconds}, nil
 	}
@@ -460,14 +480,4 @@ func TxnCount(op kernel.Op, elems int, elemBytes uint32, p mem.Pattern, coalesce
 		perStream = (bytes + uint64(coalesceBytes) - 1) / uint64(coalesceBytes)
 	}
 	return perStream * uint64(op.Streams())
-}
-
-// ByID returns the device with the given Info.ID from devs.
-func ByID(devs []Device, id string) (Device, error) {
-	for _, d := range devs {
-		if d.Info().ID == id {
-			return d, nil
-		}
-	}
-	return nil, fmt.Errorf("device: unknown target %q", id)
 }

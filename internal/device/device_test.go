@@ -189,31 +189,6 @@ func TestTxnCountMatchesSource(t *testing.T) {
 	}
 }
 
-type fakeDevice struct{ id string }
-
-func (f fakeDevice) Info() Info                              { return Info{ID: f.id} }
-func (f fakeDevice) Compile(kernel.Kernel) (Compiled, error) { return nil, nil }
-func (f fakeDevice) LaunchOverheadSeconds() float64          { return 0 }
-func (f fakeDevice) Link() *link.Link                        { return nil }
-func (f fakeDevice) Reset()                                  {}
-
-func TestByID(t *testing.T) {
-	devs := []Device{fakeDevice{id: "cpu"}, fakeDevice{id: "gpu"}}
-	d, err := ByID(devs, "gpu")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Info().ID != "gpu" {
-		t.Errorf("ByID returned %q", d.Info().ID)
-	}
-	if _, err := ByID(devs, "tpu"); err == nil {
-		t.Error("unknown id must error")
-	}
-	if _, err := ByID(nil, "cpu"); err == nil {
-		t.Error("empty registry must error")
-	}
-}
-
 func TestWattsAt(t *testing.T) {
 	info := Info{PeakMemGBps: 100, IdleWatts: 20, PeakWatts: 120}
 	if got := info.WattsAt(0); got != 20 {
@@ -307,9 +282,64 @@ func TestMemo(t *testing.T) {
 func testBoard() *Board {
 	dramCfg := dram.Config{Name: "test", Channels: 2, BanksPerChannel: 8, RowBytes: 8192,
 		BurstBytes: 64, BusGBps: 12.8, RowMissNs: 45, TurnaroundNs: 7.5, InterleaveBytes: 1024}
-	llc := cache.New(cache.Config{Name: "test-llc", CapacityBytes: 64 << 10, LineBytes: 64, Ways: 8})
+	llc := &cache.Config{Name: "test-llc", CapacityBytes: 64 << 10, LineBytes: 64, Ways: 8}
 	b := NewBoard(Info{ID: "test"}, 1<<30, dramCfg, link.Config{Name: "test-link", GBps: 1}, 0, 256, llc)
 	return &b
+}
+
+// A board builds its cache on the first Sample and keeps it: before
+// then a Reset is harmless and nothing is allocated, afterwards every
+// run sees the same cache. A board without a cache passes run nil.
+func TestCacheBuiltOnFirstSample(t *testing.T) {
+	b := testBoard()
+	if b.cache != nil || b.spare != nil {
+		t.Fatal("a new board holds a cache before its first Sample")
+	}
+	b.Reset()
+	if b.cache != nil {
+		t.Fatal("Reset built the cache")
+	}
+	k := kernel.Kernel{Op: kernel.Copy, VecWidth: 1}
+	exact := Exec{ArrayBytes: 4 << 10, Pattern: mem.ContiguousPattern()}
+	var mu sync.Mutex // a sampled run's two windows call run concurrently
+	var seen []*cache.Cache
+	run := func(src mem.Source, maxTxns uint64, c *cache.Cache) sample.Measurement {
+		mu.Lock()
+		seen = append(seen, c)
+		mu.Unlock()
+		return b.ServiceDRAM(src, maxTxns, c)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := b.Sample(k, exact, 64, run); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if b.cache == nil || len(seen) != 2 || seen[0] != b.cache || seen[1] != b.cache {
+		t.Errorf("exact runs saw caches %v, want the board's %p twice", seen, b.cache)
+	}
+	if b.spare != nil {
+		t.Error("an exact run built the spare cache")
+	}
+	if got := b.cache.Config(); got != *b.llc {
+		t.Errorf("built cache config %+v, want %+v", got, *b.llc)
+	}
+
+	bare := NewBoard(Info{ID: "bare"}, 1<<30, b.mem.Config(), link.Config{Name: "l", GBps: 1}, 0, 256, nil)
+	bare.Reset()
+	seen = nil
+	for _, e := range []Exec{exact, {ArrayBytes: 1 << 20, Pattern: mem.ContiguousPattern()}} {
+		if _, err := bare.Sample(k, e, 64, run); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range seen {
+		if c != nil {
+			t.Errorf("a board without a cache passed run %p", c)
+		}
+	}
+	if len(seen) != 3 || bare.cache != nil || bare.spare != nil {
+		t.Errorf("cacheless board: %d runs, cache %p, spare %p; want 3 runs and no caches", len(seen), bare.cache, bare.spare)
+	}
 }
 
 // Board.Sample runs the short window on the spare cache, built once,

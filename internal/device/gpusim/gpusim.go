@@ -152,7 +152,7 @@ func NewWithConfig(cfg Config) *Device {
 		PeakWatts:   230, // memory-bound draw, under the 250 W TDP
 	}
 	return &Device{cfg: cfg, Board: device.NewBoard(info, cfg.MemBytes, cfg.DRAM, cfg.PCIe,
-		cfg.LaunchOverheadSec, cfg.SampleWindowTxns, cache.New(cfg.L2))}
+		cfg.LaunchOverheadSec, cfg.SampleWindowTxns, &cfg.L2)}
 }
 
 // Occupancy returns resident warps per SM for a kernel, from its register

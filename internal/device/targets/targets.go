@@ -3,6 +3,8 @@
 package targets
 
 import (
+	"fmt"
+
 	"mpstream/internal/device"
 	"mpstream/internal/device/aocl"
 	"mpstream/internal/device/cpusim"
@@ -20,7 +22,17 @@ func All() []device.Device {
 	return []device.Device{aocl.New(), sdaccel.New(), cpusim.New(), gpusim.New()}
 }
 
-// ByID returns a fresh instance of one target.
+// ByID returns a fresh instance of one target, building only that one.
 func ByID(id string) (device.Device, error) {
-	return device.ByID(All(), id)
+	switch id {
+	case "aocl":
+		return aocl.New(), nil
+	case "sdaccel":
+		return sdaccel.New(), nil
+	case "cpu":
+		return cpusim.New(), nil
+	case "gpu":
+		return gpusim.New(), nil
+	}
+	return nil, fmt.Errorf("device: unknown target %q", id)
 }

@@ -32,8 +32,8 @@ func TestByID(t *testing.T) {
 			t.Errorf("ByID(%q) returned %q", id, d.Info().ID)
 		}
 	}
-	if _, err := ByID("tpu"); err == nil {
-		t.Error("unknown id must error")
+	if _, err := ByID("tpu"); err == nil || err.Error() != `device: unknown target "tpu"` {
+		t.Errorf("unknown id: got %v, want device: unknown target \"tpu\"", err)
 	}
 }
 

@@ -70,8 +70,10 @@ type Experiment struct {
 	Notes []string      `json:"notes,omitempty"`
 }
 
-// verifyLimit is the largest array materialized functionally; larger
-// sweeps run timing-only (results up to this size are verified).
+// verifyLimit is the largest array the experiments verify; larger sweeps
+// run timing-only (results up to this size are verified). Verification
+// no longer allocates the arrays (cl buffers hold one element), but the
+// limit sets Config.Verify and so the recorded result fingerprints.
 const verifyLimit = 64 << 20
 
 // stopNote is the annotation a partially collected experiment carries

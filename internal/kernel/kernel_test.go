@@ -427,3 +427,87 @@ func TestChaseOpenCLSource(t *testing.T) {
 		}
 	}
 }
+
+// The run path applies kernels to uniform arrays only (cl buffers back
+// them with one element), so the elementwise loops are pinned here over
+// non-uniform arrays: every op, in both types, must match a per-element
+// scalar definition, including int32 truncation of q and wraparound.
+func TestApplyNonUniformMatchesScalar(t *testing.T) {
+	const n = 37
+	q := 2.75 // truncates to 2 on the int path
+	bi, ci := make([]int32, n), make([]int32, n)
+	bf, cf := make([]float64, n), make([]float64, n)
+	for i := range bi {
+		bi[i] = int32(i*i*7919 - 50000) // mixed signs, no two alike
+		ci[i] = int32(1<<30 - i*104729) // large enough that q*c wraps
+		bf[i] = float64(i)*1.5 - 20
+		cf[i] = 1 / float64(i+1)
+	}
+	scalarInt := func(op Op, i int, dst []int32) int32 {
+		qi := int32(q)
+		switch op {
+		case Copy:
+			return bi[i]
+		case Scale:
+			return qi * bi[i]
+		case Add:
+			return bi[i] + ci[i]
+		case Triad:
+			return bi[i] + qi*ci[i]
+		default: // Chase: hop i lands on b[previous hop], folded into range
+			prev := int32(0)
+			if i > 0 {
+				prev = dst[i-1]
+			}
+			idx := bi[prev%n] % n
+			if idx < 0 {
+				idx += n
+			}
+			return idx
+		}
+	}
+	scalarFloat := func(op Op, i int) float64 {
+		switch op {
+		case Copy:
+			return bf[i]
+		case Scale:
+			return q * bf[i]
+		case Add:
+			return bf[i] + cf[i]
+		default:
+			return bf[i] + q*cf[i]
+		}
+	}
+	for _, op := range append(Ops(), Chase) {
+		var in2i []int32
+		var in2f []float64
+		if op.InputStreams() == 2 {
+			in2i, in2f = ci, cf
+		}
+		di := make([]int32, n)
+		if err := ApplyInt32(op, q, di, bi, in2i); err != nil {
+			t.Fatalf("int %v: %v", op, err)
+		}
+		for i := range di {
+			if want := scalarInt(op, i, di); di[i] != want {
+				t.Fatalf("int %v: dst[%d] = %d, want %d", op, i, di[i], want)
+			}
+		}
+		df := make([]float64, n)
+		err := ApplyFloat64(op, q, df, bf, in2f)
+		if op == Chase {
+			if err == nil {
+				t.Error("float chase must error")
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("float %v: %v", op, err)
+		}
+		for i := range df {
+			if want := scalarFloat(op, i); df[i] != want {
+				t.Fatalf("float %v: dst[%d] = %g, want %g", op, i, df[i], want)
+			}
+		}
+	}
+}

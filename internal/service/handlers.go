@@ -242,20 +242,27 @@ func msToDuration(ms int64) time.Duration {
 	return time.Duration(ms) * time.Millisecond
 }
 
+// gridDefaults resolves a sweep or optimize request's optional fields:
+// the base configuration defaults to core.DefaultConfig() and the
+// kernel op to copy.
+func gridDefaults(base *core.Config, op *kernel.Op) (core.Config, kernel.Op) {
+	b, o := core.DefaultConfig(), kernel.Copy
+	if base != nil {
+		b = *base
+	}
+	if op != nil {
+		o = *op
+	}
+	return b, o
+}
+
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
 	if code, err := decodeBody(w, r, &req); err != nil {
 		writeError(w, code, err)
 		return
 	}
-	base := core.DefaultConfig()
-	if req.Base != nil {
-		base = *req.Base
-	}
-	op := kernel.Copy
-	if req.Op != nil {
-		op = *req.Op
-	}
+	base, op := gridDefaults(req.Base, req.Op)
 	j, err := s.SubmitSweep(r.Context(), req.Target, base, req.Space, op, req.Shard, msToDuration(req.TimeoutMS))
 	if err != nil {
 		s.writeSubmitError(w, r, err)
@@ -270,14 +277,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		writeError(w, code, err)
 		return
 	}
-	base := core.DefaultConfig()
-	if req.Base != nil {
-		base = *req.Base
-	}
-	op := kernel.Copy
-	if req.Op != nil {
-		op = *req.Op
-	}
+	base, op := gridDefaults(req.Base, req.Op)
 	opts := search.Options{Strategy: req.Strategy, Budget: req.Budget, Seed: req.Seed, Objective: req.Objective}
 	j, err := s.SubmitOptimize(r.Context(), req.Target, base, req.Space, op, opts, msToDuration(req.TimeoutMS))
 	if err != nil {

@@ -72,9 +72,10 @@ const (
 	DefaultMaxJobsRetained = 1024
 	// DefaultMaxNTimes bounds a run's repetition count.
 	DefaultMaxNTimes = 100
-	// DefaultMaxVerifyArrayBytes bounds arrays materialized for
-	// functional verification (three host slices per run); larger
-	// sweeps must set verify false, as the experiments layer does.
+	// DefaultMaxVerifyArrayBytes bounds the arrays a run may verify;
+	// larger sweeps must set verify false, as the experiments layer
+	// does. Verification no longer allocates the arrays (cl buffers
+	// hold one element); the bound is kept as admission behaviour.
 	DefaultMaxVerifyArrayBytes = 256 << 20
 	// DefaultMaxSurfacePoints bounds one surface request's ladder
 	// (patterns x ratios x rates).

@@ -34,6 +34,7 @@ import (
 	"math"
 	"runtime"
 	"strconv"
+	"sync"
 	"sync/atomic"
 
 	"mpstream/internal/device"
@@ -334,13 +335,14 @@ func GenerateShardWith(ctx context.Context, dev device.Device, cfg Config, lo, h
 	if workers := workerCount(); workers > 1 {
 		return generateParallel(ctx, s, model, cfg, lo, hi, peak, idleNs, workers, observe)
 	}
-	var scr rungScratch
+	scr := getScratch()
+	defer scratchPool.Put(scr)
 	for pi, pat := range cfg.Patterns {
 		for ri, frac := range cfg.RWRatios {
 			if ci := pi*len(cfg.RWRatios) + ri; ci < lo || ci >= hi {
 				continue
 			}
-			curve, err := generateCurve(ctx, model, cfg, pat, frac, peak, idleNs, observe, &scr)
+			curve, err := generateCurve(ctx, model, cfg, pat, frac, peak, idleNs, observe, scr)
 			if err != nil {
 				return nil, err
 			}
@@ -408,7 +410,8 @@ func generateParallel(ctx context.Context, s *Surface, model *dram.Model, cfg Co
 	for w := 0; w < workers; w++ {
 		go func() {
 			wm := model.Clone() // worker-private arena: allocation-free rungs
-			var scr rungScratch
+			scr := getScratch()
+			defer scratchPool.Put(scr)
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(jobs) {
@@ -418,7 +421,7 @@ func generateParallel(ctx context.Context, s *Surface, model *dram.Model, cfg Co
 					_, sp := obs.StartSpan(ctx2, "surface.rung",
 						"curve", strconv.Itoa(jobs[i].ci),
 						"rate", strconv.FormatFloat(jobs[i].rate, 'g', -1, 64))
-					p, err := measureRung(wm, cfg, jobs[i], peak, &scr)
+					p, err := measureRung(wm, cfg, jobs[i], peak, scr)
 					if err != nil {
 						sp.SetAttr("error", err.Error())
 						errs[i] = err
@@ -519,16 +522,36 @@ const (
 // measurements, so a ladder sweep pays stream construction and DRAM
 // address decode per curve instead of per rung: the background walk is
 // redecoded only when the (pattern, read-fraction) pair changes and
-// the probe chase never, with both rewound before every rung. The
-// generators are deterministic and the decode timing-independent, so a
-// rewound stream replays exactly what per-rung construction would
-// produce (mem's reset parity and dram's routed parity tests pin
+// the probe chase once per call and worker, with both rewound before
+// every rung. The generators are deterministic and the decode
+// timing-independent, so a rewound stream replays exactly what
+// per-rung construction would produce (mem's reset parity and dram's routed parity tests pin
 // this), and a scratch-backed sweep reproduces it bit for bit.
+//
+// Scratches outlive the call that used them: scratchPool hands them
+// to later calls, whose first rung decodes into the recycled arrays.
 type rungScratch struct {
+	// stale marks streams decoded by another call, possibly under
+	// another model's address map and configuration: the next rung
+	// decodes both afresh.
+	stale bool
 	pat   mem.Pattern
 	frac  float64
 	bg    *dram.Prerouted
 	probe *dram.Prerouted
+}
+
+// scratchPool recycles rung scratches across surface calls, so a
+// ladder sweep allocates its decoded streams once per process rather
+// than once per call.
+var scratchPool = sync.Pool{New: func() any { return new(rungScratch) }}
+
+// getScratch takes a scratch from scratchPool, marked stale; return it
+// with scratchPool.Put when the call is done.
+func getScratch() *rungScratch {
+	s := scratchPool.Get().(*rungScratch)
+	s.stale = true
+	return s
 }
 
 // sources returns the rewound background and probe streams for job,
@@ -536,12 +559,12 @@ type rungScratch struct {
 func (s *rungScratch) sources(model *dram.Model, cfg Config, job rungJob) (bg, probe *dram.Prerouted, err error) {
 	burst := model.Config().BurstBytes
 	elems := int(cfg.ArrayBytes / int64(burst))
-	if s.probe == nil {
-		s.probe = model.Preroute(chase(elems, burst, cfg.WindowTxns), cfg.WindowTxns)
+	if s.stale {
+		s.probe = model.PrerouteInto(s.probe, chase(elems, burst, cfg.WindowTxns), cfg.WindowTxns)
 	} else {
 		s.probe.Reset()
 	}
-	if s.bg != nil && job.pat == s.pat && job.frac == s.frac {
+	if !s.stale && job.pat == s.pat && job.frac == s.frac {
 		s.bg.Reset()
 		return s.bg, s.probe, nil
 	}
@@ -556,6 +579,7 @@ func (s *rungScratch) sources(model *dram.Model, cfg Config, job rungJob) (bg, p
 	// The background wraps endlessly; a window's service consumes at most
 	// MaxTxns requests plus one transaction of lookahead.
 	s.bg, s.pat, s.frac = model.PrerouteInto(s.bg, src, cfg.WindowTxns+1), job.pat, job.frac
+	s.stale = false
 	return s.bg, s.probe, nil
 }
 
