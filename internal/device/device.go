@@ -176,6 +176,11 @@ type Compiled interface {
 // one answer, not a cache: a call for another Exec replaces it. The
 // zero value is empty; a Memo is safe for concurrent use and must not
 // be copied after first use.
+//
+// A Memo answers per plan and per Exec. The board below it keeps a
+// second memo, of sampled windows rather than answers (Board.Sample),
+// shared by every plan and array size on the board with the same
+// kernel and coalescing window.
 type Memo struct {
 	mu  sync.Mutex
 	ok  bool
@@ -232,15 +237,50 @@ type MemorySystem interface {
 // Board is the skeleton every simulated target embeds. It implements
 // Device's Info, LaunchOverheadSeconds, Link and Reset, and
 // MemorySystem, so a back-end adds only Compile and its mechanism model.
+// Besides the on-chip cache it keeps the windows of its sampled
+// contiguous runs (Sample), one entry per kernel and coalescing window,
+// a set the design space bounds: where a plan's Memo answers a repeated
+// Exec, the board's window memo answers a new array size. A Board is
+// not safe for concurrent use; Sample updates its cache and its memo.
 type Board struct {
-	info   Info
-	mem    *dram.Model
-	link   *link.Link
-	launch float64
-	window uint64        // sampling window in transactions
-	llc    *cache.Config // the on-chip cache; nil when the board has none
-	cache  *cache.Cache  // built from llc on the first Sample
-	spare  *cache.Cache  // the short sampling window's cache, built on first use
+	info    Info
+	mem     *dram.Model
+	link    *link.Link
+	launch  float64
+	window  uint64                   // sampling window in transactions
+	llc     *cache.Config            // the on-chip cache; nil when the board has none
+	cache   *cache.Cache             // built from llc on the first Sample
+	spare   *cache.Cache             // the short sampling window's cache, built on first use
+	windows map[windowKey]windowPair // sampled windows of contiguous walks, built on first use
+	owed    func()                   // replays the long window a memo hit skipped; nil when none
+}
+
+// windowKey names the sampled windows of one contiguous kernel walk:
+// the kernel and its coalescing window fix the request stream's prefix
+// (see Sample).
+type windowKey struct {
+	k      kernel.Kernel
+	window uint32
+}
+
+// windowPair is one sampled run's two window measurements and how many
+// requests of the kernel's stream the longer-reading window pulled.
+type windowPair struct {
+	short, long sample.Measurement
+	read        uint64
+}
+
+// countSource counts the requests pulled through it.
+type countSource struct {
+	src mem.Source
+	n   uint64
+}
+
+// NextBatch implements mem.Source.
+func (c *countSource) NextBatch(dst []mem.Request) int {
+	n := c.src.NextBatch(dst)
+	c.n += uint64(n)
+	return n
 }
 
 // NewBoard builds a board; info's PeakMemGBps comes from dramCfg and its
@@ -276,8 +316,10 @@ func (b *Board) Link() *link.Link { return b.link }
 
 // Reset implements Device: a cold on-chip cache. A cache not built yet
 // is cold already, and DRAM state needs no reset: every simulation
-// services its stream from cold.
+// services its stream from cold. A cold cache owes no long window; the
+// remembered windows stay, since none of them read the cache's state.
 func (b *Board) Reset() {
+	b.owed = nil
 	if b.cache != nil {
 		b.cache.Reset()
 	}
@@ -336,43 +378,97 @@ func (b *Board) Exact(n uint64) bool { return sample.Exact(n, b.window) }
 // a bounded window must start from the cold state it needs rather than
 // rely on what an earlier window left in c. A panic in either window
 // reaches the caller once both have ended.
+//
+// A sampled contiguous walk's windows are remembered per (k, window)
+// and serve later sampled calls at other array sizes, which re-run only
+// sample.Fit with their own total. That relies on run's measurement of
+// a bounded window being a pure function of the board, k and the
+// requests it pulls from src, true of all four back-ends. Each stream
+// of a contiguous walk from StreamBases starts with the same requests
+// at every size: only its last request (a partial coalescing window)
+// and its length depend on elems. The interleave is round-robin over
+// equal-length streams, so the first r requests of the walk are the
+// same at every size whose total is at least r plus the stream count:
+// no stream reaches its last request. r is counted, not assumed to be
+// 2·window, because a body may read ahead of its budget (the DRAM
+// controller's reorder window does). Strided and column-major walks
+// are never remembered: their pass length and shape depend on elems.
+//
+// A remembered answer skips the long window the board's cache would
+// have seen. Bounded windows never read the cache's prior state, so
+// only an exact run can tell: the board records the long window it
+// owes, and the next exact run replays it on the cache first. Reset
+// and a sampled run that simulates clear the debt.
 func (b *Board) Sample(k kernel.Kernel, e Exec, window uint32,
 	run func(src mem.Source, maxTxns uint64, c *cache.Cache) sample.Measurement) (sample.Estimate, error) {
 	elems, elemB := e.Elems(k), k.ElemBytes()
 	if _, err := KernelSource(k.Op, elems, elemB, e.Pattern, window); err != nil {
 		return sample.Estimate{}, b.Wrap(k, err)
 	}
-	runner := func(maxTxns uint64, c *cache.Cache) sample.Measurement {
+	// simulate runs one window on c and reports how many requests of
+	// the kernel's stream it pulled.
+	simulate := func(maxTxns uint64, c *cache.Cache) (sample.Measurement, uint64) {
 		src, _ := KernelSource(k.Op, elems, elemB, e.Pattern, window) // checked above
-		return run(src, maxTxns, c)
+		cs := countSource{src: src}
+		return run(&cs, maxTxns, c), cs.n
 	}
 	total := TxnCount(k.Op, elems, elemB, e.Pattern, window)
 	if b.cache == nil && b.llc != nil {
 		b.cache = cache.New(*b.llc)
 	}
 	if b.Exact(total) {
-		return sample.Estimate{Seconds: runner(0, b.cache).Seconds}, nil
+		if b.owed != nil {
+			b.owed()
+			b.owed = nil
+		}
+		m, _ := simulate(0, b.cache)
+		return sample.Estimate{Seconds: m.Seconds}, nil
 	}
+	// fits reports whether a prefix of read requests is the same at
+	// this size as at every other that fits it.
+	fits := func(read uint64) bool { return read+uint64(k.Op.Streams()) <= total }
+	key, memo := windowKey{k, window}, e.Pattern.Kind == mem.Contiguous
+	if memo {
+		if w, ok := b.windows[key]; ok && fits(w.read) {
+			if b.cache != nil {
+				b.owed = func() { simulate(2*b.window, b.cache) }
+			}
+			return b.fit(k, w.short, w.long, total)
+		}
+	}
+	b.owed = nil
 	if b.spare == nil && b.cache != nil {
 		b.spare = cache.New(b.cache.Config())
 	}
-	var short sample.Measurement
+	var short, long sample.Measurement
+	var shortRead, longRead uint64
 	var panicked any
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		defer func() { panicked = recover() }()
-		short = runner(b.window, b.spare)
+		short, shortRead = simulate(b.window, b.spare)
 	}()
-	long := func() sample.Measurement {
+	func() {
 		// Wait for the short window even when the long one panics: the
 		// spare cache must be idle before the next Sample call.
 		defer func() { <-done }()
-		return runner(2*b.window, b.cache)
+		long, longRead = simulate(2*b.window, b.cache)
 	}()
 	if panicked != nil {
 		panic(panicked)
 	}
+	if read := max(shortRead, longRead); memo && fits(read) {
+		if b.windows == nil {
+			b.windows = make(map[windowKey]windowPair)
+		}
+		b.windows[key] = windowPair{short: short, long: long, read: read}
+	}
+	return b.fit(k, short, long, total)
+}
+
+// fit extrapolates a sampled run's windows to total transactions.
+func (b *Board) fit(k kernel.Kernel, short, long sample.Measurement, total uint64) (sample.Estimate, error) {
 	est, err := sample.Fit(short, long, total)
 	if err != nil {
 		return est, b.Wrap(k, err)

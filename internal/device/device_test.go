@@ -401,16 +401,20 @@ func TestSampleCaches(t *testing.T) {
 }
 
 // A panic in either sampling window reaches the Sample caller after both
-// windows have ended, and the board samples normally afterwards.
+// windows have ended, and the board samples normally afterwards. A
+// panicked run remembers no windows: the next Sample simulates both.
 func TestSamplePanicReachesCaller(t *testing.T) {
-	b := testBoard()
 	k := kernel.Kernel{Op: kernel.Copy, VecWidth: 1}
 	e := Exec{ArrayBytes: 1 << 20, Pattern: mem.ContiguousPattern()}
-	want, err := b.Sample(k, e, 64, b.ServiceDRAM)
+	ref := testBoard()
+	want, err := ref.Sample(k, e, 64, ref.ServiceDRAM)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, window := range []uint64{b.window, 2 * b.window} {
+	for _, window := range []uint64{ref.window, 2 * ref.window} {
+		// A fresh board per case: a remembered window would answer
+		// without calling run at all.
+		b := testBoard()
 		var ended atomic.Int64
 		r := func() (r any) {
 			defer func() { r = recover() }()
@@ -429,8 +433,55 @@ func TestSamplePanicReachesCaller(t *testing.T) {
 		if n := ended.Load(); n != 2 {
 			t.Errorf("panic in the %d-txn window: %d windows had ended when Sample returned, want 2", window, n)
 		}
-		if got, err := b.Sample(k, e, 64, b.ServiceDRAM); err != nil || got != want {
+		var runs atomic.Int64
+		got, err := b.Sample(k, e, 64, func(src mem.Source, maxTxns uint64, c *cache.Cache) sample.Measurement {
+			runs.Add(1)
+			return b.ServiceDRAM(src, maxTxns, c)
+		})
+		if err != nil || got != want {
 			t.Errorf("after the %d-txn panic: Sample = %+v, %v; want %+v", window, got, err, want)
+		}
+		if n := runs.Load(); n != 2 {
+			t.Errorf("after the %d-txn panic: Sample ran %d windows, want 2 (a panicked run remembers nothing)", window, n)
+		}
+	}
+}
+
+// Sample remembers a contiguous walk's windows only when they read no
+// stream to its last request: just past the sampling threshold the
+// DRAM controller's reorder window reads to the end of the walk, so
+// those windows neither serve a larger size nor are served by one.
+func TestSampleMemoNeedsUnreadTail(t *testing.T) {
+	k := kernel.Kernel{Op: kernel.Copy, VecWidth: 1}
+	edge := Exec{ArrayBytes: 257 * 64, Pattern: mem.ContiguousPattern()} // 514 txns
+	large := Exec{ArrayBytes: 1 << 20, Pattern: mem.ContiguousPattern()}
+	fresh := func(e Exec) sample.Estimate {
+		b := testBoard()
+		est, err := b.Sample(k, e, 64, b.ServiceDRAM)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return est
+	}
+	for _, order := range [][]Exec{{edge, large}, {large, edge}} {
+		b := testBoard()
+		var runs atomic.Int64
+		run := func(src mem.Source, maxTxns uint64, c *cache.Cache) sample.Measurement {
+			runs.Add(1)
+			return b.ServiceDRAM(src, maxTxns, c)
+		}
+		for _, e := range order {
+			runs.Store(0)
+			got, err := b.Sample(k, e, 64, run)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Sampled || runs.Load() != 2 {
+				t.Errorf("%d bytes after %d: sampled %v with %d windows run, want 2", e.ArrayBytes, order[0].ArrayBytes, got.Sampled, runs.Load())
+			}
+			if want := fresh(e); got != want {
+				t.Errorf("%d bytes after %d: %+v, a fresh board %+v", e.ArrayBytes, order[0].ArrayBytes, got, want)
+			}
 		}
 	}
 }

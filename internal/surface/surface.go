@@ -325,17 +325,18 @@ func GenerateShardWith(ctx context.Context, dev device.Device, cfg Config, lo, h
 	// Idle latency: the chase alone, serialized hop by hop. The probe
 	// walk is independent of the background pattern and ratio, so one
 	// measurement serves every curve.
-	burst := model.Config().BurstBytes
+	scr := getScratch()
 	_, isp := obs.StartSpan(ctx, "surface.idle", "hops", strconv.Itoa(cfg.ProbeHops))
-	idle := model.ServiceLoadedRouted(nil, model.Preroute(chase(elems, burst, cfg.ProbeHops), cfg.ProbeHops), dram.LoadedOptions{})
+	idle := model.ServiceLoadedRouted(nil, scr.idleProbe(model, elems, cfg.ProbeHops), dram.LoadedOptions{})
 	idleNs := idle.ProbeAvgNs()
 	isp.End()
 
 	s := &Surface{Device: info, Config: cfg}
 	if workers := workerCount(); workers > 1 {
+		// Each worker takes a scratch of its own; this one can serve one.
+		scratchPool.Put(scr)
 		return generateParallel(ctx, s, model, cfg, lo, hi, peak, idleNs, workers, observe)
 	}
-	scr := getScratch()
 	defer scratchPool.Put(scr)
 	for pi, pat := range cfg.Patterns {
 		for ri, frac := range cfg.RWRatios {
@@ -526,7 +527,9 @@ const (
 // every rung. The generators are deterministic and the decode
 // timing-independent, so a rewound stream replays exactly what
 // per-rung construction would produce (mem's reset parity and dram's routed parity tests pin
-// this), and a scratch-backed sweep reproduces it bit for bit.
+// this), and a scratch-backed sweep reproduces it bit for bit. The
+// idle-latency chase, measured once per call, decodes into the scratch
+// too.
 //
 // Scratches outlive the call that used them: scratchPool hands them
 // to later calls, whose first rung decodes into the recycled arrays.
@@ -539,6 +542,7 @@ type rungScratch struct {
 	frac  float64
 	bg    *dram.Prerouted
 	probe *dram.Prerouted
+	idle  *dram.Prerouted // the idle-latency chase, decoded once per call
 }
 
 // scratchPool recycles rung scratches across surface calls, so a
@@ -552,6 +556,13 @@ func getScratch() *rungScratch {
 	s := scratchPool.Get().(*rungScratch)
 	s.stale = true
 	return s
+}
+
+// idleProbe decodes the idle-latency chase of hops hops over elems
+// bursts into the scratch's recycled array, rewound.
+func (s *rungScratch) idleProbe(model *dram.Model, elems, hops int) *dram.Prerouted {
+	s.idle = model.PrerouteInto(s.idle, chase(elems, model.Config().BurstBytes, hops), hops)
+	return s.idle
 }
 
 // sources returns the rewound background and probe streams for job,
