@@ -152,7 +152,8 @@ func (d *Device) Compile(k kernel.Kernel) (device.Compiled, error) {
 // Seconds implements device.Compiled. An exact run sees the LLC the
 // previous invocation left warm, so every repetition is simulated. A
 // sampled run's windows start cold, so its answer depends on e alone
-// and repeated invocations reuse the first one.
+// and repeated invocations reuse the first one; a reused answer owes
+// the board the long window it skipped (Board.Owe).
 func (p *plan) Seconds(e device.Exec) (float64, error) {
 	k := p.K
 	if err := p.dev.CheckExec(k, e); err != nil {
@@ -161,59 +162,71 @@ func (p *plan) Seconds(e device.Exec) (float64, error) {
 	if p.dev.Exact(device.TxnCount(k.Op, e.Elems(k), k.ElemBytes(), e.Pattern, p.window)) {
 		return p.simulate(e)
 	}
-	return p.Memo.Do(e, p.simulate)
+	hit := true
+	sec, err := p.Memo.Do(e, func(e device.Exec) (float64, error) {
+		hit = false
+		return p.simulate(e)
+	})
+	if hit {
+		p.dev.Owe(k, e, p.window, p.run)
+	}
+	return sec, err
+}
+
+// parallelism returns how many cores run the kernel and the single
+// work-item issue ceiling in GB/s (0 = none).
+func (p *plan) parallelism() (cores int, threadCap float64) {
+	cfg := p.dev.cfg
+	switch p.K.Loop {
+	case kernel.FlatLoop:
+		return 1, cfg.SingleThreadGBps
+	case kernel.NestedLoop:
+		return 1, cfg.SingleThreadNestedGBps
+	}
+	return cfg.Cores, 0
 }
 
 // simulate predicts one invocation over a checked e.
 func (p *plan) simulate(e device.Exec) (float64, error) {
 	k := p.K
-	cfg := p.dev.cfg
-
-	cores := cfg.Cores
-	var threadCap float64 // single work-item issue ceiling, 0 = none
-	switch k.Loop {
-	case kernel.FlatLoop:
-		cores, threadCap = 1, cfg.SingleThreadGBps
-	case kernel.NestedLoop:
-		cores, threadCap = 1, cfg.SingleThreadNestedGBps
-	}
-
-	// Memory path: word stream, write-combining coalescer, LLC, DDR3.
-	model := p.dev.MemModel()
-	est, err := p.dev.Sample(k, e, p.window, func(src mem.Source, maxTxns uint64, llc *cache.Cache) sample.Measurement {
-		if maxTxns > 0 {
-			src = mem.NewLimit(src, int(maxTxns))
-			// Sampled windows start cold; they only occur for
-			// footprints far beyond the LLC, where cold == steady.
-			llc.Reset()
-		}
-		before := llc.Stats()
-		res := model.Service(cache.NewMissFilter(llc, src))
-		st := llc.Stats().Delta(before)
-
-		sec := res.Seconds
-		// L3->core line traffic.
-		if l3 := float64(st.L1TransferBytes(cfg.LLC.LineBytes)) / (cfg.LLCGBps * 1e9); l3 > sec {
-			sec = l3
-		}
-		// Streaming stores drain through WC buffers.
-		if wc := float64(st.BypassBytes) / (cfg.WCWriteGBps * 1e9); wc > sec {
-			sec = wc
-		}
-		// Line-fill-buffer concurrency bounds all DRAM traffic.
-		if core := float64(res.Bytes) / (p.dev.coreConcurrencyGBps(cores) * 1e9); core > sec {
-			sec = core
-		}
-		return sample.Measurement{Txns: st.Accesses, Seconds: sec}
-	})
+	est, err := p.dev.Sample(k, e, p.window, p.run)
 	if err != nil {
 		return 0, err
 	}
 
 	sec := est.Seconds
-	if threadCap > 0 {
+	if _, threadCap := p.parallelism(); threadCap > 0 {
 		totalBytes := float64(k.Op.Streams()) * float64(e.ArrayBytes)
 		sec = math.Max(sec, totalBytes/(threadCap*1e9))
 	}
 	return sec, nil
+}
+
+// run is the plan's device.Body, the memory path: word stream,
+// write-combining coalescer, LLC, DDR3. Sampled windows start from a
+// cold LLC; they only occur for footprints far beyond it, where cold ==
+// steady.
+func (p *plan) run(src mem.Source, window uint64, llc *cache.Cache) (short, long sample.Measurement) {
+	s, l := p.dev.ServiceCache(src, window, llc)
+	return p.measure(s), p.measure(l)
+}
+
+// measure bounds a run's DRAM time by the cores' other limits.
+func (p *plan) measure(r device.CacheRun) sample.Measurement {
+	cfg := p.dev.cfg
+	cores, _ := p.parallelism()
+	sec := r.DRAM.Seconds
+	// L3->core line traffic.
+	if l3 := float64(r.Cache.L1TransferBytes(cfg.LLC.LineBytes)) / (cfg.LLCGBps * 1e9); l3 > sec {
+		sec = l3
+	}
+	// Streaming stores drain through WC buffers.
+	if wc := float64(r.Cache.BypassBytes) / (cfg.WCWriteGBps * 1e9); wc > sec {
+		sec = wc
+	}
+	// Line-fill-buffer concurrency bounds all DRAM traffic.
+	if core := float64(r.DRAM.Bytes) / (p.dev.coreConcurrencyGBps(cores) * 1e9); core > sec {
+		sec = core
+	}
+	return sample.Measurement{Txns: r.Cache.Accesses, Seconds: sec}
 }

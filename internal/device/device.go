@@ -250,10 +250,19 @@ type Board struct {
 	window  uint64                   // sampling window in transactions
 	llc     *cache.Config            // the on-chip cache; nil when the board has none
 	cache   *cache.Cache             // built from llc on the first Sample
-	spare   *cache.Cache             // the short sampling window's cache, built on first use
 	windows map[windowKey]windowPair // sampled windows of contiguous walks, built on first use
 	owed    func()                   // replays the long window a memo hit skipped; nil when none
 }
+
+// Body is a target's service body, the simulation Board.Sample runs: it
+// services src, a fresh request stream of one kernel invocation, on
+// cache c (nil on a board without one). With window 0 it runs the whole
+// stream and reports it as both measurements. Otherwise it runs a
+// sampled point in one pass: the long window, 2·window transactions,
+// from a cold start, with a checkpoint (dram.Checkpoint) that gives the
+// short window, the first window transactions, as a run that ended
+// there would measure it.
+type Body func(src mem.Source, window uint64, c *cache.Cache) (short, long sample.Measurement)
 
 // windowKey names the sampled windows of one contiguous kernel walk:
 // the kernel and its coalescing window fix the request stream's prefix
@@ -264,7 +273,7 @@ type windowKey struct {
 }
 
 // windowPair is one sampled run's two window measurements and how many
-// requests of the kernel's stream the longer-reading window pulled.
+// requests of the kernel's stream the run pulled.
 type windowPair struct {
 	short, long sample.Measurement
 	read        uint64
@@ -362,27 +371,22 @@ func (b *Board) CheckExec(k kernel.Kernel, e Exec) error {
 func (b *Board) Exact(n uint64) bool { return sample.Exact(n, b.window) }
 
 // Sample estimates the memory time of one invocation of k over a
-// checked e, its streams coalesced up to window bytes (KernelSource).
-// run services one simulated window on cache c: a fresh request stream
-// bounded to maxTxns transactions (0 = the whole stream).
+// checked e, its streams coalesced up to window bytes (KernelSource),
+// by running the target's body on a fresh request stream.
 //
-// The board's cache is built on the first call and persists, so
-// exact runs see the state earlier invocations left; a board without
-// a cache passes run a nil c. An exact run is one run on the board's
-// cache. A sampled run
-// simulates its two windows side by side: the short one on a
-// goroutine with the board's spare cache, the long one on the caller
-// with the board's cache, which is therefore left as the long window
-// leaves it — the state a sequential sample.Run leaves behind. So run
-// may be called from two goroutines at once, each with its own c, and
-// a bounded window must start from the cold state it needs rather than
-// rely on what an earlier window left in c. A panic in either window
-// reaches the caller once both have ended.
+// The board's cache is built on the first call and persists, so exact
+// runs see the state earlier invocations left; a board without a cache
+// passes run a nil c. An exact run is one run of the whole stream on the
+// board's cache. A sampled run is one run of the long window on the
+// board's cache, which is therefore left as the long window leaves it,
+// the state a sequential sample.Run leaves behind; the short window is
+// the long run's checkpoint. A bounded window must start from the cold
+// state it needs rather than rely on what an earlier run left in c.
 //
 // A sampled contiguous walk's windows are remembered per (k, window)
 // and serve later sampled calls at other array sizes, which re-run only
-// sample.Fit with their own total. That relies on run's measurement of
-// a bounded window being a pure function of the board, k and the
+// sample.Fit with their own total. That relies on run's measurements of
+// a sampled point being a pure function of the board, k and the
 // requests it pulls from src, true of all four back-ends. Each stream
 // of a contiguous walk from StreamBases starts with the same requests
 // at every size: only its last request (a partial coalescing window)
@@ -395,22 +399,12 @@ func (b *Board) Exact(n uint64) bool { return sample.Exact(n, b.window) }
 // are never remembered: their pass length and shape depend on elems.
 //
 // A remembered answer skips the long window the board's cache would
-// have seen. Bounded windows never read the cache's prior state, so
-// only an exact run can tell: the board records the long window it
-// owes, and the next exact run replays it on the cache first. Reset
-// and a sampled run that simulates clear the debt.
-func (b *Board) Sample(k kernel.Kernel, e Exec, window uint32,
-	run func(src mem.Source, maxTxns uint64, c *cache.Cache) sample.Measurement) (sample.Estimate, error) {
+// have seen (see Owe). Reset and a sampled run that simulates clear the
+// debt.
+func (b *Board) Sample(k kernel.Kernel, e Exec, window uint32, run Body) (sample.Estimate, error) {
 	elems, elemB := e.Elems(k), k.ElemBytes()
 	if _, err := KernelSource(k.Op, elems, elemB, e.Pattern, window); err != nil {
 		return sample.Estimate{}, b.Wrap(k, err)
-	}
-	// simulate runs one window on c and reports how many requests of
-	// the kernel's stream it pulled.
-	simulate := func(maxTxns uint64, c *cache.Cache) (sample.Measurement, uint64) {
-		src, _ := KernelSource(k.Op, elems, elemB, e.Pattern, window) // checked above
-		cs := countSource{src: src}
-		return run(&cs, maxTxns, c), cs.n
 	}
 	total := TxnCount(k.Op, elems, elemB, e.Pattern, window)
 	if b.cache == nil && b.llc != nil {
@@ -421,7 +415,7 @@ func (b *Board) Sample(k kernel.Kernel, e Exec, window uint32,
 			b.owed()
 			b.owed = nil
 		}
-		m, _ := simulate(0, b.cache)
+		_, m, _ := b.simulate(k, e, window, run, 0)
 		return sample.Estimate{Seconds: m.Seconds}, nil
 	}
 	// fits reports whether a prefix of read requests is the same at
@@ -430,41 +424,42 @@ func (b *Board) Sample(k kernel.Kernel, e Exec, window uint32,
 	key, memo := windowKey{k, window}, e.Pattern.Kind == mem.Contiguous
 	if memo {
 		if w, ok := b.windows[key]; ok && fits(w.read) {
-			if b.cache != nil {
-				b.owed = func() { simulate(2*b.window, b.cache) }
-			}
+			b.Owe(k, e, window, run)
 			return b.fit(k, w.short, w.long, total)
 		}
 	}
 	b.owed = nil
-	if b.spare == nil && b.cache != nil {
-		b.spare = cache.New(b.cache.Config())
-	}
-	var short, long sample.Measurement
-	var shortRead, longRead uint64
-	var panicked any
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		defer func() { panicked = recover() }()
-		short, shortRead = simulate(b.window, b.spare)
-	}()
-	func() {
-		// Wait for the short window even when the long one panics: the
-		// spare cache must be idle before the next Sample call.
-		defer func() { <-done }()
-		long, longRead = simulate(2*b.window, b.cache)
-	}()
-	if panicked != nil {
-		panic(panicked)
-	}
-	if read := max(shortRead, longRead); memo && fits(read) {
+	short, long, read := b.simulate(k, e, window, run, b.window)
+	if memo && fits(read) {
 		if b.windows == nil {
 			b.windows = make(map[windowKey]windowPair)
 		}
 		b.windows[key] = windowPair{short: short, long: long, read: read}
 	}
 	return b.fit(k, short, long, total)
+}
+
+// simulate runs run over a fresh stream of k over a checked e,
+// coalesced up to window bytes, on the board's cache, with sampling
+// window sampleWindow (0 = the whole stream), and reports how many
+// requests of the stream it pulled.
+func (b *Board) simulate(k kernel.Kernel, e Exec, window uint32, run Body, sampleWindow uint64) (short, long sample.Measurement, read uint64) {
+	src, _ := KernelSource(k.Op, e.Elems(k), k.ElemBytes(), e.Pattern, window) // checked by Sample
+	cs := countSource{src: src}
+	short, long = run(&cs, sampleWindow, b.cache)
+	return short, long, cs.n
+}
+
+// Owe records that a sampled run of k over a checked e was answered
+// without simulating, by the board's window memo or a plan's Memo. Its
+// long window would have left the board's cache in the state it leaves.
+// Bounded windows never read the cache's prior state, so only an exact
+// run can tell: the board owes the long window, and the next exact run
+// replays it on the cache first. A board without a cache owes nothing.
+func (b *Board) Owe(k kernel.Kernel, e Exec, window uint32, run Body) {
+	if b.cache != nil {
+		b.owed = func() { b.simulate(k, e, window, run, b.window) }
+	}
 }
 
 // fit extrapolates a sampled run's windows to total transactions.
@@ -476,12 +471,53 @@ func (b *Board) fit(k kernel.Kernel, short, long sample.Measurement, total uint6
 	return est, nil
 }
 
-// ServiceDRAM is the run of a board without a cache in the memory path:
-// the stream goes straight to DRAM, bounded to maxTxns (0 = whole). It
-// ignores c; concurrent calls each service on private DRAM state.
-func (b *Board) ServiceDRAM(src mem.Source, maxTxns uint64, _ *cache.Cache) sample.Measurement {
-	res := b.mem.ServiceBounded(src, maxTxns)
-	return sample.Measurement{Txns: res.Txns, Seconds: res.Seconds}
+// ServiceDRAM is the Body of a board without a cache in the memory
+// path: the stream goes straight to DRAM. A sampled point is one run
+// bounded to 2·window with a checkpoint at window. It ignores c;
+// concurrent calls each service on private DRAM state.
+func (b *Board) ServiceDRAM(src mem.Source, window uint64, _ *cache.Cache) (short, long sample.Measurement) {
+	if window == 0 {
+		m := measured(b.mem.Service(src))
+		return m, m
+	}
+	cp := dram.Checkpoint{At: window}
+	res := b.mem.ServiceCheckpoint(src, 2*window, &cp)
+	return measured(cp.Result), measured(res)
+}
+
+// measured is a DRAM run's measurement.
+func measured(r dram.Result) sample.Measurement {
+	return sample.Measurement{Txns: r.Txns, Seconds: r.Seconds}
+}
+
+// CacheRun is what a run through a cache into DRAM reports: the DRAM
+// result and the cache's activity.
+type CacheRun struct {
+	DRAM  dram.Result
+	Cache cache.Stats
+}
+
+// ServiceCache is the core of a Body with cache c in the memory path:
+// the stream goes through c into the board's DRAM. With window 0 the
+// whole stream runs on c as it stands, reported as both runs. A sampled
+// point resets c and runs the stream to 2·window requests in one pass;
+// at window the stream pauses, the cache's statistics are read, and the
+// DRAM controller takes its checkpoint, whose copy ends with a flush of
+// a copy of the cache's write-combining buffers, as a run whose stream
+// ended there would.
+func (b *Board) ServiceCache(src mem.Source, window uint64, c *cache.Cache) (short, long CacheRun) {
+	if window == 0 {
+		before := c.Stats()
+		res := b.mem.Service(cache.NewMissFilter(c, src))
+		long = CacheRun{DRAM: res, Cache: c.Stats().Delta(before)}
+		return long, long
+	}
+	c.Reset()
+	cp := dram.Checkpoint{Fork: func() { short.Cache = c.Stats() }}
+	n := int(window)
+	long.DRAM = b.mem.ServiceCheckpoint(cache.NewMissFilter(c, mem.NewPausingLimit(src, n, n)), 0, &cp)
+	long.Cache, short.DRAM = c.Stats(), cp.Result
+	return short, long
 }
 
 // Plan is the part of a compiled kernel every target shares: it

@@ -2,6 +2,7 @@ package device
 
 import (
 	"errors"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -289,10 +290,11 @@ func testBoard() *Board {
 
 // A board builds its cache on the first Sample and keeps it: before
 // then a Reset is harmless and nothing is allocated, afterwards every
-// run sees the same cache. A board without a cache passes run nil.
+// run, exact or sampled, sees the same cache and no other. A board
+// without a cache passes run nil.
 func TestCacheBuiltOnFirstSample(t *testing.T) {
 	b := testBoard()
-	if b.cache != nil || b.spare != nil {
+	if b.cache != nil {
 		t.Fatal("a new board holds a cache before its first Sample")
 	}
 	b.Reset()
@@ -301,33 +303,28 @@ func TestCacheBuiltOnFirstSample(t *testing.T) {
 	}
 	k := kernel.Kernel{Op: kernel.Copy, VecWidth: 1}
 	exact := Exec{ArrayBytes: 4 << 10, Pattern: mem.ContiguousPattern()}
-	var mu sync.Mutex // a sampled run's two windows call run concurrently
+	sampled := Exec{ArrayBytes: 1 << 20, Pattern: mem.ContiguousPattern()}
 	var seen []*cache.Cache
-	run := func(src mem.Source, maxTxns uint64, c *cache.Cache) sample.Measurement {
-		mu.Lock()
+	run := func(src mem.Source, window uint64, c *cache.Cache) (short, long sample.Measurement) {
+		if seen == nil && c != nil && !reflect.DeepEqual(c, cache.New(*b.llc)) {
+			t.Error("the first run's cache is not a cold cache of the board's configuration")
+		}
 		seen = append(seen, c)
-		mu.Unlock()
-		return b.ServiceDRAM(src, maxTxns, c)
+		return b.ServiceDRAM(src, window, c)
 	}
-	for i := 0; i < 2; i++ {
-		if _, err := b.Sample(k, exact, 64, run); err != nil {
+	for _, e := range []Exec{exact, exact, sampled} {
+		if _, err := b.Sample(k, e, 64, run); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if b.cache == nil || len(seen) != 2 || seen[0] != b.cache || seen[1] != b.cache {
-		t.Errorf("exact runs saw caches %v, want the board's %p twice", seen, b.cache)
-	}
-	if b.spare != nil {
-		t.Error("an exact run built the spare cache")
-	}
-	if got := b.cache.Config(); got != *b.llc {
-		t.Errorf("built cache config %+v, want %+v", got, *b.llc)
+	if b.cache == nil || len(seen) != 3 || seen[0] != b.cache || seen[1] != b.cache || seen[2] != b.cache {
+		t.Errorf("runs saw caches %v, want the board's %p three times", seen, b.cache)
 	}
 
 	bare := NewBoard(Info{ID: "bare"}, 1<<30, b.mem.Config(), link.Config{Name: "l", GBps: 1}, 0, 256, nil)
 	bare.Reset()
 	seen = nil
-	for _, e := range []Exec{exact, {ArrayBytes: 1 << 20, Pattern: mem.ContiguousPattern()}} {
+	for _, e := range []Exec{exact, sampled} {
 		if _, err := bare.Sample(k, e, 64, run); err != nil {
 			t.Fatal(err)
 		}
@@ -337,29 +334,25 @@ func TestCacheBuiltOnFirstSample(t *testing.T) {
 			t.Errorf("a board without a cache passed run %p", c)
 		}
 	}
-	if len(seen) != 3 || bare.cache != nil || bare.spare != nil {
-		t.Errorf("cacheless board: %d runs, cache %p, spare %p; want 3 runs and no caches", len(seen), bare.cache, bare.spare)
+	if len(seen) != 2 || bare.cache != nil {
+		t.Errorf("cacheless board: %d runs, cache %p; want 2 runs and no cache", len(seen), bare.cache)
 	}
 }
 
-// Board.Sample runs the short window on the spare cache, built once,
-// and every other run on the board's cache.
+// Board.Sample makes one run per Exec on the board's cache: the whole
+// stream for an exact Exec, the board's window for a sampled one.
 func TestSampleCaches(t *testing.T) {
 	b := testBoard()
 	k := kernel.Kernel{Op: kernel.Copy, VecWidth: 1}
 	type call struct {
-		maxTxns uint64
-		c       *cache.Cache
+		window uint64
+		c      *cache.Cache
 	}
-	var mu sync.Mutex
 	var calls []call
-	run := func(src mem.Source, maxTxns uint64, c *cache.Cache) sample.Measurement {
-		mu.Lock()
-		calls = append(calls, call{maxTxns, c})
-		mu.Unlock()
-		return b.ServiceDRAM(src, maxTxns, c)
+	run := func(src mem.Source, window uint64, c *cache.Cache) (short, long sample.Measurement) {
+		calls = append(calls, call{window, c})
+		return b.ServiceDRAM(src, window, c)
 	}
-	var spare *cache.Cache
 	for i, e := range []Exec{
 		{ArrayBytes: 4 << 10, Pattern: mem.ContiguousPattern()},
 		{ArrayBytes: 1 << 20, Pattern: mem.ContiguousPattern()},
@@ -370,39 +363,20 @@ func TestSampleCaches(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !est.Sampled {
-			if len(calls) != 1 || calls[0] != (call{0, b.cache}) {
-				t.Errorf("exact Exec %d: runs %+v, want one whole run on the board cache", i, calls)
-			}
-			if spare == nil && b.spare != nil {
-				t.Errorf("exact Exec %d built the spare cache", i)
-			}
-			continue
+		want := call{0, b.cache}
+		if est.Sampled {
+			want.window = b.window
 		}
-		if len(calls) != 2 {
-			t.Fatalf("sampled Exec %d: %d runs, want 2", i, len(calls))
-		}
-		for _, c := range calls {
-			switch {
-			case c.maxTxns == 2*b.window && c.c == b.cache:
-			case c.maxTxns == b.window && c.c != nil && c.c != b.cache && (spare == nil || c.c == spare):
-				spare = c.c
-			default:
-				t.Errorf("sampled Exec %d: run of %d txns on cache %p (board %p, spare %p)", i, c.maxTxns, c.c, b.cache, spare)
-			}
-		}
-		if spare == nil {
-			t.Fatalf("sampled Exec %d ran no short window on a spare cache", i)
-		}
-		if cfg := spare.Config(); cfg != b.cache.Config() {
-			t.Errorf("spare cache config %+v, board's %+v", cfg, b.cache.Config())
+		if len(calls) != 1 || calls[0] != want {
+			t.Errorf("Exec %d (sampled %v): runs %+v, want one run %+v", i, est.Sampled, calls, want)
 		}
 	}
 }
 
-// A panic in either sampling window reaches the Sample caller after both
-// windows have ended, and the board samples normally afterwards. A
-// panicked run remembers no windows: the next Sample simulates both.
+// A panic in a sampled run, in its body or at the checkpoint inside the
+// DRAM model, reaches the Sample caller, and the board samples normally
+// afterwards. A panicked run remembers no windows: the next Sample
+// simulates.
 func TestSamplePanicReachesCaller(t *testing.T) {
 	k := kernel.Kernel{Op: kernel.Copy, VecWidth: 1}
 	e := Exec{ArrayBytes: 1 << 20, Pattern: mem.ContiguousPattern()}
@@ -411,38 +385,35 @@ func TestSamplePanicReachesCaller(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, window := range []uint64{ref.window, 2 * ref.window} {
+	for _, site := range []string{"body", "checkpoint"} {
 		// A fresh board per case: a remembered window would answer
 		// without calling run at all.
 		b := testBoard()
-		var ended atomic.Int64
 		r := func() (r any) {
 			defer func() { r = recover() }()
-			_, _ = b.Sample(k, e, 64, func(src mem.Source, maxTxns uint64, c *cache.Cache) sample.Measurement {
-				defer ended.Add(1)
-				if maxTxns == window {
-					panic("window failed")
+			_, _ = b.Sample(k, e, 64, func(src mem.Source, window uint64, c *cache.Cache) (short, long sample.Measurement) {
+				if site == "body" {
+					panic(site + " failed")
 				}
-				return b.ServiceDRAM(src, maxTxns, c)
+				cp := dram.Checkpoint{At: window, Fork: func() { panic(site + " failed") }}
+				b.mem.ServiceCheckpoint(src, 2*window, &cp)
+				return
 			})
 			return nil
 		}()
-		if r != "window failed" {
-			t.Errorf("panic in the %d-txn window: caller recovered %v", window, r)
+		if r != site+" failed" {
+			t.Errorf("panic in the %s: caller recovered %v", site, r)
 		}
-		if n := ended.Load(); n != 2 {
-			t.Errorf("panic in the %d-txn window: %d windows had ended when Sample returned, want 2", window, n)
-		}
-		var runs atomic.Int64
-		got, err := b.Sample(k, e, 64, func(src mem.Source, maxTxns uint64, c *cache.Cache) sample.Measurement {
-			runs.Add(1)
-			return b.ServiceDRAM(src, maxTxns, c)
+		runs := 0
+		got, err := b.Sample(k, e, 64, func(src mem.Source, window uint64, c *cache.Cache) (short, long sample.Measurement) {
+			runs++
+			return b.ServiceDRAM(src, window, c)
 		})
 		if err != nil || got != want {
-			t.Errorf("after the %d-txn panic: Sample = %+v, %v; want %+v", window, got, err, want)
+			t.Errorf("after the panic in the %s: Sample = %+v, %v; want %+v", site, got, err, want)
 		}
-		if n := runs.Load(); n != 2 {
-			t.Errorf("after the %d-txn panic: Sample ran %d windows, want 2 (a panicked run remembers nothing)", window, n)
+		if runs != 1 {
+			t.Errorf("after the panic in the %s: Sample made %d runs, want 1 (a panicked run remembers nothing)", site, runs)
 		}
 	}
 }
@@ -465,19 +436,19 @@ func TestSampleMemoNeedsUnreadTail(t *testing.T) {
 	}
 	for _, order := range [][]Exec{{edge, large}, {large, edge}} {
 		b := testBoard()
-		var runs atomic.Int64
-		run := func(src mem.Source, maxTxns uint64, c *cache.Cache) sample.Measurement {
-			runs.Add(1)
-			return b.ServiceDRAM(src, maxTxns, c)
+		runs := 0
+		run := func(src mem.Source, window uint64, c *cache.Cache) (short, long sample.Measurement) {
+			runs++
+			return b.ServiceDRAM(src, window, c)
 		}
 		for _, e := range order {
-			runs.Store(0)
+			runs = 0
 			got, err := b.Sample(k, e, 64, run)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !got.Sampled || runs.Load() != 2 {
-				t.Errorf("%d bytes after %d: sampled %v with %d windows run, want 2", e.ArrayBytes, order[0].ArrayBytes, got.Sampled, runs.Load())
+			if !got.Sampled || runs != 1 {
+				t.Errorf("%d bytes after %d: sampled %v with %d runs, want 1", e.ArrayBytes, order[0].ArrayBytes, got.Sampled, runs)
 			}
 			if want := fresh(e); got != want {
 				t.Errorf("%d bytes after %d: %+v, a fresh board %+v", e.ArrayBytes, order[0].ArrayBytes, got, want)

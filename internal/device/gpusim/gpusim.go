@@ -251,22 +251,22 @@ func (p *plan) simulate(e device.Exec) (float64, error) {
 	}
 
 	// Memory system: coalesced stream through the sectored L2 into GDDR5.
-	model := p.dev.MemModel()
-	est, err := p.dev.Sample(k, e, window, func(src mem.Source, maxTxns uint64, l2 *cache.Cache) sample.Measurement {
-		if maxTxns > 0 {
-			src = mem.NewLimit(src, int(maxTxns))
-		}
-		l2.Reset()
-		res := model.Service(cache.NewMissFilter(l2, src))
-		st := l2.Stats()
-		sec := res.Seconds
+	measure := func(r device.CacheRun) sample.Measurement {
+		sec := r.DRAM.Seconds
 		// L2-resident traffic moves at L2 speed even when DRAM is idle.
-		l2Bytes := float64(st.L1Transfers) * float64(cfg.L2.LineBytes)
+		l2Bytes := float64(r.Cache.L1Transfers) * float64(cfg.L2.LineBytes)
 		l2Sec := l2Bytes / (500e9) // sectored L2 service rate
 		if l2Sec > sec {
 			sec = l2Sec
 		}
-		return sample.Measurement{Txns: st.Accesses, Seconds: sec}
+		return sample.Measurement{Txns: r.Cache.Accesses, Seconds: sec}
+	}
+	est, err := p.dev.Sample(k, e, window, func(src mem.Source, w uint64, l2 *cache.Cache) (short, long sample.Measurement) {
+		if w == 0 {
+			l2.Reset() // exact runs start from a cold L2 too; sampled ones always do
+		}
+		s, l := p.dev.ServiceCache(src, w, l2)
+		return measure(s), measure(l)
 	})
 	if err != nil {
 		return 0, err

@@ -37,34 +37,46 @@ func parityTargets() []parityTarget {
 	return append(out, parityTarget{name: "aocl-hmc", new: func() device.Device { return aocl.NewWithConfig(hmc) }})
 }
 
-// sampler is the part of device.Board the parity test drives.
+// sampler is the part of device.Board the parity tests drive.
 type sampler interface {
 	device.MemorySystem
-	Sample(k kernel.Kernel, e device.Exec, window uint32,
-		run func(src mem.Source, maxTxns uint64, c *cache.Cache) sample.Measurement) (sample.Estimate, error)
-	ServiceDRAM(src mem.Source, maxTxns uint64, c *cache.Cache) sample.Measurement
+	Sample(k kernel.Kernel, e device.Exec, window uint32, run device.Body) (sample.Estimate, error)
+	ServiceDRAM(src mem.Source, window uint64, c *cache.Cache) (short, long sample.Measurement)
+	ServiceCache(src mem.Source, window uint64, c *cache.Cache) (short, long device.CacheRun)
 }
 
-// missBody is a cache-backed window body shaped like the CPU model's: a
-// bounded window starts from a cold cache, an exact run sees the cache
-// as the previous run left it.
-func missBody(model *dram.Model) func(mem.Source, uint64, *cache.Cache) sample.Measurement {
-	return func(src mem.Source, maxTxns uint64, c *cache.Cache) sample.Measurement {
-		if maxTxns > 0 {
-			src = mem.NewLimit(src, int(maxTxns))
-			c.Reset()
-		}
-		before := c.Stats()
-		res := model.Service(cache.NewMissFilter(c, src))
-		return sample.Measurement{Txns: c.Stats().Delta(before).Accesses, Seconds: res.Seconds}
+// cacheBody is a cache-backed device.Body shaped like the CPU model's:
+// Board.ServiceCache measured by its cache accesses and DRAM seconds.
+func cacheBody(board sampler) device.Body {
+	measure := func(r device.CacheRun) sample.Measurement {
+		return sample.Measurement{Txns: r.Cache.Accesses, Seconds: r.DRAM.Seconds}
+	}
+	return func(src mem.Source, window uint64, c *cache.Cache) (short, long sample.Measurement) {
+		s, l := board.ServiceCache(src, window, c)
+		return measure(s), measure(l)
 	}
 }
 
-// Board.Sample runs the two windows of a sampled estimate side by side.
-// Its estimates must equal, bit for bit, a sequential sample.Run over
-// the same window body on one cache, and the board's cache must be left
-// as the sequential run leaves it: an exact run that follows a sampled
-// one sees the long window's lines.
+// missWindow is cacheBody's measurement of a single window, the way
+// windows were simulated before checkpoints: a bounded window starts
+// from a cold cache and ends its stream at maxTxns requests, an exact
+// run sees the cache as the previous run left it.
+func missWindow(model *dram.Model, src mem.Source, maxTxns uint64, c *cache.Cache) sample.Measurement {
+	if maxTxns > 0 {
+		src = mem.NewLimit(src, int(maxTxns))
+		c.Reset()
+	}
+	before := c.Stats()
+	res := model.Service(cache.NewMissFilter(c, src))
+	return sample.Measurement{Txns: c.Stats().Delta(before).Accesses, Seconds: res.Seconds}
+}
+
+// Board.Sample simulates each sampled point once, taking the short
+// window as a checkpoint of the long one. Its estimates must equal, bit
+// for bit, a sequential sample.Run that simulates the two windows as
+// separate runs over the same service on one cache, and the board's
+// cache must be left as the sequential run leaves it: an exact run that
+// follows a sampled one sees the long window's lines.
 func TestConcurrentSampleMatchesSequential(t *testing.T) {
 	const coalesce = 64
 	for _, tg := range parityTargets() {
@@ -82,11 +94,18 @@ func TestConcurrentSampleMatchesSequential(t *testing.T) {
 					}
 
 					board := tg.new().(sampler)
+					model := board.MemModel()
 					body := board.ServiceDRAM
-					var ref *cache.Cache
+					window := func(src mem.Source, maxTxns uint64) sample.Measurement {
+						res := model.ServiceBounded(src, maxTxns)
+						return sample.Measurement{Txns: res.Txns, Seconds: res.Seconds}
+					}
 					if tg.llc != nil {
-						body = missBody(board.MemModel())
-						ref = cache.New(*tg.llc)
+						body = cacheBody(board)
+						ref := cache.New(*tg.llc)
+						window = func(src mem.Source, maxTxns uint64) sample.Measurement {
+							return missWindow(model, src, maxTxns, ref)
+						}
 					}
 					// The sequential reference: one cache across every window.
 					sequential := func(e device.Exec) sample.Estimate {
@@ -95,7 +114,7 @@ func TestConcurrentSampleMatchesSequential(t *testing.T) {
 							if err != nil {
 								t.Fatal(err)
 							}
-							return body(src, maxTxns, ref)
+							return window(src, maxTxns)
 						}
 						est, err := sample.Run(run, txns(e), repeatWindow)
 						if err != nil {
@@ -119,6 +138,121 @@ func TestConcurrentSampleMatchesSequential(t *testing.T) {
 			}
 		}
 	}
+}
+
+// checkpointWindows returns the windows TestCheckpointMatchesBoundedRuns
+// tries on a stream of total requests: every window up to a global
+// batch and one (so some checkpoint truncates the batch crossing it to a
+// single request, at every batch boundary in that range), a few
+// mid-stream ones, windows whose stream ends inside the controller's
+// reorder read-ahead, and windows at and past the stream's end.
+func checkpointWindows(cfg dram.Config, total uint64) []uint64 {
+	var ws []uint64
+	for w := uint64(1); w <= uint64(cfg.BatchSize*cfg.Channels+1); w++ {
+		ws = append(ws, w)
+	}
+	win := uint64(cfg.ReorderWin)
+	for _, w := range []uint64{total / 3, total / 2, total - min(total, win/2), total - min(total, win/5), total - 1, total, total + 10} {
+		if w > 0 {
+			ws = append(ws, w)
+		}
+	}
+	return ws
+}
+
+// TestCheckpointMatchesBoundedRuns holds both kinds of checkpoint to
+// separate runs, bit for bit, on every parity target's memory system
+// and a copy and a triad in each pattern:
+//
+//   - at a bound: ServiceCheckpoint(src, 2w) with At w against
+//     ServiceBounded(src, w) and ServiceBounded(src, 2w), the boards
+//     without a cache;
+//   - at a pause: a stream limited to 2w that pauses at w, against
+//     streams limited to w and to 2w, first straight into DRAM, then
+//     through a MissFilter on the board's cache (cpu and gpu), where the
+//     cache statistics at the checkpoint must equal the short run's.
+//
+// The long run must also read as far ahead in the stream as the
+// separate long run does.
+func TestCheckpointMatchesBoundedRuns(t *testing.T) {
+	const elems, coalesce = 2048, 64
+	for _, tg := range parityTargets() {
+		for _, op := range []kernel.Op{kernel.Copy, kernel.Triad} {
+			for _, p := range []mem.Pattern{mem.ContiguousPattern(), mem.StridedPattern(16), mem.ColMajorPattern()} {
+				t.Run(fmt.Sprintf("%s/%v/%v", tg.name, op, p.Kind), func(t *testing.T) {
+					model := tg.new().(device.MemorySystem).MemModel()
+					build := func() mem.Source {
+						src, err := device.KernelSource(op, elems, 4, p, coalesce)
+						if err != nil {
+							t.Fatal(err)
+						}
+						return src
+					}
+					total := device.TxnCount(op, elems, 4, p, coalesce)
+					var c, ref *cache.Cache
+					if tg.llc != nil {
+						c, ref = cache.New(*tg.llc), cache.New(*tg.llc)
+					}
+					for _, w := range checkpointWindows(model.Config(), total) {
+						// At a bound.
+						cp := dram.Checkpoint{At: w}
+						src, longSrc := build(), build()
+						long := model.ServiceCheckpoint(src, 2*w, &cp)
+						if want := model.ServiceBounded(build(), w); cp.Result != want {
+							t.Fatalf("window %d of %d: checkpoint at the bound %+v, bounded run %+v", w, total, cp.Result, want)
+						}
+						if want := model.ServiceBounded(longSrc, 2*w); long != want {
+							t.Fatalf("window %d of %d: long run %+v, bounded run %+v", w, total, long, want)
+						}
+						if got, want := unread(src), unread(longSrc); got != want {
+							t.Fatalf("window %d of %d: the long run left %d requests unread, the bounded run %d", w, total, got, want)
+						}
+
+						// At a pause, straight into DRAM.
+						n := int(w)
+						cp = dram.Checkpoint{}
+						long = model.ServiceCheckpoint(mem.NewPausingLimit(build(), n, n), 0, &cp)
+						if want := model.Service(mem.NewLimit(build(), n)); cp.Result != want {
+							t.Fatalf("window %d of %d: checkpoint at the pause %+v, limited run %+v", w, total, cp.Result, want)
+						}
+						if want := model.Service(mem.NewLimit(build(), 2*n)); long != want {
+							t.Fatalf("window %d of %d: paused long run %+v, limited run %+v", w, total, long, want)
+						}
+
+						// At a pause, through the board's cache.
+						if c == nil {
+							continue
+						}
+						c.Reset()
+						ref.Reset()
+						var at cache.Stats
+						cp = dram.Checkpoint{Fork: func() { at = c.Stats() }}
+						long = model.ServiceCheckpoint(cache.NewMissFilter(c, mem.NewPausingLimit(build(), n, n)), 0, &cp)
+						short := model.Service(cache.NewMissFilter(ref, mem.NewLimit(build(), n)))
+						if cp.Result != short || at != ref.Stats() {
+							t.Fatalf("window %d of %d: checkpoint through the cache %+v with %+v, limited run %+v with %+v",
+								w, total, cp.Result, at, short, ref.Stats())
+						}
+						ref.Reset()
+						if want := model.Service(cache.NewMissFilter(ref, mem.NewLimit(build(), 2*n))); long != want || c.Stats() != ref.Stats() {
+							t.Fatalf("window %d of %d: paused long run through the cache %+v with %+v, limited run %+v with %+v",
+								w, total, long, c.Stats(), want, ref.Stats())
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// unread drains src and counts the requests it still held.
+func unread(src mem.Source) int {
+	var buf [256]mem.Request
+	n := 0
+	for k := len(buf); k == len(buf); n += k {
+		k = mem.Fill(src, buf[:])
+	}
+	return n
 }
 
 // sampledSeconds pins each target's full Seconds on the sampled side of

@@ -3,7 +3,6 @@ package targets
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 	"testing"
 
 	"mpstream/internal/device"
@@ -49,22 +48,22 @@ func TestWindowMemoMatchesFreshBoards(t *testing.T) {
 }
 
 // Only contiguous walks are remembered: a strided or column-major walk
-// samples both windows at every call, a contiguous one only at its
+// runs its sampled point at every call, a contiguous one only at its
 // first size.
 func TestWindowMemoOnlyContiguous(t *testing.T) {
 	const coalesce = 64
 	for _, tg := range parityTargets() {
 		t.Run(tg.name, func(t *testing.T) {
 			board := tg.new().(sampler)
-			var runs atomic.Int64
-			counted := func(src mem.Source, maxTxns uint64, c *cache.Cache) sample.Measurement {
-				runs.Add(1)
-				return board.ServiceDRAM(src, maxTxns, c)
+			runs := 0
+			counted := func(src mem.Source, window uint64, c *cache.Cache) (short, long sample.Measurement) {
+				runs++
+				return board.ServiceDRAM(src, window, c)
 			}
 			k := kernel.Kernel{Op: kernel.Copy, VecWidth: 1}
 			for _, p := range []mem.Pattern{mem.StridedPattern(16), mem.ColMajorPattern(), mem.ContiguousPattern()} {
 				for i, size := range []int64{repeatLarge, repeatLarge, 2 * repeatLarge} {
-					runs.Store(0)
+					runs = 0
 					est, err := board.Sample(k, device.Exec{ArrayBytes: size, Pattern: p}, coalesce, counted)
 					if err != nil {
 						t.Fatal(err)
@@ -72,17 +71,31 @@ func TestWindowMemoOnlyContiguous(t *testing.T) {
 					if !est.Sampled {
 						t.Fatalf("%v %d bytes ran exactly", p.Kind, size)
 					}
-					want := int64(2)
+					want := 1
 					if p.Kind == mem.Contiguous && i > 0 {
 						want = 0
 					}
-					if n := runs.Load(); n != want {
-						t.Errorf("%v call %d (%d bytes): %d windows ran, want %d", p.Kind, i, size, n, want)
+					if runs != want {
+						t.Errorf("%v call %d (%d bytes): %d runs, want %d", p.Kind, i, size, runs, want)
 					}
 				}
 			}
 		})
 	}
+}
+
+// wideTriad returns a triad of the widest elements, one transaction
+// each, and its Exec: the largest exact run on the CPU at repeatWindow,
+// reading more than the LLC holds.
+func wideTriad(t *testing.T, c cpusim.Config, loop kernel.LoopMode) (kernel.Kernel, device.Exec) {
+	wide := kernel.Kernel{Op: kernel.Triad, Type: kernel.Float64, VecWidth: 16, Loop: loop}
+	elems := 2 * repeatWindow / wide.Op.Streams()
+	big := device.Exec{ArrayBytes: int64(elems) * int64(wide.ElemBytes()), Pattern: mem.ContiguousPattern()}
+	if n := device.TxnCount(wide.Op, elems, wide.ElemBytes(), big.Pattern, wide.ElemBytes()); !sample.Exact(n, repeatWindow) ||
+		uint64(wide.Op.InputStreams())*uint64(big.ArrayBytes) <= c.LLC.CapacityBytes {
+		t.Fatalf("the wide run (%d txns, %d bytes) must be exact and overflow the LLC", n, big.ArrayBytes)
+	}
+	return wide, big
 }
 
 // A remembered answer skips the long window the board's cache would
@@ -100,15 +113,7 @@ func TestWindowMemoExactAfterHit(t *testing.T) {
 			contig := func(size int64) device.Exec {
 				return device.Exec{ArrayBytes: size, Pattern: mem.ContiguousPattern()}
 			}
-			// A triad of the widest elements, one transaction each: the
-			// largest exact run, reading more than the LLC holds.
-			wide := kernel.Kernel{Op: kernel.Triad, Type: kernel.Float64, VecWidth: 16, Loop: k.Loop}
-			elems := 2 * repeatWindow / wide.Op.Streams()
-			big := contig(int64(elems) * int64(wide.ElemBytes()))
-			if n := device.TxnCount(wide.Op, elems, wide.ElemBytes(), big.Pattern, wide.ElemBytes()); !sample.Exact(n, repeatWindow) ||
-				uint64(wide.Op.InputStreams())*uint64(big.ArrayBytes) <= c.LLC.CapacityBytes {
-				t.Fatalf("the wide run (%d txns, %d bytes) must be exact and overflow the LLC", n, big.ArrayBytes)
-			}
+			wide, big := wideTriad(t, c, k.Loop)
 
 			seconds(t, dev, k, contig(repeatLarge)) // samples and remembers
 			seconds(t, dev, wide, big)              // evicts what the long window left
@@ -122,6 +127,42 @@ func TestWindowMemoExactAfterHit(t *testing.T) {
 				t.Errorf("exact seconds after a remembered sampled run = %v, want %v", got, math.Float64frombits(want))
 			}
 		})
+	}
+}
+
+// A plan's Memo answering a repeated sampled CPU Exec skips the long
+// window too, and owes it the same way: sampled A, an exact wide triad,
+// A again on the same plan (a Memo hit), then an exact copy sees the
+// LLC A's long window leaves, not the triad's.
+func TestPlanMemoHitOwesLongWindow(t *testing.T) {
+	c := cpusim.DefaultConfig()
+	c.SampleWindowTxns = repeatWindow
+	dev := cpusim.NewWithConfig(c)
+	k := kernel.Kernel{Op: kernel.Copy, VecWidth: 1, Loop: dev.Info().OptimalLoop}
+	plan, err := dev.Compile(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := device.Exec{ArrayBytes: repeatLarge, Pattern: mem.ContiguousPattern()}
+	first, err := plan.Seconds(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide, big := wideTriad(t, c, k.Loop)
+	seconds(t, dev, wide, big)
+	before := dramRequests()
+	if again, err := plan.Seconds(a); err != nil || again != first {
+		t.Fatalf("the repeated sampled Exec = %v, %v; want %v", again, err, first)
+	}
+	if n := dramRequests() - before; n != 0 {
+		t.Fatalf("the repeated sampled Exec simulated %d DRAM requests, want 0 (a Memo hit)", n)
+	}
+	got, err := plan.Seconds(device.Exec{ArrayBytes: repeatSmall, Pattern: mem.ContiguousPattern()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := cpuExactAfterSampled[[2]string{"copy", "contiguous"}]; math.Float64bits(got) != want {
+		t.Errorf("exact seconds after a Memo hit = %v, want %v", got, math.Float64frombits(want))
 	}
 }
 
@@ -141,6 +182,23 @@ func BenchmarkSampledSizeSeries(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		}
+	}
+}
+
+// BenchmarkSampledColMajor times one sampled point the window memo never
+// serves: a column-major copy of 16 MB on a fresh CPU board, a shape of
+// Figure 2's strided series.
+func BenchmarkSampledColMajor(b *testing.B) {
+	k := kernel.Kernel{Op: kernel.Copy, VecWidth: 1}
+	e := device.Exec{ArrayBytes: 16 << 20, Pattern: mem.ColMajorPattern()}
+	for i := 0; i < b.N; i++ {
+		plan, err := cpusim.New().Compile(k)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := plan.Seconds(e); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

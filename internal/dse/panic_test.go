@@ -9,6 +9,7 @@ import (
 	"mpstream/internal/device/aocl"
 	"mpstream/internal/kernel"
 	"mpstream/internal/sim/cache"
+	"mpstream/internal/sim/dram"
 	"mpstream/internal/sim/mem"
 	"mpstream/internal/sim/sample"
 )
@@ -18,8 +19,8 @@ import (
 const shortPanicWindow = 256
 
 // shortPanicDevice samples every kernel through device.Board.Sample with
-// a window body that panics in the short window, which Sample runs on a
-// goroutine of its own.
+// a body that panics at the short window: at the checkpoint its one DRAM
+// run takes.
 type shortPanicDevice struct{ device.Board }
 
 func newShortPanicDevice() (device.Device, error) {
@@ -38,18 +39,21 @@ func (d *shortPanicDevice) Compile(k kernel.Kernel) (device.Compiled, error) {
 }
 
 func (p *shortPanicPlan) Seconds(e device.Exec) (float64, error) {
-	est, err := p.dev.Sample(p.K, e, p.K.ElemBytes(), func(src mem.Source, maxTxns uint64, c *cache.Cache) sample.Measurement {
-		if maxTxns == shortPanicWindow {
-			panic("short window failed")
+	est, err := p.dev.Sample(p.K, e, p.K.ElemBytes(), func(src mem.Source, window uint64, c *cache.Cache) (short, long sample.Measurement) {
+		if window == 0 {
+			return p.dev.ServiceDRAM(src, window, c)
 		}
-		return p.dev.ServiceDRAM(src, maxTxns, c)
+		cp := dram.Checkpoint{At: window, Fork: func() { panic("short window failed") }}
+		p.dev.MemModel().ServiceCheckpoint(src, 2*window, &cp)
+		return
 	})
 	return est.Seconds, err
 }
 
-// A panic in the sampling window Board.Sample runs off the caller's
-// goroutine still reaches evalOne's recover: every point errors, and
-// the worker goes on to the next point on the same device.
+// A panic in a sampled point's one run, here at its short window's
+// checkpoint inside the DRAM model, reaches evalOne's recover: every
+// point errors, and the worker goes on to the next point on the same
+// device.
 func TestEvalParallelShortWindowPanic(t *testing.T) {
 	cfgs := []core.Config{base(), base(), base()}
 	pts := EvalParallel(newShortPanicDevice, cfgs, nil, 1)

@@ -196,9 +196,6 @@ func New(cfg Config) *Cache {
 	return c
 }
 
-// Config returns the cache configuration.
-func (c *Cache) Config() Config { return c.cfg }
-
 // Stats returns the accumulated statistics.
 func (c *Cache) Stats() Stats { return c.stats }
 
@@ -371,6 +368,15 @@ func (c *Cache) FlushWC(out []mem.Request) []mem.Request {
 	return out
 }
 
+// pendingWC emits what FlushWC would, but leaves the buffers open: it
+// flushes a copy of them.
+func (c *Cache) pendingWC(out []mem.Request) []mem.Request {
+	valid := c.wcValid
+	out = c.FlushWC(out)
+	c.wcValid = valid
+	return out
+}
+
 // invalidate drops a line if present (without writeback: used by
 // non-temporal stores which overwrite the whole line). The dropped way
 // leaves the valid mask and the recency list; its stale tag,
@@ -505,6 +511,10 @@ func (c *Cache) unlink(m []byte, w uint8) {
 // an upstream source, services each request against the cache, and yields
 // only the memory-side traffic. Feed it to a dram.Model to time the
 // hierarchy below the cache.
+//
+// A MissFilter passes a pause of its upstream through: when a mem.Pauser
+// upstream pauses, the filter yields the traffic queued before the pause
+// and then pauses itself, leaving its write-combining buffers open.
 type MissFilter struct {
 	cache   *Cache
 	src     mem.Source
@@ -518,6 +528,10 @@ type MissFilter struct {
 	in    []mem.Request
 	inPos int
 	inLen int
+
+	upstream mem.Pauser    // src, when it can pause; nil otherwise
+	paused   bool          // the upstream paused and every request before it was yielded
+	tail     requestSource // what Resume hands back
 }
 
 // missFilterBatch is the upstream prefetch depth.
@@ -525,7 +539,9 @@ const missFilterBatch = 128
 
 // NewMissFilter wraps src with the cache.
 func NewMissFilter(c *Cache, src mem.Source) *MissFilter {
-	return &MissFilter{cache: c, src: src}
+	f := &MissFilter{cache: c, src: src}
+	f.upstream, _ = src.(mem.Pauser)
+	return f
 }
 
 // NextBatch yields memory-side requests: queued traffic drains with one
@@ -549,6 +565,10 @@ func (f *MissFilter) NextBatch(dst []mem.Request) int {
 			f.inLen = mem.Fill(f.src, f.in)
 			f.inPos = 0
 			if f.inLen == 0 {
+				if f.upstream != nil && f.upstream.Paused() {
+					f.paused = true // a pause is not the end: no flush
+					break
+				}
 				if !f.flushed {
 					f.flushed = true
 					f.queue = f.cache.FlushWC(f.queue)
@@ -564,5 +584,35 @@ func (f *MissFilter) NextBatch(dst []mem.Request) int {
 			f.inPos++
 		}
 	}
+	return n
+}
+
+// Paused implements mem.Pauser: the upstream paused and the filter has
+// yielded everything before the pause.
+func (f *MissFilter) Paused() bool { return f.paused }
+
+// Resume implements mem.Pauser. It returns a flush of a copy of the
+// write-combining buffers, which is how the filter would have ended had
+// its upstream ended at the pause, and resumes the upstream; the
+// buffers stay open, so the resumed stream goes on combining into them.
+// The upstream's own pause must end its stream (a nil Resume): the
+// filter cannot replay requests past the pause without copying the
+// cache.
+func (f *MissFilter) Resume() mem.Source {
+	f.paused = false
+	if f.upstream.Resume() != nil {
+		panic("cache: a MissFilter's upstream must end at its pause")
+	}
+	f.tail.reqs = f.cache.pendingWC(f.tail.reqs[:0])
+	return &f.tail
+}
+
+// requestSource yields a fixed list of requests.
+type requestSource struct{ reqs []mem.Request }
+
+// NextBatch implements mem.Source.
+func (s *requestSource) NextBatch(dst []mem.Request) int {
+	n := copy(dst, s.reqs)
+	s.reqs = s.reqs[n:]
 	return n
 }

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -495,5 +496,45 @@ func TestMissFilterFlushesTrailingWC(t *testing.T) {
 	// 32 x 4B contiguous stores = 128 bytes, including the trailing line.
 	if bytes != 128 {
 		t.Errorf("memory-side write bytes = %d, want 128", bytes)
+	}
+}
+
+// A MissFilter passes its upstream's pause through. At the pause, the
+// traffic so far plus the flush Resume hands back must equal what a
+// filter whose upstream ended there yields, FlushWC included; the
+// resumed stream must go on exactly as a filter that never paused.
+func TestMissFilterPause(t *testing.T) {
+	cfg := llcConfig()
+	cfg.NonTemporalWrites = true
+	const elems = 300
+	// A copy of 4-byte words: reads fill lines, stores combine in the
+	// write-combining buffers across several requests per line.
+	build := func() mem.Source {
+		r, _ := mem.NewIter(mem.ContiguousPattern(), 0, elems, 4, mem.Read, 1)
+		w, _ := mem.NewIter(mem.ContiguousPattern(), 1<<31, elems, 4, mem.Write, 0)
+		return mem.NewInterleave(r, w)
+	}
+	for _, at := range []int{0, 1, 2, 31, 32, 33, 127, 128, 129, 2*elems - 1, 2 * elems} {
+		c, short, whole := New(cfg), New(cfg), New(cfg)
+		f := NewMissFilter(c, mem.NewPausingLimit(build(), at, 2*elems))
+		got := drain(f)
+		if !f.Paused() {
+			t.Fatalf("pause at %d: the filter ran dry without pausing", at)
+		}
+		stats := c.Stats()
+		tail := drain(f.Resume())
+		if f.Paused() {
+			t.Fatalf("pause at %d: still paused after Resume", at)
+		}
+		want := drain(NewMissFilter(short, mem.NewLimit(build(), at)))
+		if !slices.Equal(append(slices.Clone(got), tail...), want) || stats != short.Stats() {
+			t.Errorf("pause at %d: %v then flush %v with %+v; a filter ended there yields %v with %+v",
+				at, got, tail, stats, want, short.Stats())
+		}
+		rest := drain(f)
+		want = drain(NewMissFilter(whole, mem.NewLimit(build(), 2*elems)))
+		if !slices.Equal(append(got, rest...), want) || c.Stats() != whole.Stats() {
+			t.Errorf("pause at %d: the resumed stream diverges from an unpaused one", at)
+		}
 	}
 }

@@ -276,22 +276,44 @@ func (m *Model) Clone() *Model {
 func (m *Model) Config() Config { return m.cfg }
 
 // svcState is one service run's controller state plus the reusable
-// request buffers (reorder buffer, sorted batch, decoded chunk).
-// The model caches one instance across sequential runs.
+// request buffers. The model caches one instance across sequential runs.
 //
 // The per-channel state is flattened: banks and the completion and
 // activation rings live in single arrays indexed by channel, not in
 // per-channel slices. Channel and bank selection are data-dependent
 // loads on the issue path, so every slice header removed is one fewer
 // chained indirection per transaction.
+//
+// The open loop uses only the channel, bank and tFAW arrays. The closed
+// loop (ServiceBounded, ServiceCheckpoint) keeps all of its state here
+// too, so a checkpoint can copy a run mid-flight into fork.
 type svcState struct {
 	chans   []chanState
 	banks   []bankState // Channels x BanksPerChannel
 	actRing []float64   // Channels x ActsPerWindow tFAW ring; nil when disabled
-	buf     []mem.Request
-	batch   []mem.Request
-	routed  []routedReq // ServiceBounded's decoded chunk, capacity routedChunk
-	owned   bool        // this is the model's cached arena; release clears busy
+
+	src   mem.Source
+	limit uint64 // the closed loop's transaction bound; all ones for none
+
+	// The reorder buffer and its per-direction population, so direction
+	// switching never rescans it.
+	buf                 []mem.Request
+	pendRead, pendWrite int
+	curOp               mem.Op // the direction of the next batch
+	started             bool   // the first fill has set curOp
+
+	batch    []mem.Request // the batch gathered this round, in address order
+	gathered int           // its length before the bound truncates it
+	chunk    []routedReq   // decoded requests awaiting issue, capacity routedChunk
+	queued   uint64        // transactions gathered so far, issued or in chunk
+	res      LoadedResult  // the counters of the transactions issued so far
+
+	cp      *Checkpoint // the checkpoint still to take; nil once taken or without one
+	pauser  mem.Pauser  // src, when cp forks at its pause
+	counted uint64      // transactions another run already reported for this one
+
+	owned bool      // this is the model's cached arena; release clears busy
+	fork  *svcState // a checkpoint's copy of this state, built on first use
 }
 
 // acquire returns run-ready (cold) controller state, reusing the cached
@@ -551,6 +573,7 @@ func (m *Model) ServiceLoadedRouted(bg, probe *Prerouted, opts LoadedOptions) Lo
 		probe.pos += nProbe
 	}
 	finish(&res.Result, st.chans, start, &m.cfg, nBg == len(bgList) && nProbe == len(prList))
+	obs.AddDRAMRequests(res.Txns)
 	return res
 }
 
@@ -728,7 +751,7 @@ func (m *Model) issue(st *svcState, t *LoadedResult, bg, probe []routedReq, star
 	return nBg, nProbe
 }
 
-// routedChunk is the closed loop's issue granularity: ServiceBounded
+// routedChunk is the closed loop's issue granularity: the closed loop
 // decodes its reordered batches into chunks of this many requests and
 // times each chunk with one call to issue.
 const routedChunk = 1024
@@ -741,120 +764,271 @@ const routedChunk = 1024
 // address, and decodes them into chunks that issue times with every
 // request arriving at the run start.
 func (m *Model) ServiceBounded(src mem.Source, maxTxns uint64) Result {
+	return m.serviceClosed(src, maxTxns, nil)
+}
+
+// Checkpoint asks a closed-loop run for a second result: that of a
+// shorter run over the same stream. The two runs take the same steps
+// until the point where the shorter one starts to end, so the run takes
+// the checkpoint there: it copies its state, finishes the copy the way
+// the shorter run would, and then goes on. The shorter run's result is
+// the same, bit for bit, as a separate run's.
+type Checkpoint struct {
+	// At, when positive, makes the shorter run ServiceBounded(src, At):
+	// the copy truncates the batch that crosses At and stops. At must be
+	// below the run's own bound.
+	//
+	// With At zero, src must be a mem.Pauser, and the shorter run is one
+	// over a source that ends at the pause with what Resume returns: the
+	// copy is taken when a fill finds src paused, reads the rest of its
+	// stream from Resume's source, and the run reads on from src.
+	At uint64
+	// Fork, when set, is called once, where the runs part and before the
+	// copy runs: at the checkpoint, or at the end of a stream that ended
+	// before it, where the two runs are one.
+	Fork func()
+	// Result is the shorter run's result, set when the service returns.
+	Result Result
+}
+
+// ServiceCheckpoint is ServiceBounded(src, maxTxns) that also fills in
+// cp.Result. A sampled run to 2·window with a checkpoint at window costs
+// one run to 2·window plus the copy's ending, not a second run.
+func (m *Model) ServiceCheckpoint(src mem.Source, maxTxns uint64, cp *Checkpoint) Result {
+	if cp.At > 0 && maxTxns > 0 && cp.At >= maxTxns {
+		panic(fmt.Sprintf("dram: checkpoint at %d txns is not below the run's bound %d", cp.At, maxTxns))
+	}
+	return m.serviceClosed(src, maxTxns, cp)
+}
+
+// serviceClosed runs the closed loop over src on fresh controller state.
+func (m *Model) serviceClosed(src mem.Source, maxTxns uint64, cp *Checkpoint) Result {
 	st := m.acquire()
 	defer m.release(st)
 	cfg := &m.cfg
 
-	burstNs := float64(cfg.BurstBytes) / cfg.BusGBps // ns per burst (GB/s == B/ns)
-	start := cfg.InitialLatencyNs
-	limit := maxTxns
-	if limit == 0 {
-		limit = ^uint64(0)
+	st.src, st.limit = src, maxTxns
+	if maxTxns == 0 {
+		st.limit = ^uint64(0)
 	}
-
-	// Reorder buffer: the controller looks ReorderWin requests ahead and
-	// issues same-direction batches of up to BatchSize. The buffer lives
-	// in the arena and refills in batches; pendRead/pendWrite track its
-	// per-direction population so direction switching never rescans it.
-	win := cfg.ReorderWin
-	st.buf = grow(st.buf, win)
-	buf := st.buf[:0]
-	var pendRead, pendWrite int
-	fill := func() {
-		for len(buf) < win {
-			n := mem.Fill(src, buf[len(buf):win])
-			if n == 0 {
-				return
-			}
-			for _, r := range buf[len(buf) : len(buf)+n] {
-				if r.Op == mem.Read {
-					pendRead++
-				} else {
-					pendWrite++
-				}
-			}
-			buf = buf[:len(buf)+n]
-		}
-	}
-	fill()
-
-	curOp := mem.Read
-	if len(buf) > 0 {
-		curOp = buf[0].Op
-	}
-
+	st.buf = grow(st.buf, cfg.ReorderWin)[:0]
+	st.pendRead, st.pendWrite = 0, 0
+	st.curOp, st.started = mem.Read, false
 	// BatchSize is per channel; the controller issues a global batch
 	// sized so each channel sees a full same-direction run.
-	globalBatch := cfg.BatchSize * cfg.Channels
-	st.batch = grow(st.batch, globalBatch)
-	batch := st.batch[:0]
-	if st.routed == nil {
-		st.routed = make([]routedReq, 0, routedChunk)
+	st.batch = grow(st.batch, cfg.BatchSize*cfg.Channels)[:0]
+	st.gathered = 0
+	if st.chunk == nil {
+		st.chunk = make([]routedReq, 0, routedChunk)
 	}
-	chunk := st.routed[:0]
+	st.chunk = st.chunk[:0]
+	st.queued, st.res, st.counted = 0, LoadedResult{}, 0
+	st.cp, st.pauser = cp, nil
+	if cp != nil && cp.At == 0 {
+		p, ok := src.(mem.Pauser)
+		if !ok {
+			panic("dram: a checkpoint without a bound needs a source that pauses")
+		}
+		st.pauser = p
+	}
 
-	var res LoadedResult
-	var queued uint64 // transactions gathered so far, issued or in chunk
-	for len(buf) > 0 && queued < limit {
-		// Collect one batch of the current direction in a single pass,
-		// compacting the keepers in place, then issue it in address order
-		// (first-ready first-served approximation: row hits group together
-		// instead of ping-ponging between arrays).
-		batch = batch[:0]
-		keep, scan := 0, 0
-		for ; scan < len(buf) && len(batch) < globalBatch; scan++ {
-			if buf[scan].Op == curOp {
-				batch = append(batch, buf[scan])
-			} else {
-				buf[keep] = buf[scan]
-				keep++
+	res := m.closed(st)
+	taken := st.cp == nil
+	st.src, st.cp, st.pauser = nil, nil, nil // the arena holds no caller's source between runs
+	if cp != nil && !taken {
+		// The stream ended before the checkpoint: the shorter run is
+		// this one.
+		if !res.Drained {
+			panic("dram: the run reached its bound before its checkpoint")
+		}
+		if cp.Fork != nil {
+			cp.Fork()
+		}
+		cp.Result = res
+	}
+	return res
+}
+
+// closed runs st's closed loop to its end and returns its result. Each
+// round issues the batch gathered last round, refills the reorder
+// buffer, picks a direction and gathers the next batch. A checkpoint at
+// a bound forks after the gather of the batch that crosses it, one at a
+// pause inside the fill that finds the source paused; either way the
+// copy resumes this same loop where its original stood.
+func (m *Model) closed(st *svcState) Result {
+	for !m.emit(st) {
+		m.fill(st)
+		st.steer()
+		if len(st.buf) == 0 {
+			break
+		}
+		m.gather(st)
+		if cp := st.cp; cp != nil && cp.At > 0 && st.queued+uint64(len(st.batch)) >= cp.At {
+			m.fork(st)
+		}
+	}
+	start := m.cfg.InitialLatencyNs
+	m.issue(st, &st.res, st.chunk, nil, start, 0, 0, noWarmup)
+	res := st.res.Result
+	finish(&res, st.chans, start, &m.cfg, st.queued < st.limit)
+	obs.AddDRAMRequests(res.Txns - st.counted)
+	return res
+}
+
+// emit moves the gathered batch, truncated to the bound, into the
+// decoded chunk, issuing the chunk whenever it fills. It reports whether
+// the run reached its bound: then it reads no further ahead.
+func (m *Model) emit(st *svcState) bool {
+	batch := st.batch
+	if left := st.limit - st.queued; uint64(len(batch)) > left {
+		batch = batch[:left]
+	}
+	st.queued += uint64(len(batch))
+	burstNs := float64(m.cfg.BurstBytes) / m.cfg.BusGBps // ns per burst (GB/s == B/ns)
+	chunk := st.chunk
+	for rest := batch; len(rest) > 0; {
+		if len(chunk) == cap(chunk) {
+			m.issue(st, &st.res, chunk, nil, m.cfg.InitialLatencyNs, 0, 0, noWarmup)
+			chunk = chunk[:0]
+		}
+		n := min(len(rest), cap(chunk)-len(chunk))
+		m.decode(chunk[len(chunk):cap(chunk)], rest[:n], burstNs)
+		chunk, rest = chunk[:len(chunk)+n], rest[n:]
+	}
+	st.chunk, st.batch = chunk, st.batch[:0]
+	return st.queued == st.limit
+}
+
+// fill tops the reorder buffer up from the source. When the source
+// comes up short at the checkpoint's pause, fill takes the checkpoint
+// and reads on.
+func (m *Model) fill(st *svcState) {
+	win := m.cfg.ReorderWin
+	buf := st.buf
+	for len(buf) < win {
+		n := mem.Fill(st.src, buf[len(buf):win])
+		if n == 0 {
+			if st.pauser == nil || !st.pauser.Paused() {
+				break
 			}
-		}
-		keep += copy(buf[keep:], buf[scan:])
-		buf = buf[:keep]
-		issued := len(batch)
-		if curOp == mem.Read {
-			pendRead -= issued
-		} else {
-			pendWrite -= issued
-		}
-		slices.SortFunc(batch, cmpByAddr)
-		if left := limit - queued; uint64(issued) > left {
-			batch = batch[:left]
-		}
-		queued += uint64(len(batch))
-		for rest := batch; len(rest) > 0; {
-			if len(chunk) == cap(chunk) {
-				m.issue(st, &res, chunk, nil, start, 0, 0, noWarmup)
-				chunk = chunk[:0]
-			}
-			n := min(len(rest), cap(chunk)-len(chunk))
-			m.decode(chunk[len(chunk):cap(chunk)], rest[:n], burstNs)
-			chunk, rest = chunk[:len(chunk)+n], rest[n:]
-		}
-		if queued == limit {
-			break // the bound is reached: read no further ahead
-		}
-		fill()
-		if issued == 0 {
-			// Nothing of the current direction pending: switch.
-			curOp = otherOp(curOp)
+			st.buf = buf
+			m.fork(st)
 			continue
 		}
-		// Prefer staying in direction while work remains; switch when the
-		// batch filled or the direction drained.
-		other := pendWrite
-		if curOp == mem.Write {
-			other = pendRead
+		for _, r := range buf[len(buf) : len(buf)+n] {
+			if r.Op == mem.Read {
+				st.pendRead++
+			} else {
+				st.pendWrite++
+			}
 		}
-		if other > 0 {
-			curOp = otherOp(curOp)
+		buf = buf[:len(buf)+n]
+	}
+	st.buf = buf
+}
+
+// steer picks the direction of the next batch: at the start, the first
+// request's.
+func (st *svcState) steer() {
+	if !st.started {
+		st.started = true
+		if len(st.buf) > 0 {
+			st.curOp = st.buf[0].Op
+		}
+		return
+	}
+	if st.gathered == 0 {
+		// Nothing of the current direction pending: switch.
+		st.curOp = otherOp(st.curOp)
+		return
+	}
+	// Prefer staying in direction while work remains; switch when the
+	// batch filled or the direction drained.
+	other := st.pendWrite
+	if st.curOp == mem.Write {
+		other = st.pendRead
+	}
+	if other > 0 {
+		st.curOp = otherOp(st.curOp)
+	}
+}
+
+// gather collects one batch of the current direction in a single pass,
+// compacting the keepers in place, and sorts it by address: the batch
+// issues in address order (a first-ready first-served approximation:
+// row hits group together instead of ping-ponging between arrays).
+func (m *Model) gather(st *svcState) {
+	globalBatch := m.cfg.BatchSize * m.cfg.Channels
+	buf, batch, curOp := st.buf, st.batch[:0], st.curOp
+	keep, scan := 0, 0
+	for ; scan < len(buf) && len(batch) < globalBatch; scan++ {
+		if buf[scan].Op == curOp {
+			batch = append(batch, buf[scan])
+		} else {
+			buf[keep] = buf[scan]
+			keep++
 		}
 	}
-	m.issue(st, &res, chunk, nil, start, 0, 0, noWarmup)
-	finish(&res.Result, st.chans, start, cfg, queued < limit)
-	return res.Result
+	keep += copy(buf[keep:], buf[scan:])
+	st.buf = buf[:keep]
+	st.gathered = len(batch)
+	if curOp == mem.Read {
+		st.pendRead -= len(batch)
+	} else {
+		st.pendWrite -= len(batch)
+	}
+	slices.SortFunc(batch, cmpByAddr)
+	st.batch = batch
 }
+
+// fork takes st's checkpoint: it copies st into st.fork, runs the copy
+// to its end as the shorter run and stores that run's result in the
+// checkpoint. At a pause, the copy reads the end of its stream from the
+// source's Resume, and st reads on from the resumed source.
+func (m *Model) fork(st *svcState) {
+	cp, pauser := st.cp, st.pauser
+	st.cp, st.pauser = nil, nil
+	if cp.Fork != nil {
+		cp.Fork()
+	}
+	if st.fork == nil {
+		st.fork = &svcState{}
+	}
+	f := st.fork
+	f.copyFrom(st)
+	f.counted = st.res.Txns
+	if cp.At > 0 {
+		f.limit = cp.At
+	} else if f.src = pauser.Resume(); f.src == nil {
+		f.src = drained{}
+	}
+	cp.Result = m.closed(f)
+	f.src = nil
+}
+
+// copyFrom makes f a copy of st that shares no storage with it, reusing
+// f's own arrays.
+func (f *svcState) copyFrom(st *svcState) {
+	chans, banks, actRing := f.chans, f.banks, f.actRing
+	buf, batch, chunk := f.buf, f.batch, f.chunk
+	*f = *st
+	f.owned, f.fork = false, nil
+	f.chans = append(chans[:0], st.chans...)
+	f.banks = append(banks[:0], st.banks...)
+	f.actRing = append(actRing[:0], st.actRing...)
+	f.buf = append(grow(buf, cap(st.buf))[:0], st.buf...)
+	f.batch = append(grow(batch, cap(st.batch))[:0], st.batch...)
+	if cap(chunk) < cap(st.chunk) {
+		chunk = make([]routedReq, 0, cap(st.chunk))
+	}
+	f.chunk = append(chunk[:0], st.chunk...)
+}
+
+// drained is the source of a stream with nothing left.
+type drained struct{}
+
+// NextBatch implements mem.Source.
+func (drained) NextBatch([]mem.Request) int { return 0 }
 
 // cmpByAddr orders a same-direction batch by address. The tie-breaks
 // (batch entries never differ in Op) make the order total, so the
@@ -983,7 +1157,4 @@ func finish(res *Result, chans []chanState, start float64, cfg *Config, drained 
 	}
 	res.Seconds = elapsedNs * 1e-9
 	res.Drained = drained
-	// Every Service* completion path funnels through finish exactly
-	// once, so this is the single telemetry hook for serviced traffic.
-	obs.AddDRAMRequests(res.Txns)
 }

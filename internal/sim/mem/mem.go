@@ -485,19 +485,47 @@ func (c *Coalescer) contigBatch(it *Iter, dst []Request) (int, bool) {
 	return n, true
 }
 
+// A Pauser is a Source whose stream can pause before its end. A short
+// NextBatch count then means a pause or the end; Paused tells the two
+// apart.
+type Pauser interface {
+	Source
+	// Paused reports whether the stream is paused.
+	Paused() bool
+	// Resume continues a paused stream. It returns the source of what a
+	// reader that stopped at the pause would still pull, the requests
+	// that end the stream there; nil when there are none.
+	Resume() Source
+}
+
 // Limit yields at most n requests from src, for bounded (sampled)
 // simulation windows.
 type Limit struct {
-	src  Source
-	left int
+	src   Source
+	left  int
+	after int // the budget a pause resumes with; 0 when the Limit does not pause
 }
 
 // NewLimit wraps src with a request budget of n.
 func NewLimit(src Source, n int) *Limit {
-	if n < 0 {
-		n = 0
-	}
-	return &Limit{src: src, left: n}
+	return NewPausingLimit(src, n, 0)
+}
+
+// NewPausingLimit wraps src with a budget of at+more requests that
+// pauses once, after the first at: the Limit then yields nothing and
+// reports Paused until Resume. With more zero it never pauses.
+func NewPausingLimit(src Source, at, more int) *Limit {
+	return &Limit{src: src, left: max(at, 0), after: max(more, 0)}
+}
+
+// Paused implements Pauser.
+func (l *Limit) Paused() bool { return l.left == 0 && l.after > 0 }
+
+// Resume implements Pauser: a reader that stops at a Limit's pause
+// pulls nothing more.
+func (l *Limit) Resume() Source {
+	l.left, l.after = l.after, 0
+	return nil
 }
 
 // ChaseIter is the loaded-latency probe's request generator: a

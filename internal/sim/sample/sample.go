@@ -7,6 +7,12 @@
 // of the simulation, fits that line, and extrapolates — the classic
 // SMARTS-style trick specialized to monotone streaming request streams.
 //
+// The windows are prefixes of one stream, window and 2*window
+// transactions long. Run simulates them one after the other; the
+// device boards (device.Board.Sample) simulate only the long one and
+// take the short one as an exact checkpoint of it (dram.Checkpoint),
+// then Fit the two the same way.
+//
 // Callers choose a window large enough to cover several pattern periods
 // (column-major walks wrap at row boundaries); the package tests pin
 // sampled-vs-exact error on mid-size runs.
