@@ -269,39 +269,13 @@ func (q *CommandQueue) EnqueueKernel(k *Kernel, pattern mem.Pattern) (*Event, er
 }
 
 // apply executes the kernel functionally over its bound buffers' single
-// elements, dispatching to the monomorphic kernel paths when the buffers
-// carry matching concrete types (they always do for well-formed
-// bindings; the `any`-typed kernel.Apply remains as the
-// mismatch-diagnosing fallback).
+// elements.
 func (k *Kernel) apply() error {
-	if d := k.dst.Int32s(); d != nil {
-		b := k.b.Int32s()
-		var c []int32
-		cOK := k.c == nil
-		if !cOK {
-			c = k.c.Int32s()
-			cOK = c != nil
-		}
-		if b != nil && cOK {
-			return kernel.ApplyInt32(k.spec.Op, k.q, d, b, c)
-		}
-	} else if d := k.dst.Float64s(); d != nil {
-		b := k.b.Float64s()
-		var c []float64
-		cOK := k.c == nil
-		if !cOK {
-			c = k.c.Float64s()
-			cOK = c != nil
-		}
-		if b != nil && cOK {
-			return kernel.ApplyFloat64(k.spec.Op, k.q, d, b, c)
-		}
-	}
-	var cdata any
+	var c any
 	if k.c != nil {
-		cdata = k.c.data
+		c = k.c.data
 	}
-	return kernel.Apply(k.spec.Op, k.q, k.dst.data, k.b.data, cdata)
+	return kernel.Apply(k.spec.Op, k.q, k.dst.data, k.b.data, c)
 }
 
 // Finish returns the queue's virtual time once all commands complete (the

@@ -194,7 +194,7 @@ func NewWithConfig(cfg Config) *Device {
 		PeakWatts:   30, // Nallatech 385 board power envelope
 	}
 	return &Device{cfg: cfg, Board: device.NewBoard(info, cfg.MemBytes, cfg.DRAM, cfg.PCIe,
-		cfg.LaunchOverheadSec, cfg.SampleWindowTxns, nil)}
+		cfg.LaunchOverheadSec, cfg.SampleWindowTxns, nil, false)}
 }
 
 // arbEff is the shared arbitration-efficiency polynomial.
@@ -295,14 +295,10 @@ func (d *Device) Compile(k kernel.Kernel) (device.Compiled, error) {
 		issueGBps: issue, coalesceBytes: window}, nil
 }
 
-// Seconds implements device.Compiled. The model keeps no state between
-// invocations — the DRAM model services every window from cold — so
-// the answer depends on e alone and repeated invocations reuse the
-// first one.
-func (p *plan) Seconds(e device.Exec) (float64, error) { return p.Memo.Do(e, p.simulate) }
-
-// simulate predicts one invocation over e.
-func (p *plan) simulate(e device.Exec) (float64, error) {
+// Seconds implements device.Compiled: it predicts one invocation over
+// e. The board answers a repeated invocation's memory time without
+// simulating it again (device.Board.Sample).
+func (p *plan) Seconds(e device.Exec) (float64, error) {
 	k := p.K
 	if err := p.dev.CheckExec(k, e); err != nil {
 		return 0, err

@@ -124,7 +124,7 @@ func NewWithConfig(cfg Config) *Device {
 		PeakWatts:   95, // 80 W TDP package plus DIMMs
 	}
 	return &Device{cfg: cfg, Board: device.NewBoard(info, cfg.MemBytes, cfg.DRAM, cfg.Loop,
-		cfg.LaunchOverheadSec, cfg.SampleWindowTxns, &cfg.LLC)}
+		cfg.LaunchOverheadSec, cfg.SampleWindowTxns, &cfg.LLC, true)}
 }
 
 // coreConcurrencyGBps is the Little's-law ceiling on DRAM traffic: each
@@ -149,30 +149,6 @@ func (d *Device) Compile(k kernel.Kernel) (device.Compiled, error) {
 	return &plan{Plan: device.Plan{K: k}, dev: d, window: max(d.cfg.LLC.LineBytes, k.ElemBytes())}, nil
 }
 
-// Seconds implements device.Compiled. An exact run sees the LLC the
-// previous invocation left warm, so every repetition is simulated. A
-// sampled run's windows start cold, so its answer depends on e alone
-// and repeated invocations reuse the first one; a reused answer owes
-// the board the long window it skipped (Board.Owe).
-func (p *plan) Seconds(e device.Exec) (float64, error) {
-	k := p.K
-	if err := p.dev.CheckExec(k, e); err != nil {
-		return 0, err
-	}
-	if p.dev.Exact(device.TxnCount(k.Op, e.Elems(k), k.ElemBytes(), e.Pattern, p.window)) {
-		return p.simulate(e)
-	}
-	hit := true
-	sec, err := p.Memo.Do(e, func(e device.Exec) (float64, error) {
-		hit = false
-		return p.simulate(e)
-	})
-	if hit {
-		p.dev.Owe(k, e, p.window, p.run)
-	}
-	return sec, err
-}
-
 // parallelism returns how many cores run the kernel and the single
 // work-item issue ceiling in GB/s (0 = none).
 func (p *plan) parallelism() (cores int, threadCap float64) {
@@ -186,9 +162,15 @@ func (p *plan) parallelism() (cores int, threadCap float64) {
 	return cfg.Cores, 0
 }
 
-// simulate predicts one invocation over a checked e.
-func (p *plan) simulate(e device.Exec) (float64, error) {
+// Seconds implements device.Compiled: it predicts one invocation over
+// e. An exact run sees the LLC the previous invocation left warm, so
+// the board simulates every repetition of it; it answers a repeated
+// sampled one without simulating (device.Board.Sample).
+func (p *plan) Seconds(e device.Exec) (float64, error) {
 	k := p.K
+	if err := p.dev.CheckExec(k, e); err != nil {
+		return 0, err
+	}
 	est, err := p.dev.Sample(k, e, p.window, p.run)
 	if err != nil {
 		return 0, err
@@ -203,9 +185,9 @@ func (p *plan) simulate(e device.Exec) (float64, error) {
 }
 
 // run is the plan's device.Body, the memory path: word stream,
-// write-combining coalescer, LLC, DDR3. Sampled windows start from a
-// cold LLC; they only occur for footprints far beyond it, where cold ==
-// steady.
+// write-combining coalescer, LLC, DDR3. The board starts sampled
+// windows from a cold LLC; they only occur for footprints far beyond
+// it, where cold == steady.
 func (p *plan) run(src mem.Source, window uint64, llc *cache.Cache) (short, long sample.Measurement) {
 	s, l := p.dev.ServiceCache(src, window, llc)
 	return p.measure(s), p.measure(l)

@@ -13,7 +13,6 @@ package device
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"mpstream/internal/fabric"
 	"mpstream/internal/kernel"
@@ -169,44 +168,6 @@ type Compiled interface {
 	FmaxMHz() (mhz float64, ok bool)
 }
 
-// Memo remembers the answer of a plan's last Seconds call. A plan whose
-// answer depends only on the plan and the Exec — every simulated window
-// starts from cold device state — routes Seconds through one, so the
-// NTIMES repetitions of a STREAM kernel simulate it once. A Memo holds
-// one answer, not a cache: a call for another Exec replaces it. The
-// zero value is empty; a Memo is safe for concurrent use and must not
-// be copied after first use.
-//
-// A Memo answers per plan and per Exec. The board below it keeps a
-// second memo, of sampled windows rather than answers (Board.Sample),
-// shared by every plan and array size on the board with the same
-// kernel and coalescing window.
-type Memo struct {
-	mu  sync.Mutex
-	ok  bool
-	e   Exec
-	sec float64
-	err error
-}
-
-// Do returns the remembered answer when the last call was for e, and
-// otherwise runs seconds(e), remembers its answer under e, and returns
-// it. seconds runs without the lock held.
-func (m *Memo) Do(e Exec, seconds func(Exec) (float64, error)) (float64, error) {
-	m.mu.Lock()
-	if m.ok && m.e == e {
-		sec, err := m.sec, m.err
-		m.mu.Unlock()
-		return sec, err
-	}
-	m.mu.Unlock()
-	sec, err := seconds(e)
-	m.mu.Lock()
-	m.ok, m.e, m.sec, m.err = true, e, sec, err
-	m.mu.Unlock()
-	return sec, err
-}
-
 // Device is one benchmark target.
 type Device interface {
 	Info() Info
@@ -237,11 +198,12 @@ type MemorySystem interface {
 // Board is the skeleton every simulated target embeds. It implements
 // Device's Info, LaunchOverheadSeconds, Link and Reset, and
 // MemorySystem, so a back-end adds only Compile and its mechanism model.
-// Besides the on-chip cache it keeps the windows of its sampled
-// contiguous runs (Sample), one entry per kernel and coalescing window,
-// a set the design space bounds: where a plan's Memo answers a repeated
-// Exec, the board's window memo answers a new array size. A Board is
-// not safe for concurrent use; Sample updates its cache and its memo.
+// Its Sample is the one place that decides when a repeated invocation
+// may reuse an answer: besides the on-chip cache the board keeps each
+// kernel's last answer since Reset, and the windows of its sampled
+// contiguous runs, one entry per kernel and coalescing window, a set
+// the design space bounds. A Board is not safe for concurrent use;
+// Sample updates its cache and its memos.
 type Board struct {
 	info    Info
 	mem     *dram.Model
@@ -249,9 +211,11 @@ type Board struct {
 	launch  float64
 	window  uint64                   // sampling window in transactions
 	llc     *cache.Config            // the on-chip cache; nil when the board has none
+	warm    bool                     // exact runs see the cache as earlier invocations left it
 	cache   *cache.Cache             // built from llc on the first Sample
+	answers map[kernel.Kernel]answer // each kernel's last remembered answer since Reset
 	windows map[windowKey]windowPair // sampled windows of contiguous walks, built on first use
-	owed    func()                   // replays the long window a memo hit skipped; nil when none
+	owed    func()                   // replays the long window a remembered answer skipped; nil when none
 }
 
 // Body is a target's service body, the simulation Board.Sample runs: it
@@ -259,10 +223,18 @@ type Board struct {
 // cache c (nil on a board without one). With window 0 it runs the whole
 // stream and reports it as both measurements. Otherwise it runs a
 // sampled point in one pass: the long window, 2·window transactions,
-// from a cold start, with a checkpoint (dram.Checkpoint) that gives the
-// short window, the first window transactions, as a run that ended
-// there would measure it.
+// with a checkpoint (dram.Checkpoint) that gives the short window, the
+// first window transactions, as a run that ended there would measure
+// it. The board resets c before every run that must start cold.
 type Body func(src mem.Source, window uint64, c *cache.Cache) (short, long sample.Measurement)
+
+// answer is one Sample call's result and the arguments that fixed it.
+type answer struct {
+	e      Exec
+	window uint32
+	est    sample.Estimate
+	err    error
+}
 
 // windowKey names the sampled windows of one contiguous kernel walk:
 // the kernel and its coalescing window fix the request stream's prefix
@@ -297,9 +269,11 @@ func (c *countSource) NextBatch(dst []mem.Request) int {
 // llc configures the on-chip cache in the memory path, nil for none; it
 // is validated here (panicking like cache.New), but the cache itself is
 // built by the first Sample, so a board that never runs a kernel never
-// allocates it.
+// allocates it. warm is the target's fact about that cache: its exact
+// runs see the state earlier invocations left (a CPU's LLC) rather than
+// starting cold.
 func NewBoard(info Info, memBytes int64, dramCfg dram.Config, linkCfg link.Config,
-	launchSec float64, window uint64, llc *cache.Config) Board {
+	launchSec float64, window uint64, llc *cache.Config, warm bool) Board {
 	info.PeakMemGBps = dramCfg.PeakGBps()
 	info.MemBytes = memBytes
 	b := Board{info: info, mem: dram.New(dramCfg), link: link.New(linkCfg),
@@ -309,7 +283,7 @@ func NewBoard(info Info, memBytes int64, dramCfg dram.Config, linkCfg link.Confi
 			panic(err)
 		}
 		cfg := *llc
-		b.llc = &cfg
+		b.llc, b.warm = &cfg, warm
 	}
 	return b
 }
@@ -323,11 +297,13 @@ func (b *Board) LaunchOverheadSeconds() float64 { return b.launch }
 // Link implements Device.
 func (b *Board) Link() *link.Link { return b.link }
 
-// Reset implements Device: a cold on-chip cache. A cache not built yet
-// is cold already, and DRAM state needs no reset: every simulation
-// services its stream from cold. A cold cache owes no long window; the
-// remembered windows stay, since none of them read the cache's state.
+// Reset implements Device: a cold on-chip cache and no remembered
+// answers. A cache not built yet is cold already, and DRAM state needs
+// no reset: every simulation services its stream from cold. A cold
+// cache owes no long window; the remembered windows stay, since none of
+// them read the cache's state.
 func (b *Board) Reset() {
+	clear(b.answers)
 	b.owed = nil
 	if b.cache != nil {
 		b.cache.Reset()
@@ -366,22 +342,24 @@ func (b *Board) CheckExec(k kernel.Kernel, e Exec) error {
 	return nil
 }
 
-// Exact reports whether a run of n transactions is simulated whole
-// rather than sampled with the board's window.
-func (b *Board) Exact(n uint64) bool { return sample.Exact(n, b.window) }
-
 // Sample estimates the memory time of one invocation of k over a
 // checked e, its streams coalesced up to window bytes (KernelSource),
 // by running the target's body on a fresh request stream.
 //
-// The board's cache is built on the first call and persists, so exact
-// runs see the state earlier invocations left; a board without a cache
-// passes run a nil c. An exact run is one run of the whole stream on the
-// board's cache. A sampled run is one run of the long window on the
-// board's cache, which is therefore left as the long window leaves it,
-// the state a sequential sample.Run leaves behind; the short window is
-// the long run's checkpoint. A bounded window must start from the cold
-// state it needs rather than rely on what an earlier run left in c.
+// A benchmark runs every kernel NTIMES, and Sample alone decides when a
+// repetition may reuse an answer. An answer is a pure function of the
+// board, k, e and window, unless it comes from an exact run on a warm
+// board, which reads the cache earlier invocations left. Sample
+// remembers each kernel's last pure answer until Reset and returns it
+// for an equal call before any request stream is built or validated.
+//
+// The board's cache is built on the first call and persists. The board
+// resets it before every sampled run and, unless the board is warm,
+// before every exact run; a board without a cache passes run a nil c.
+// An exact run is one run of the whole stream on the board's cache. A
+// sampled run is one run of the long window, which leaves the cache as
+// the long window leaves it, the state a sequential sample.Run leaves
+// behind; the short window is the long run's checkpoint.
 //
 // A sampled contiguous walk's windows are remembered per (k, window)
 // and serve later sampled calls at other array sizes, which re-run only
@@ -398,10 +376,30 @@ func (b *Board) Exact(n uint64) bool { return sample.Exact(n, b.window) }
 // controller's reorder window does). Strided and column-major walks
 // are never remembered: their pass length and shape depend on elems.
 //
-// A remembered answer skips the long window the board's cache would
-// have seen (see Owe). Reset and a sampled run that simulates clear the
+// A sampled answer given without simulating, by either memo, skips the
+// long window the cache would have seen. Only a warm board's next exact
+// run can tell, so only a warm board owes the long window, and that run
+// replays it first; Reset and a sampled run that simulates clear the
 // debt.
 func (b *Board) Sample(k kernel.Kernel, e Exec, window uint32, run Body) (sample.Estimate, error) {
+	if a, ok := b.answers[k]; ok && a.e == e && a.window == window {
+		if a.est.Sampled {
+			b.owe(k, e, window, run)
+		}
+		return a.est, a.err
+	}
+	est, err := b.estimate(k, e, window, run)
+	if est.Sampled || !b.warm {
+		if b.answers == nil {
+			b.answers = make(map[kernel.Kernel]answer)
+		}
+		b.answers[k] = answer{e: e, window: window, est: est, err: err}
+	}
+	return est, err
+}
+
+// estimate is Sample without its answer memo.
+func (b *Board) estimate(k kernel.Kernel, e Exec, window uint32, run Body) (sample.Estimate, error) {
 	elems, elemB := e.Elems(k), k.ElemBytes()
 	if _, err := KernelSource(k.Op, elems, elemB, e.Pattern, window); err != nil {
 		return sample.Estimate{}, b.Wrap(k, err)
@@ -410,7 +408,7 @@ func (b *Board) Sample(k kernel.Kernel, e Exec, window uint32, run Body) (sample
 	if b.cache == nil && b.llc != nil {
 		b.cache = cache.New(*b.llc)
 	}
-	if b.Exact(total) {
+	if sample.Exact(total, b.window) {
 		if b.owed != nil {
 			b.owed()
 			b.owed = nil
@@ -424,7 +422,7 @@ func (b *Board) Sample(k kernel.Kernel, e Exec, window uint32, run Body) (sample
 	key, memo := windowKey{k, window}, e.Pattern.Kind == mem.Contiguous
 	if memo {
 		if w, ok := b.windows[key]; ok && fits(w.read) {
-			b.Owe(k, e, window, run)
+			b.owe(k, e, window, run)
 			return b.fit(k, w.short, w.long, total)
 		}
 	}
@@ -442,22 +440,24 @@ func (b *Board) Sample(k kernel.Kernel, e Exec, window uint32, run Body) (sample
 // simulate runs run over a fresh stream of k over a checked e,
 // coalesced up to window bytes, on the board's cache, with sampling
 // window sampleWindow (0 = the whole stream), and reports how many
-// requests of the stream it pulled.
+// requests of the stream it pulled. The cache starts cold unless the
+// run is exact on a warm board.
 func (b *Board) simulate(k kernel.Kernel, e Exec, window uint32, run Body, sampleWindow uint64) (short, long sample.Measurement, read uint64) {
+	if b.cache != nil && (sampleWindow > 0 || !b.warm) {
+		b.cache.Reset()
+	}
 	src, _ := KernelSource(k.Op, e.Elems(k), k.ElemBytes(), e.Pattern, window) // checked by Sample
 	cs := countSource{src: src}
 	short, long = run(&cs, sampleWindow, b.cache)
 	return short, long, cs.n
 }
 
-// Owe records that a sampled run of k over a checked e was answered
-// without simulating, by the board's window memo or a plan's Memo. Its
-// long window would have left the board's cache in the state it leaves.
-// Bounded windows never read the cache's prior state, so only an exact
-// run can tell: the board owes the long window, and the next exact run
-// replays it on the cache first. A board without a cache owes nothing.
-func (b *Board) Owe(k kernel.Kernel, e Exec, window uint32, run Body) {
-	if b.cache != nil {
+// owe records that a sampled run of k over a checked e was answered
+// without simulating. Its long window would have left the cache in the
+// state it leaves, which only a warm board's exact runs read: a warm
+// board owes the long window, and its next exact run replays it first.
+func (b *Board) owe(k kernel.Kernel, e Exec, window uint32, run Body) {
+	if b.warm {
 		b.owed = func() { b.simulate(k, e, window, run, b.window) }
 	}
 }
@@ -500,11 +500,11 @@ type CacheRun struct {
 // ServiceCache is the core of a Body with cache c in the memory path:
 // the stream goes through c into the board's DRAM. With window 0 the
 // whole stream runs on c as it stands, reported as both runs. A sampled
-// point resets c and runs the stream to 2·window requests in one pass;
-// at window the stream pauses, the cache's statistics are read, and the
-// DRAM controller takes its checkpoint, whose copy ends with a flush of
-// a copy of the cache's write-combining buffers, as a run whose stream
-// ended there would.
+// point runs on c as the board reset it, the stream to 2·window
+// requests in one pass; at window the stream pauses, the cache's
+// statistics are read, and the DRAM controller takes its checkpoint,
+// whose copy ends with a flush of a copy of the cache's write-combining
+// buffers, as a run whose stream ended there would.
 func (b *Board) ServiceCache(src mem.Source, window uint64, c *cache.Cache) (short, long CacheRun) {
 	if window == 0 {
 		before := c.Stats()
@@ -512,7 +512,6 @@ func (b *Board) ServiceCache(src mem.Source, window uint64, c *cache.Cache) (sho
 		long = CacheRun{DRAM: res, Cache: c.Stats().Delta(before)}
 		return long, long
 	}
-	c.Reset()
 	cp := dram.Checkpoint{Fork: func() { short.Cache = c.Stats() }}
 	n := int(window)
 	long.DRAM = b.mem.ServiceCheckpoint(cache.NewMissFilter(c, mem.NewPausingLimit(src, n, n)), 0, &cp)
@@ -522,11 +521,10 @@ func (b *Board) ServiceCache(src mem.Source, window uint64, c *cache.Cache) (sho
 
 // Plan is the part of a compiled kernel every target shares: it
 // implements Compiled's Kernel, Resources and FmaxMHz, and a back-end's
-// plan adds Seconds. A Plan must not be copied after first use.
+// plan adds Seconds.
 type Plan struct {
 	K     kernel.Kernel
 	Synth *fabric.Synthesis // FPGA synthesis; nil for non-FPGA targets
-	Memo  Memo              // Seconds' answer when it depends on the Exec alone
 }
 
 // Resources implements Compiled.

@@ -1,10 +1,7 @@
 package device
 
 import (
-	"errors"
 	"reflect"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"mpstream/internal/kernel"
@@ -225,66 +222,17 @@ func TestMBPerJoule(t *testing.T) {
 	}
 }
 
-// Memo runs seconds once per run of equal Execs, again for a new one,
-// remembers errors like answers, and serves concurrent callers the one
-// answer (run under -race).
-func TestMemo(t *testing.T) {
-	var calls atomic.Int64
-	errBig := errors.New("too big")
-	seconds := func(e Exec) (float64, error) {
-		calls.Add(1)
-		if e.ArrayBytes > 1<<20 {
-			return 0, errBig
-		}
-		return float64(e.ArrayBytes), nil
-	}
-	var m Memo
-	a := Exec{ArrayBytes: 64, Pattern: mem.ContiguousPattern()}
-	b := Exec{ArrayBytes: 64, Pattern: mem.StridedPattern(2)}
-	big := Exec{ArrayBytes: 2 << 20, Pattern: mem.ContiguousPattern()}
-	steps := []struct {
-		e     Exec
-		want  float64
-		err   error
-		calls int64
-	}{
-		{a, 64, nil, 1},
-		{a, 64, nil, 1},
-		{b, 64, nil, 2},
-		{a, 64, nil, 3},
-		{big, 0, errBig, 4},
-		{big, 0, errBig, 4},
-	}
-	for i, s := range steps {
-		got, err := m.Do(s.e, seconds)
-		if got != s.want || !errors.Is(err, s.err) || calls.Load() != s.calls {
-			t.Errorf("step %d: Do(%+v) = %v, %v after %d calls; want %v, %v after %d",
-				i, s.e, got, err, calls.Load(), s.want, s.err, s.calls)
-		}
-	}
-
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(e Exec) {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				if got, err := m.Do(e, seconds); got != float64(e.ArrayBytes) || err != nil {
-					t.Errorf("concurrent Do(%+v) = %v, %v", e, got, err)
-				}
-			}
-		}(Exec{ArrayBytes: int64(64 * (1 + w%2)), Pattern: mem.ContiguousPattern()})
-	}
-	wg.Wait()
-}
-
 // testBoard is a small cached board sampling with a 256-transaction
-// window, so a 1 MiB copy is sampled and a 4 KiB one runs exactly.
-func testBoard() *Board {
+// window, so a 1 MiB copy is sampled and a 4 KiB one runs exactly. Its
+// exact runs see the cache warm, like the CPU's.
+func testBoard() *Board { return cachedBoard(true) }
+
+// cachedBoard is testBoard with its exact runs warm or cold.
+func cachedBoard(warm bool) *Board {
 	dramCfg := dram.Config{Name: "test", Channels: 2, BanksPerChannel: 8, RowBytes: 8192,
 		BurstBytes: 64, BusGBps: 12.8, RowMissNs: 45, TurnaroundNs: 7.5, InterleaveBytes: 1024}
 	llc := &cache.Config{Name: "test-llc", CapacityBytes: 64 << 10, LineBytes: 64, Ways: 8}
-	b := NewBoard(Info{ID: "test"}, 1<<30, dramCfg, link.Config{Name: "test-link", GBps: 1}, 0, 256, llc)
+	b := NewBoard(Info{ID: "test"}, 1<<30, dramCfg, link.Config{Name: "test-link", GBps: 1}, 0, 256, llc, warm)
 	return &b
 }
 
@@ -321,7 +269,7 @@ func TestCacheBuiltOnFirstSample(t *testing.T) {
 		t.Errorf("runs saw caches %v, want the board's %p three times", seen, b.cache)
 	}
 
-	bare := NewBoard(Info{ID: "bare"}, 1<<30, b.mem.Config(), link.Config{Name: "l", GBps: 1}, 0, 256, nil)
+	bare := NewBoard(Info{ID: "bare"}, 1<<30, b.mem.Config(), link.Config{Name: "l", GBps: 1}, 0, 256, nil, false)
 	bare.Reset()
 	seen = nil
 	for _, e := range []Exec{exact, sampled} {
@@ -369,6 +317,68 @@ func TestSampleCaches(t *testing.T) {
 		}
 		if len(calls) != 1 || calls[0] != want {
 			t.Errorf("Exec %d (sampled %v): runs %+v, want one run %+v", i, est.Sampled, calls, want)
+		}
+	}
+}
+
+// Sample answers a repeat of a kernel's last call since Reset without
+// running the body, except an exact run on a warm board, which reads the
+// cache and simulates every time. The board hands each run a cache in
+// the state it needs: cold for a sampled run and for any run on a cold
+// board, as the previous run left it for an exact run on a warm board.
+func TestSampleAnswersRepeats(t *testing.T) {
+	k := kernel.Kernel{Op: kernel.Copy, VecWidth: 1}
+	exact := Exec{ArrayBytes: 4 << 10, Pattern: mem.ContiguousPattern()}
+	sampled := Exec{ArrayBytes: 1 << 20, Pattern: mem.ColMajorPattern()}
+	for _, warm := range []bool{false, true} {
+		b := cachedBoard(warm)
+		runs, warmRuns := 0, 0
+		body := func(src mem.Source, window uint64, c *cache.Cache) (short, long sample.Measurement) {
+			runs++
+			if c.Stats() != (cache.Stats{}) {
+				warmRuns++
+			}
+			s, l := b.ServiceCache(src, window, c)
+			return sample.Measurement{Txns: s.Cache.Accesses, Seconds: s.DRAM.Seconds},
+				sample.Measurement{Txns: l.Cache.Accesses, Seconds: l.DRAM.Seconds}
+		}
+		// runs[warm] counts the runs so far; warmRuns those that saw a
+		// warm cache, which only a warm board's exact runs do.
+		steps := []struct {
+			e        Exec
+			window   uint32
+			runs     map[bool]int
+			warmRuns int
+		}{
+			{exact, 64, map[bool]int{false: 1, true: 1}, 0},
+			{exact, 64, map[bool]int{false: 1, true: 2}, 1},
+			{exact, 128, map[bool]int{false: 2, true: 3}, 2}, // another coalescing window
+			{sampled, 64, map[bool]int{false: 3, true: 4}, 2},
+			{sampled, 64, map[bool]int{false: 3, true: 4}, 2}, // answered; a warm board owes its long window
+			{exact, 64, map[bool]int{false: 4, true: 6}, 3},   // the last answer was the sampled one; the debt is paid first
+			{exact, 64, map[bool]int{false: 4, true: 7}, 4},
+		}
+		var ests []sample.Estimate
+		for i, s := range steps {
+			est, err := b.Sample(k, s.e, s.window, body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ests = append(ests, est)
+			if runs != s.runs[warm] {
+				t.Errorf("warm %v, step %d: %d runs, want %d", warm, i, runs, s.runs[warm])
+			}
+			if want := map[bool]int{true: s.warmRuns}[warm]; warmRuns != want {
+				t.Errorf("warm %v, step %d: %d runs saw a warm cache, want %d", warm, i, warmRuns, want)
+			}
+		}
+		if ests[3] != ests[4] {
+			t.Errorf("warm %v: a repeated sampled call answered %+v, then %+v", warm, ests[3], ests[4])
+		}
+		b.Reset()
+		before := runs
+		if _, err := b.Sample(k, sampled, 64, body); err != nil || runs != before+1 {
+			t.Errorf("warm %v: after Reset a repeat made %d runs (%v), want 1", warm, runs-before, err)
 		}
 	}
 }

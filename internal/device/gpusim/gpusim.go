@@ -152,7 +152,7 @@ func NewWithConfig(cfg Config) *Device {
 		PeakWatts:   230, // memory-bound draw, under the 250 W TDP
 	}
 	return &Device{cfg: cfg, Board: device.NewBoard(info, cfg.MemBytes, cfg.DRAM, cfg.PCIe,
-		cfg.LaunchOverheadSec, cfg.SampleWindowTxns, &cfg.L2)}
+		cfg.LaunchOverheadSec, cfg.SampleWindowTxns, &cfg.L2, false)}
 }
 
 // Occupancy returns resident warps per SM for a kernel, from its register
@@ -186,13 +186,11 @@ func (d *Device) Compile(k kernel.Kernel) (device.Compiled, error) {
 	return &plan{Plan: device.Plan{K: k}, dev: d, warps: d.Occupancy(k)}, nil
 }
 
-// Seconds implements device.Compiled. Every simulated window starts
-// from a cold L2 and fresh DRAM state, so the answer depends on e alone
-// and repeated invocations reuse the first one.
-func (p *plan) Seconds(e device.Exec) (float64, error) { return p.Memo.Do(e, p.simulate) }
-
-// simulate predicts one invocation over e.
-func (p *plan) simulate(e device.Exec) (float64, error) {
+// Seconds implements device.Compiled: it predicts one invocation over
+// e. Every run starts from a cold L2 and fresh DRAM state, so the board
+// answers a repeated invocation's memory time without simulating it
+// again (device.Board.Sample).
+func (p *plan) Seconds(e device.Exec) (float64, error) {
 	k := p.K
 	cfg := p.dev.cfg
 	if err := p.dev.CheckExec(k, e); err != nil {
@@ -262,9 +260,6 @@ func (p *plan) simulate(e device.Exec) (float64, error) {
 		return sample.Measurement{Txns: r.Cache.Accesses, Seconds: sec}
 	}
 	est, err := p.dev.Sample(k, e, window, func(src mem.Source, w uint64, l2 *cache.Cache) (short, long sample.Measurement) {
-		if w == 0 {
-			l2.Reset() // exact runs start from a cold L2 too; sampled ones always do
-		}
 		s, l := p.dev.ServiceCache(src, w, l2)
 		return measure(s), measure(l)
 	})

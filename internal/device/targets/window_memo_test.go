@@ -63,6 +63,7 @@ func TestWindowMemoOnlyContiguous(t *testing.T) {
 			k := kernel.Kernel{Op: kernel.Copy, VecWidth: 1}
 			for _, p := range []mem.Pattern{mem.StridedPattern(16), mem.ColMajorPattern(), mem.ContiguousPattern()} {
 				for i, size := range []int64{repeatLarge, repeatLarge, 2 * repeatLarge} {
+					board.Reset() // forget the answers; the windows stay
 					runs = 0
 					est, err := board.Sample(k, device.Exec{ArrayBytes: size, Pattern: p}, coalesce, counted)
 					if err != nil {
@@ -130,11 +131,11 @@ func TestWindowMemoExactAfterHit(t *testing.T) {
 	}
 }
 
-// A plan's Memo answering a repeated sampled CPU Exec skips the long
-// window too, and owes it the same way: sampled A, an exact wide triad,
-// A again on the same plan (a Memo hit), then an exact copy sees the
+// The board answering a repeated sampled CPU Exec skips the long window
+// too, and owes it the same way: sampled A, an exact wide triad, A again
+// on the same plan (answered by the board), then an exact copy sees the
 // LLC A's long window leaves, not the triad's.
-func TestPlanMemoHitOwesLongWindow(t *testing.T) {
+func TestBoardAnswerOwesLongWindow(t *testing.T) {
 	c := cpusim.DefaultConfig()
 	c.SampleWindowTxns = repeatWindow
 	dev := cpusim.NewWithConfig(c)
@@ -155,14 +156,46 @@ func TestPlanMemoHitOwesLongWindow(t *testing.T) {
 		t.Fatalf("the repeated sampled Exec = %v, %v; want %v", again, err, first)
 	}
 	if n := dramRequests() - before; n != 0 {
-		t.Fatalf("the repeated sampled Exec simulated %d DRAM requests, want 0 (a Memo hit)", n)
+		t.Fatalf("the repeated sampled Exec simulated %d DRAM requests, want 0 (the board's answer)", n)
 	}
 	got, err := plan.Seconds(device.Exec{ArrayBytes: repeatSmall, Pattern: mem.ContiguousPattern()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := cpuExactAfterSampled[[2]string{"copy", "contiguous"}]; math.Float64bits(got) != want {
-		t.Errorf("exact seconds after a Memo hit = %v, want %v", got, math.Float64frombits(want))
+		t.Errorf("exact seconds after an answered repeat = %v, want %v", got, math.Float64frombits(want))
+	}
+}
+
+// A GPU board starts every run from a cold L2, so an answer from its
+// window memo owes nothing: an exact copy after sampled 64 MB and a
+// remembered 128 MB simulates exactly the DRAM requests of a fresh
+// board's (4096) and takes the same seconds.
+func TestColdBoardOwesNothing(t *testing.T) {
+	g := gpusim.DefaultConfig()
+	g.SampleWindowTxns = repeatWindow
+	dev := gpusim.NewWithConfig(g)
+	k := kernel.Kernel{Op: kernel.Copy, VecWidth: 1, Loop: dev.Info().OptimalLoop}
+	contig := func(size int64) device.Exec {
+		return device.Exec{ArrayBytes: size, Pattern: mem.ContiguousPattern()}
+	}
+	seconds(t, dev, k, contig(repeatLarge))
+	before := dramRequests()
+	seconds(t, dev, k, contig(2*repeatLarge))
+	if n := dramRequests() - before; n != 0 {
+		t.Fatalf("the second sampled size simulated %d DRAM requests, want 0 (a window-memo hit)", n)
+	}
+
+	before = dramRequests()
+	want := seconds(t, gpusim.NewWithConfig(g), k, contig(repeatSmall))
+	fresh := dramRequests() - before
+	before = dramRequests()
+	got := seconds(t, dev, k, contig(repeatSmall))
+	if n := dramRequests() - before; n != fresh {
+		t.Errorf("the exact copy after a window-memo hit simulated %d DRAM requests, a fresh board %d", n, fresh)
+	}
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Errorf("exact seconds after a window-memo hit = %v, a fresh board %v", got, want)
 	}
 }
 

@@ -1,6 +1,7 @@
 package dse
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -26,7 +27,7 @@ type shortPanicDevice struct{ device.Board }
 func newShortPanicDevice() (device.Device, error) {
 	cfg := aocl.DefaultConfig()
 	info := device.Info{ID: "short-panic", Kind: device.GPU, OptimalLoop: kernel.NDRange}
-	return &shortPanicDevice{device.NewBoard(info, cfg.MemBytes, cfg.DRAM, cfg.PCIe, 0, shortPanicWindow, nil)}, nil
+	return &shortPanicDevice{device.NewBoard(info, cfg.MemBytes, cfg.DRAM, cfg.PCIe, 0, shortPanicWindow, nil, false)}, nil
 }
 
 type shortPanicPlan struct {
@@ -56,7 +57,7 @@ func (p *shortPanicPlan) Seconds(e device.Exec) (float64, error) {
 // device.
 func TestEvalParallelShortWindowPanic(t *testing.T) {
 	cfgs := []core.Config{base(), base(), base()}
-	pts := EvalParallel(newShortPanicDevice, cfgs, nil, 1)
+	pts, _ := EvalParallelContext(context.Background(), newShortPanicDevice, cfgs, nil, 1, nil)
 	for i, p := range pts {
 		if p.Err == nil || !strings.Contains(p.Err.Error(), "short window failed") {
 			t.Errorf("point %d: err = %v, want the short window's panic", i, p.Err)

@@ -20,29 +20,24 @@ import (
 // a worker's results are identical to a sequential evaluation.
 type DeviceFactory func() (device.Device, error)
 
-// EvalParallel evaluates configurations concurrently on independent
-// device instances and returns the points in input order, so output is
-// byte-identical to evaluating the slice sequentially. labels may be nil
-// (each point then gets its ConfigLabel); otherwise it must be the same
-// length as cfgs. workers <= 0 means GOMAXPROCS.
+// EvalParallelContext evaluates configurations concurrently on
+// independent device instances and returns the points in input order,
+// so output is byte-identical to evaluating the slice sequentially.
+// labels may be nil (each point then gets its ConfigLabel); otherwise it
+// must be the same length as cfgs. workers <= 0 means GOMAXPROCS.
 //
 // A failing factory marks the points its worker claims with the error
 // (retried per point); callers that must distinguish infrastructure
 // failure from infeasible designs should wrap newDev and inspect its
 // error, as the service layer does.
-func EvalParallel(newDev DeviceFactory, cfgs []core.Config, labels []string, workers int) []Point {
-	pts, _ := EvalParallelContext(context.Background(), newDev, cfgs, labels, workers, nil)
-	return pts
-}
-
-// EvalParallelContext is EvalParallel with the cross-cutting execution
-// concerns injected. ctx cancels the evaluation between points: no new
-// point starts after ctx ends, points already in flight finish, and the
-// returned stop tag (runstate.Canceled or runstate.Deadline, "" for a
-// complete run) marks the result as partial. Unevaluated grid slots are
-// left as zero Points — filter with Point.Evaluated. onPoint — when
-// non-nil — sees every finished point as it lands; it is called
-// concurrently from the worker goroutines and must be safe for that.
+//
+// ctx cancels the evaluation between points: no new point starts after
+// ctx ends, points already in flight finish, and the returned stop tag
+// (runstate.Canceled or runstate.Deadline, "" for a complete run) marks
+// the result as partial. Unevaluated grid slots are left as zero
+// Points — filter with Point.Evaluated. onPoint — when non-nil — sees
+// every finished point as it lands; it is called concurrently from the
+// worker goroutines and must be safe for that.
 func EvalParallelContext(ctx context.Context, newDev DeviceFactory, cfgs []core.Config, labels []string, workers int, onPoint func(i int, p Point)) ([]Point, string) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -136,5 +131,6 @@ dispatch:
 // same way.
 func ExploreParallel(newDev DeviceFactory, base core.Config, space Space, op kernel.Op) Exploration {
 	base.Ops = []kernel.Op{op}
-	return Rank(EvalParallel(newDev, space.Configs(base), nil, 0), op)
+	pts, _ := EvalParallelContext(context.Background(), newDev, space.Configs(base), nil, 0, nil)
+	return Rank(pts, op)
 }

@@ -26,7 +26,7 @@ func ctxTestConfigs(n int) []core.Config {
 }
 
 // TestEvalParallelContextComplete: with a live context the results are
-// identical to EvalParallel and the stop tag is empty.
+// complete and the stop tag is empty.
 func TestEvalParallelContextComplete(t *testing.T) {
 	cfgs := ctxTestConfigs(4)
 	newDev := func() (device.Device, error) { return targets.ByID("cpu") }

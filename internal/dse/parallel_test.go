@@ -1,6 +1,7 @@
 package dse
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"reflect"
@@ -55,7 +56,7 @@ func TestEvalParallelPreservesOrder(t *testing.T) {
 	for i, p := range seq {
 		cfgs[i], labels[i] = p.Config, p.Label
 	}
-	par := EvalParallel(factory("gpu"), cfgs, labels, 0)
+	par, _ := EvalParallelContext(context.Background(), factory("gpu"), cfgs, labels, 0, nil)
 	if len(par) != len(sizes) {
 		t.Fatalf("got %d points", len(par))
 	}
@@ -76,7 +77,7 @@ func TestEvalParallelFactoryError(t *testing.T) {
 	boom := errors.New("no such device")
 	bad := func() (device.Device, error) { return nil, boom }
 	cfgs := Space{VecWidths: []int{1, 2, 4}}.Configs(base())
-	pts := EvalParallel(bad, cfgs, nil, 2)
+	pts, _ := EvalParallelContext(context.Background(), bad, cfgs, nil, 2, nil)
 	if len(pts) != 3 {
 		t.Fatalf("got %d points", len(pts))
 	}
@@ -100,7 +101,7 @@ func TestEvalParallelFactoryError(t *testing.T) {
 }
 
 func TestEvalParallelEmpty(t *testing.T) {
-	pts := EvalParallel(factory("cpu"), nil, nil, 0)
+	pts, _ := EvalParallelContext(context.Background(), factory("cpu"), nil, nil, 0, nil)
 	if len(pts) != 0 {
 		t.Errorf("got %d points for empty grid", len(pts))
 	}

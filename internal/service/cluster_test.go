@@ -351,9 +351,20 @@ func TestFleetCancelPropagates(t *testing.T) {
 	if canceled.Status == service.StatusDone {
 		t.Fatalf("cancel landed after completion: %+v", canceled)
 	}
-	// Open the gate: the pinned points finish, and every worker job must
-	// stop at that evaluation-unit boundary instead of running its shard
-	// to completion.
+	// Open the gate only once every worker has answered the fleet's
+	// cancel: the pinned points finish, and every worker job must stop
+	// at that evaluation-unit boundary instead of running its shard to
+	// completion. No shard can pass its gated point before the fan-out
+	// lands.
+	deadline = time.Now().Add(10 * time.Second)
+	for _, w := range fe.workers {
+		for w.deletes.Load() == 0 {
+			if time.Now().After(deadline) {
+				t.Fatal("the cancel never fanned out to every worker")
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
 	openGate()
 
 	final := fe.pollJob(t, job.ID)

@@ -11,9 +11,9 @@
 // goroutines (GOMAXPROCS by default) pull jobs and execute them. Each
 // execution builds its own device instances — devices carry simulator
 // state and are never shared across goroutines. Sweep jobs additionally
-// fan their grid points out over dse.EvalParallel, and every grid point
-// consults the same result cache a /v1/run request does, so sweeps and
-// runs share work transparently.
+// fan their grid points out over dse.EvalParallelContext, and every grid
+// point consults the same result cache a /v1/run request does, so sweeps
+// and runs share work transparently.
 //
 // Caching happens at two granularities. The run-result LRU holds
 // individual simulations keyed by (target, canonical config) and is

@@ -62,6 +62,7 @@ type testEnv struct {
 	srv      *service.Server
 	ts       *httptest.Server
 	compiles *atomic.Int64
+	deletes  atomic.Int64 // DELETE requests the server has answered
 }
 
 func newEnv(t *testing.T, opts service.Options) *testEnv {
@@ -77,12 +78,19 @@ func newEnv(t *testing.T, opts service.Options) *testEnv {
 		}
 	}
 	srv := service.New(opts)
-	ts := httptest.NewServer(srv.Handler())
+	e := &testEnv{srv: srv, compiles: compiles}
+	h := srv.Handler()
+	e.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h.ServeHTTP(w, r)
+		if r.Method == http.MethodDelete {
+			e.deletes.Add(1)
+		}
+	}))
 	t.Cleanup(func() {
-		ts.Close()
+		e.ts.Close()
 		srv.Close()
 	})
-	return &testEnv{srv: srv, ts: ts, compiles: compiles}
+	return e
 }
 
 // smallConfig is a fast verified single-kernel run.

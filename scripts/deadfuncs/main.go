@@ -48,7 +48,6 @@ var allow = map[string]string{
 	"mpstream.RunExperimentContext": "root facade: public API listed in README",
 
 	"mpstream/internal/dse.ExploreParallel": "reached only through the root facade's ExploreParallel",
-	"mpstream/internal/dse.EvalParallel":    "reached only through the root facade's ExploreParallel",
 
 	"mpstream/internal/sim/cache.Stats.HitRate":            "LLC hit rate, to be surfaced in results (ROADMAP item 8(b))",
 	"mpstream/internal/sim/dram.LoadedResult.AvgLatencyNs": "mean loaded latency, to be surfaced in results (ROADMAP item 8(b))",
