@@ -191,14 +191,16 @@ func BenchmarkExplore(b *testing.B) {
 	b.ReportMetric(float64(ranked), "points")
 }
 
-// BenchmarkExploreParallel is the same grid through dse.ExploreParallel.
+// BenchmarkExploreParallel is the same grid evaluated over GOMAXPROCS
+// workers and ranked, the path service sweeps take.
 func BenchmarkExploreParallel(b *testing.B) {
 	base, space := dseGrid()
+	base.Ops = []kernel.Op{kernel.Copy}
 	newDev := func() (device.Device, error) { return targets.ByID("aocl") }
 	var ranked int
 	for i := 0; i < b.N; i++ {
-		ex := dse.ExploreParallel(newDev, base, space, kernel.Copy)
-		ranked = len(ex.Ranked)
+		pts, _ := dse.EvalParallelContext(context.Background(), newDev, space.Configs(base), nil, 0, nil)
+		ranked = len(dse.Rank(pts, kernel.Copy).Ranked)
 	}
 	b.ReportMetric(float64(ranked), "points")
 }

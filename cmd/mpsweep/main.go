@@ -53,7 +53,7 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "", "experiment id (fig1a|fig1b|fig2|fig3|fig4a|fig4b|targets|pcie|resources|unroll|preshape|dtype)")
+		exp      = flag.String("exp", "", expUsage())
 		all      = flag.Bool("all", false, "run every experiment")
 		markdown = flag.Bool("markdown", false, "emit Markdown instead of text")
 		asJSON   = flag.Bool("json", false, "emit JSON instead of text (-all yields a JSON array)")
@@ -270,13 +270,14 @@ func run(ctx context.Context, exp string, all, markdown, asJSON, asCSV bool) err
 	return emit(e)
 }
 
+// ids lists the registered experiment ids in presentation order.
 func ids() string {
-	s := ""
-	for i, ent := range experiments.Registry() {
-		if i > 0 {
-			s += " "
-		}
-		s += ent.ID
+	var s []string
+	for _, ent := range experiments.Registry() {
+		s = append(s, ent.ID)
 	}
-	return s
+	return strings.Join(s, "|")
 }
+
+// expUsage is the -exp flag's usage line.
+func expUsage() string { return "experiment id (" + ids() + ")" }

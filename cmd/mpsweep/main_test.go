@@ -105,6 +105,23 @@ func TestIDsListsAll(t *testing.T) {
 	}
 }
 
+// TestExpUsageNamesEveryExperiment: the -exp usage lists exactly the
+// registered experiments, so a new experiment cannot go undocumented.
+func TestExpUsageNamesEveryExperiment(t *testing.T) {
+	u := expUsage()
+	inner := u[strings.Index(u, "(")+1 : strings.LastIndex(u, ")")]
+	listed := strings.Split(inner, "|")
+	reg := experiments.Registry()
+	if len(listed) != len(reg) {
+		t.Fatalf("-exp usage lists %d ids, registry has %d: %s", len(listed), len(reg), u)
+	}
+	for i, ent := range reg {
+		if listed[i] != ent.ID {
+			t.Errorf("-exp usage id %d = %q, want %q", i, listed[i], ent.ID)
+		}
+	}
+}
+
 // TestRunCSVRoundTrip: -csv output parses as CSV and reproduces the
 // experiment's table cell for cell.
 func TestRunCSVRoundTrip(t *testing.T) {

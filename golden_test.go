@@ -32,6 +32,7 @@ import (
 	"mpstream/internal/device/targets"
 	"mpstream/internal/dse"
 	"mpstream/internal/dse/search"
+	"mpstream/internal/experiments"
 	"mpstream/internal/kernel"
 	"mpstream/internal/sim/mem"
 	"mpstream/internal/surface"
@@ -237,6 +238,24 @@ func TestGoldenSweep(t *testing.T) {
 				results = append(results, p.Result)
 			}
 			checkGolden(t, "sweep/"+id, "", core.DigestJSON(results))
+		})
+	}
+}
+
+// TestGoldenExperiments pins the experiments that measure one-axis
+// design-space slices and size series, whole, as mpsweep renders them.
+func TestGoldenExperiments(t *testing.T) {
+	for _, id := range []string{"fig1a", "fig1b", "fig3", "fig4b", "unroll", "dtype", "hmc"} {
+		t.Run(id, func(t *testing.T) {
+			run, err := experiments.ByID(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, err := run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, "experiment/"+id, "", core.DigestJSON(e))
 		})
 	}
 }

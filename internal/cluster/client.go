@@ -135,11 +135,16 @@ func (c *Client) Job(ctx context.Context, worker, id string) (JobView, error) {
 	return out.Job, err
 }
 
+// controlTimeout bounds a short control request to a worker that must
+// not inherit a canceled context: a cancel, or the shard submit whose
+// job ID the cancel needs.
+const controlTimeout = 5 * time.Second
+
 // Cancel requests cancellation of a worker job. It runs under its own
 // short deadline — cancellation fan-out must not inherit the already-
 // canceled fleet context.
 func (c *Client) Cancel(worker, id string) error {
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), controlTimeout)
 	defer cancel()
 	return c.do(ctx, http.MethodDelete, worker+"/v1/jobs/"+id, nil, nil)
 }

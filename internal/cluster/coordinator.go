@@ -65,9 +65,6 @@ type Options struct {
 	MaxBackoff   time.Duration
 	// DisableSpeculation turns off speculative tail re-execution.
 	DisableSpeculation bool
-	// Now is the liveness clock; nil means time.Now. Tests inject fake
-	// clocks here.
-	Now func() time.Time
 	// Logger receives the scheduler's leveled diagnostics: shard
 	// retries, workers marked down, watchdog reaps, lost shards — the
 	// paths that used to fail silently. Nil discards them.
@@ -129,7 +126,7 @@ func New(opts Options) *Coordinator {
 	return &Coordinator{
 		opts:   opts,
 		client: NewClient(),
-		reg:    newRegistry(opts.HeartbeatTTL, opts.Now),
+		reg:    newRegistry(opts.HeartbeatTTL, time.Now),
 		log:    log,
 		stop:   make(chan struct{}),
 	}

@@ -466,7 +466,13 @@ func (d *dispatcher) runAttempt(ctx context.Context, at *attemptState) {
 		}
 	}
 	var view JobView
-	queued, err := d.submit(actx, w.Addr, i)
+	// A cancel that lands mid-submit must not abort the POST: the worker
+	// may already have queued the job, and only its ID lets the cancel
+	// fan-out below reach it. The submit keeps actx's trace but not its
+	// cancellation.
+	sctx, scancel := context.WithTimeout(context.WithoutCancel(actx), controlTimeout)
+	queued, err := d.submit(sctx, w.Addr, i)
+	scancel()
 	if err == nil {
 		view, err = c.awaitWithWatchdog(actx, w, queued.ID, onPoint)
 	}

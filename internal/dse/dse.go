@@ -1,8 +1,10 @@
 // Package dse implements design-space exploration over the MP-STREAM
-// parameter space: one-dimensional sweeps for each tuning knob (the
-// figures of the paper) and an exhaustive explorer that searches a
-// parameter grid for a device's best configuration — the manual and
-// automated exploration routes the paper motivates.
+// parameter space. A Space describes every variation of the tuning
+// knobs: its one-axis slices are the figures of the paper, its full
+// grid is what the exhaustive explorer searches for a device's best
+// configuration — the manual and automated exploration routes the
+// paper motivates. Array size is not a tuning knob; SweepSizes varies
+// it on its own.
 package dse
 
 import (
@@ -69,7 +71,6 @@ func run(dev device.Device, cfg core.Config, label string) Point {
 }
 
 func sizeLabel(s int64) string { return fmt.Sprintf("%dB", s) }
-func vecLabel(v int) string    { return fmt.Sprintf("v%d", v) }
 
 // SweepSizes varies the array size (Figure 1(a), Figure 2).
 func SweepSizes(dev device.Device, base core.Config, sizes []int64) []Point {
@@ -78,86 +79,6 @@ func SweepSizes(dev device.Device, base core.Config, sizes []int64) []Point {
 		cfg := base
 		cfg.ArrayBytes = s
 		pts = append(pts, run(dev, cfg, sizeLabel(s)))
-	}
-	return pts
-}
-
-// SweepVecWidths varies the vectorization degree (Figure 1(b)).
-func SweepVecWidths(dev device.Device, base core.Config, widths []int) []Point {
-	pts := make([]Point, 0, len(widths))
-	for _, v := range widths {
-		cfg := base
-		cfg.VecWidth = v
-		pts = append(pts, run(dev, cfg, vecLabel(v)))
-	}
-	return pts
-}
-
-// SweepLoopModes varies kernel loop management (Figure 3).
-func SweepLoopModes(dev device.Device, base core.Config) []Point {
-	pts := make([]Point, 0, 3)
-	for _, lm := range kernel.LoopModes() {
-		cfg := base
-		cfg.OptimalLoop = false
-		cfg.Loop = lm
-		pts = append(pts, run(dev, cfg, lm.String()))
-	}
-	return pts
-}
-
-// SweepSIMD varies AOCL's num_simd_work_items (Figure 4(b)). It forces
-// NDRange kernels with a fixed work-group size, as AOCL requires.
-func SweepSIMD(dev device.Device, base core.Config, ns []int) []Point {
-	pts := make([]Point, 0, len(ns))
-	for _, n := range ns {
-		cfg := base
-		cfg.OptimalLoop = false
-		cfg.Loop = kernel.NDRange
-		cfg.Attrs.NumSIMDWorkItems = n
-		if cfg.Attrs.ReqdWorkGroupSize == 0 {
-			cfg.Attrs.ReqdWorkGroupSize = 256
-		}
-		pts = append(pts, run(dev, cfg, fmt.Sprintf("simd%d", n)))
-	}
-	return pts
-}
-
-// SweepCU varies AOCL's num_compute_units (Figure 4(b)).
-func SweepCU(dev device.Device, base core.Config, ns []int) []Point {
-	pts := make([]Point, 0, len(ns))
-	for _, n := range ns {
-		cfg := base
-		cfg.OptimalLoop = false
-		cfg.Loop = kernel.NDRange
-		cfg.Attrs.NumComputeUnits = n
-		pts = append(pts, run(dev, cfg, fmt.Sprintf("cu%d", n)))
-	}
-	return pts
-}
-
-// SweepUnroll varies the loop unroll factor on loop kernels.
-func SweepUnroll(dev device.Device, base core.Config, factors []int) []Point {
-	pts := make([]Point, 0, len(factors))
-	for _, u := range factors {
-		cfg := base
-		if cfg.OptimalLoop && dev.Info().OptimalLoop == kernel.NDRange {
-			// Unroll needs a loop kernel.
-			cfg.OptimalLoop = false
-			cfg.Loop = kernel.FlatLoop
-		}
-		cfg.Attrs.Unroll = u
-		pts = append(pts, run(dev, cfg, fmt.Sprintf("u%d", u)))
-	}
-	return pts
-}
-
-// SweepTypes varies the data type (int vs double).
-func SweepTypes(dev device.Device, base core.Config) []Point {
-	pts := make([]Point, 0, 2)
-	for _, dt := range kernel.DataTypes() {
-		cfg := base
-		cfg.Type = dt
-		pts = append(pts, run(dev, cfg, dt.String()))
 	}
 	return pts
 }

@@ -50,74 +50,66 @@ func TestSweepSizes(t *testing.T) {
 	}
 }
 
+// slice measures a one-axis Space over base on one target and returns
+// the copy bandwidth of each grid point, in grid order.
+func slice(t *testing.T, id string, base core.Config, s Space) []float64 {
+	t.Helper()
+	d := dev(t, id)
+	var g []float64
+	for _, cfg := range s.Configs(base) {
+		p := run(d, cfg, ConfigLabel(cfg))
+		if p.Err != nil {
+			t.Fatalf("%s: %v", p.Label, p.Err)
+		}
+		g = append(g, p.GBps(kernel.Copy))
+	}
+	return g
+}
+
 func TestSweepVecWidths(t *testing.T) {
-	pts := SweepVecWidths(dev(t, "aocl"), base(), []int{1, 2, 4, 8, 16})
-	if len(pts) != 5 {
-		t.Fatalf("got %d points", len(pts))
+	g := slice(t, "aocl", base(), Space{VecWidths: []int{1, 2, 4, 8, 16}})
+	if len(g) != 5 {
+		t.Fatalf("got %d points", len(g))
 	}
-	if pts[0].Label != "v1" || pts[4].Label != "v16" {
-		t.Errorf("labels wrong: %s, %s", pts[0].Label, pts[4].Label)
-	}
-	if !(pts[0].GBps(kernel.Copy) < pts[3].GBps(kernel.Copy)) {
+	if !(g[0] < g[3]) {
 		t.Error("AOCL vectorization must help")
 	}
 }
 
 func TestSweepLoopModes(t *testing.T) {
-	pts := SweepLoopModes(dev(t, "sdaccel"), base())
-	if len(pts) != 3 {
-		t.Fatalf("got %d points", len(pts))
+	loops := []kernel.LoopMode{kernel.NDRange, kernel.FlatLoop, kernel.NestedLoop}
+	g := slice(t, "sdaccel", base(), Space{Loops: loops})
+	if len(g) != 3 {
+		t.Fatalf("got %d points", len(g))
 	}
-	byLabel := map[string]float64{}
-	for _, p := range pts {
-		if p.Err != nil {
-			t.Fatal(p.Err)
-		}
-		byLabel[p.Label] = p.GBps(kernel.Copy)
-	}
-	if !(byLabel["nested"] > byLabel["ndrange"] && byLabel["ndrange"] > byLabel["flat"]) {
-		t.Errorf("sdaccel loop ordering wrong: %v", byLabel)
+	if !(g[2] > g[0] && g[0] > g[1]) {
+		t.Errorf("sdaccel loop ordering wrong: ndrange %g, flat %g, nested %g", g[0], g[1], g[2])
 	}
 }
 
 func TestSweepSIMDAndCU(t *testing.T) {
 	ns := []int{1, 2, 4}
-	simd := SweepSIMD(dev(t, "aocl"), base(), ns)
-	cu := SweepCU(dev(t, "aocl"), base(), ns)
-	for i := range ns {
-		if simd[i].Err != nil {
-			t.Fatalf("simd%d: %v", ns[i], simd[i].Err)
-		}
-		if cu[i].Err != nil {
-			t.Fatalf("cu%d: %v", ns[i], cu[i].Err)
-		}
-	}
-	if !(simd[2].GBps(kernel.Copy) > simd[0].GBps(kernel.Copy)) {
+	nd := base()
+	nd.OptimalLoop = false
+	nd.Loop = kernel.NDRange
+	wg := nd
+	wg.Attrs.ReqdWorkGroupSize = 256
+	simd := slice(t, "aocl", wg, Space{SIMDs: ns})
+	cu := slice(t, "aocl", nd, Space{CUs: ns})
+	if !(simd[2] > simd[0]) {
 		t.Error("SIMD must help at small N")
 	}
-	if !(cu[2].GBps(kernel.Copy) > cu[0].GBps(kernel.Copy)) {
+	if !(cu[2] > cu[0]) {
 		t.Error("CU must help at small N")
 	}
 }
 
-func TestSweepUnrollForcesLoopKernel(t *testing.T) {
-	pts := SweepUnroll(dev(t, "cpu"), base(), []int{1, 4})
-	for _, p := range pts {
-		if p.Err != nil {
-			t.Fatalf("%s: %v", p.Label, p.Err)
-		}
-		if p.Config.OptimalLoop || p.Config.Loop == kernel.NDRange {
-			t.Error("unroll sweep must force a loop kernel on NDRange-optimal devices")
-		}
-	}
-}
-
 func TestSweepTypes(t *testing.T) {
-	pts := SweepTypes(dev(t, "aocl"), base())
-	if len(pts) != 2 || pts[0].Label != "int" || pts[1].Label != "double" {
-		t.Fatalf("type sweep wrong: %+v", pts)
+	g := slice(t, "aocl", base(), Space{Types: []kernel.DataType{kernel.Int32, kernel.Float64}})
+	if len(g) != 2 {
+		t.Fatalf("got %d points", len(g))
 	}
-	if !(pts[1].GBps(kernel.Copy) > pts[0].GBps(kernel.Copy)) {
+	if !(g[1] > g[0]) {
 		t.Error("doubles must beat ints on AOCL (wider coalesced access)")
 	}
 }

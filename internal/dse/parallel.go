@@ -8,7 +8,6 @@ import (
 
 	"mpstream/internal/core"
 	"mpstream/internal/device"
-	"mpstream/internal/kernel"
 	"mpstream/internal/obs"
 	"mpstream/internal/runstate"
 )
@@ -122,15 +121,4 @@ dispatch:
 	close(idx)
 	wg.Wait()
 	return pts, runstate.FromContext(ctx)
-}
-
-// ExploreParallel is Explore with the grid fanned out over GOMAXPROCS
-// workers. It returns byte-identical results to Explore for the same
-// base and space: points are produced in grid order before ranking, the
-// simulator is deterministic, and Rank's stable sort breaks ties the
-// same way.
-func ExploreParallel(newDev DeviceFactory, base core.Config, space Space, op kernel.Op) Exploration {
-	base.Ops = []kernel.Op{op}
-	pts, _ := EvalParallelContext(context.Background(), newDev, space.Configs(base), nil, 0, nil)
-	return Rank(pts, op)
 }

@@ -18,9 +18,9 @@ func factory(id string) DeviceFactory {
 	return func() (device.Device, error) { return targets.ByID(id) }
 }
 
-// TestExploreParallelMatchesExplore is the acceptance criterion: the
-// parallel explorer returns byte-identical results to the sequential
-// one for the same grid.
+// TestExploreParallelMatchesExplore is the parity contract service
+// sweeps rely on: ranking a parallel evaluation of the grid gives
+// byte-identical results to the sequential explorer.
 func TestExploreParallelMatchesExplore(t *testing.T) {
 	space := Space{
 		VecWidths: []int{1, 4, 16},
@@ -28,7 +28,8 @@ func TestExploreParallelMatchesExplore(t *testing.T) {
 	}
 	for _, id := range []string{"aocl", "cpu"} {
 		seq := Explore(dev(t, id), base(), space, kernel.Copy)
-		par := ExploreParallel(factory(id), base(), space, kernel.Copy)
+		pts, _ := EvalParallelContext(context.Background(), factory(id), space.Configs(base()), nil, 0, nil)
+		par := Rank(pts, kernel.Copy)
 
 		seqJSON, err := json.Marshal(seq)
 		if err != nil {

@@ -138,13 +138,17 @@ func sizesToMB(sizes []int64) []float64 {
 	return x
 }
 
-func pointsToGBps(pts []dse.Point, op kernel.Op) ([]float64, error) {
-	out := make([]float64, len(pts))
-	for i, p := range pts {
-		if p.Err != nil {
-			return nil, fmt.Errorf("%s: %w", p.Label, p.Err)
+// copyGBps measures cfgs on dev in order and returns their copy
+// bandwidths. It checks no context: a caller that stops between points
+// passes them one at a time.
+func copyGBps(dev device.Device, cfgs []core.Config) ([]float64, error) {
+	out := make([]float64, len(cfgs))
+	for i, cfg := range cfgs {
+		res, err := core.Run(dev, cfg)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", dse.ConfigLabel(cfg), err)
 		}
-		out[i] = p.GBps(op)
+		out[i] = res.Kernel(kernel.Copy).GBps
 	}
 	return out, nil
 }
@@ -159,8 +163,7 @@ func sweepSizesSeries(ctx context.Context, dev device.Device, sizes []int64, pat
 		}
 		cfg := baseConfig(s)
 		cfg.Pattern = pattern
-		pts := dse.SweepSizes(dev, cfg, []int64{s})
-		g, err := pointsToGBps(pts, kernel.Copy)
+		g, err := copyGBps(dev, []core.Config{cfg})
 		if err != nil {
 			return nil, err
 		}
@@ -209,8 +212,7 @@ func Fig1b(ctx context.Context) (*Experiment, error) {
 			return e, nil
 		}
 		id := dev.Info().ID
-		pts := dse.SweepVecWidths(dev, baseConfig(4<<20), widths)
-		g, err := pointsToGBps(pts, kernel.Copy)
+		g, err := copyGBps(dev, dse.Space{VecWidths: widths}.Configs(baseConfig(4<<20)))
 		if err != nil {
 			return nil, fmt.Errorf("fig1b %s: %w", id, err)
 		}
@@ -274,8 +276,7 @@ func Fig3(ctx context.Context) (*Experiment, error) {
 			return e, nil
 		}
 		id := dev.Info().ID
-		pts := dse.SweepLoopModes(dev, baseConfig(4<<20))
-		g, err := pointsToGBps(pts, kernel.Copy)
+		g, err := copyGBps(dev, dse.Space{Loops: kernel.LoopModes()}.Configs(baseConfig(4<<20)))
 		if err != nil {
 			return nil, fmt.Errorf("fig3 %s: %w", id, err)
 		}
@@ -323,7 +324,6 @@ func Fig4b(ctx context.Context) (*Experiment, error) {
 	for i, n := range ns {
 		x[i] = float64(n)
 	}
-	base := baseConfig(4 << 20)
 	e := &Experiment{
 		ID:     "fig4b",
 		Title:  "Figure 4(b): AOCL optimization routes at 4 MB (GB/s)",
@@ -331,25 +331,34 @@ func Fig4b(ctx context.Context) (*Experiment, error) {
 		Notes:  []string{"paper's SIMD/CU values are read off the log-scale plot (approximate)"},
 	}
 
-	vecCfg := base
-	vecCfg.OptimalLoop = false
-	vecCfg.Loop = kernel.FlatLoop
-	for _, route := range []struct {
-		name  string
-		sweep func() []dse.Point
+	// Each route is one Space axis over its own base. Vectorization runs
+	// a flat loop; SIMD and CU replicate NDRange work-items. AOCL
+	// vectorizes work-items only under a fixed work-group size, so the
+	// SIMD route declares one at every N: at N=1 it still tightens the
+	// work-item dispatcher.
+	route := func(loop kernel.LoopMode, wg int, space dse.Space) []core.Config {
+		cfg := baseConfig(4 << 20)
+		cfg.OptimalLoop = false
+		cfg.Loop = loop
+		cfg.Attrs.ReqdWorkGroupSize = wg
+		return space.Configs(cfg)
+	}
+	for _, r := range []struct {
+		name string
+		cfgs []core.Config
 	}{
-		{"vector", func() []dse.Point { return dse.SweepVecWidths(dev, vecCfg, ns) }},
-		{"simd", func() []dse.Point { return dse.SweepSIMD(dev, base, ns) }},
-		{"cu", func() []dse.Point { return dse.SweepCU(dev, base, ns) }},
+		{"vector", route(kernel.FlatLoop, 0, dse.Space{VecWidths: ns})},
+		{"simd", route(kernel.NDRange, 256, dse.Space{SIMDs: ns})},
+		{"cu", route(kernel.NDRange, 0, dse.Space{CUs: ns})},
 	} {
 		if stopped(ctx, e) {
 			return e, nil
 		}
-		g, err := pointsToGBps(route.sweep(), kernel.Copy)
+		g, err := copyGBps(dev, r.cfgs)
 		if err != nil {
-			return nil, fmt.Errorf("fig4b %s: %w", route.name, err)
+			return nil, fmt.Errorf("fig4b %s: %w", r.name, err)
 		}
-		e.Series = append(e.Series, Series{Name: route.name, X: x, GBps: g, Paper: paperdata.Fig4b[route.name]})
+		e.Series = append(e.Series, Series{Name: r.name, X: x, GBps: g, Paper: paperdata.Fig4b[r.name]})
 	}
 	return e, nil
 }
@@ -477,7 +486,7 @@ func Unroll(ctx context.Context) (*Experiment, error) {
 		cfg := baseConfig(4 << 20)
 		cfg.OptimalLoop = false
 		cfg.Loop = dev.Info().OptimalLoop
-		g, err := pointsToGBps(dse.SweepUnroll(dev, cfg, factors), kernel.Copy)
+		g, err := copyGBps(dev, dse.Space{Unrolls: factors}.Configs(cfg))
 		if err != nil {
 			return nil, fmt.Errorf("unroll %s: %w", id, err)
 		}
@@ -547,7 +556,7 @@ func Dtype(ctx context.Context) (*Experiment, error) {
 			return e, nil
 		}
 		id := dev.Info().ID
-		g, err := pointsToGBps(dse.SweepTypes(dev, baseConfig(4<<20)), kernel.Copy)
+		g, err := copyGBps(dev, dse.Space{Types: kernel.DataTypes()}.Configs(baseConfig(4<<20)))
 		if err != nil {
 			return nil, fmt.Errorf("dtype %s: %w", id, err)
 		}
@@ -619,7 +628,7 @@ func HMC(ctx context.Context) (*Experiment, error) {
 		if stopped(ctx, e) {
 			return e, nil
 		}
-		g, err := pointsToGBps(dse.SweepVecWidths(variant.dev, cfg, ns), kernel.Copy)
+		g, err := copyGBps(variant.dev, dse.Space{VecWidths: ns}.Configs(cfg))
 		if err != nil {
 			return nil, fmt.Errorf("hmc %s: %w", variant.name, err)
 		}

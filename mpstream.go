@@ -146,14 +146,6 @@ func Explore(dev Device, base Config, space Space, op Op) Exploration {
 	return dse.Explore(dev, base, space, op)
 }
 
-// ExploreParallel is Explore fanned out over GOMAXPROCS goroutines.
-// newDev must return a fresh device per call (e.g. a TargetByID
-// closure): devices carry simulator state and are not shared across
-// workers. Results are byte-identical to Explore over the same grid.
-func ExploreParallel(newDev func() (Device, error), base Config, space Space, op Op) Exploration {
-	return dse.ExploreParallel(dse.DeviceFactory(newDev), base, space, op)
-}
-
 // Adaptive search (the budgeted optimizer strategies of dse/search).
 type (
 	// SearchOptions selects a strategy, budget and seed for Optimize.

@@ -87,28 +87,6 @@ func ExampleRun() {
 	// Output: true true
 }
 
-func TestFacadeExploreParallel(t *testing.T) {
-	base := mpstream.DefaultConfig()
-	base.ArrayBytes = 1 << 18
-	base.NTimes = 2
-	space := mpstream.Space{VecWidths: []int{1, 4}}
-	newDev := func() (mpstream.Device, error) { return mpstream.TargetByID("aocl") }
-	par := mpstream.ExploreParallel(newDev, base, space, mpstream.Copy)
-	dev, err := mpstream.TargetByID("aocl")
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq := mpstream.Explore(dev, base, space, mpstream.Copy)
-	if len(par.Ranked) != len(seq.Ranked) {
-		t.Fatalf("parallel ranked %d, sequential %d", len(par.Ranked), len(seq.Ranked))
-	}
-	pb, _ := par.Best()
-	sb, _ := seq.Best()
-	if pb.Label != sb.Label {
-		t.Errorf("parallel best %q, sequential best %q", pb.Label, sb.Label)
-	}
-}
-
 func TestFacadeService(t *testing.T) {
 	svc := mpstream.NewService(mpstream.ServiceOptions{Workers: 2})
 	defer svc.Close()

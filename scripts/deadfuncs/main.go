@@ -38,7 +38,6 @@ import (
 var allow = map[string]string{
 	"mpstream.RunContext":           "root facade: public API listed in README",
 	"mpstream.TargetIDs":            "root facade: public API listed in README",
-	"mpstream.ExploreParallel":      "root facade: public API listed in README",
 	"mpstream.OptimizeContext":      "root facade: public API listed in README",
 	"mpstream.SearchStrategies":     "root facade: public API listed in README",
 	"mpstream.SearchObjectives":     "root facade: public API listed in README",
@@ -46,8 +45,6 @@ var allow = map[string]string{
 	"mpstream.NewService":           "root facade: public API listed in README",
 	"mpstream.RunExperiment":        "root facade: public API listed in README",
 	"mpstream.RunExperimentContext": "root facade: public API listed in README",
-
-	"mpstream/internal/dse.ExploreParallel": "reached only through the root facade's ExploreParallel",
 
 	"mpstream/internal/sim/cache.Stats.HitRate":            "LLC hit rate, to be surfaced in results (ROADMAP item 8(b))",
 	"mpstream/internal/sim/dram.LoadedResult.AvgLatencyNs": "mean loaded latency, to be surfaced in results (ROADMAP item 8(b))",
