@@ -21,6 +21,8 @@ import (
 	"mpstream"
 	"mpstream/internal/core"
 	"mpstream/internal/device"
+	"mpstream/internal/device/cpusim"
+	"mpstream/internal/device/gpusim"
 	"mpstream/internal/device/targets"
 	"mpstream/internal/dse"
 	"mpstream/internal/experiments"
@@ -299,6 +301,35 @@ func BenchmarkPatternIter(b *testing.B) {
 			continue
 		}
 		left -= n
+	}
+}
+
+// BenchmarkKernelSource measures request generation alone: one op drains
+// two whole Fig2 kernel streams, a cpu column-major 16 MB copy coalesced
+// at the LLC line and a gpu contiguous 256 MB copy at the warp
+// coalescing window (8M and 4M requests), through mem.Fill a buffer at a
+// time.
+func BenchmarkKernelSource(b *testing.B) {
+	const elemB = 4 // float, vector width 1
+	cases := []struct {
+		p      mem.Pattern
+		bytes  int
+		window uint32
+	}{
+		{mem.ColMajorPattern(), 16 << 20, cpusim.DefaultConfig().LLC.LineBytes},
+		{mem.ContiguousPattern(), 256 << 20, gpusim.DefaultConfig().CoalesceBytes},
+	}
+	var buf [256]mem.Request
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, c := range cases {
+			src, err := device.KernelSource(kernel.Copy, c.bytes/elemB, elemB, c.p, c.window)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for mem.Fill(src, buf[:]) == len(buf) {
+			}
+		}
 	}
 }
 

@@ -365,13 +365,13 @@ func (b *Board) CheckExec(k kernel.Kernel, e Exec) error {
 // and serve later sampled calls at other array sizes, which re-run only
 // sample.Fit with their own total. That relies on run's measurements of
 // a sampled point being a pure function of the board, k and the
-// requests it pulls from src, true of all four back-ends. Each stream
-// of a contiguous walk from StreamBases starts with the same requests
-// at every size: only its last request (a partial coalescing window)
-// and its length depend on elems. The interleave is round-robin over
-// equal-length streams, so the first r requests of the walk are the
+// requests it pulls from src, true of all four back-ends. The arrays of
+// a contiguous walk share one index walk (mem.KernelWalk): round j is
+// the j-th coalescing window of every array, at its StreamBases
+// address. Only the last round (a partial window) and the number of
+// rounds depend on elems, so the first r requests of the walk are the
 // same at every size whose total is at least r plus the stream count:
-// no stream reaches its last request. r is counted, not assumed to be
+// they all lie before the last round. r is counted, not assumed to be
 // 2·window, because a body may read ahead of its budget (the DRAM
 // controller's reorder window does). Strided and column-major walks
 // are never remembered: their pass length and shape depend on elems.
@@ -565,49 +565,30 @@ func StreamBases(streams int) []uint64 {
 	return bases
 }
 
-// KernelSource builds the interleaved request stream one kernel invocation
-// presents to the memory system: for each loop trip, one read per input
-// array then one write to the destination, each stream walked with the
-// given pattern at elemBytes granularity and coalesced up to coalesceBytes
-// (the device's LSU/coalescer window; pass elemBytes to disable merging).
+// KernelSource builds the request stream one kernel invocation presents
+// to the memory system: for each loop trip, one read per input array
+// then one write to the destination, every array walked with the given
+// pattern at elemBytes granularity and coalesced up to coalesceBytes
+// (the device's LSU/coalescer window; pass elemBytes to disable
+// merging). It is one mem.KernelWalk over the arrays at StreamBases.
 func KernelSource(op kernel.Op, elems int, elemBytes uint32, p mem.Pattern, coalesceBytes uint32) (mem.Source, error) {
 	bases := StreamBases(op.Streams())
-	srcs := make([]mem.Source, 0, op.Streams())
+	arrays := make([]mem.Array, 0, mem.MaxArrays)
 	// Reads first (b, then c), then the write to a: stream tags match
 	// array identity (0=a, 1=b, 2=c).
 	for i := 1; i <= op.InputStreams(); i++ {
-		it, err := mem.NewIter(p, bases[i], elems, elemBytes, mem.Read, uint8(i))
-		if err != nil {
-			return nil, err
-		}
-		srcs = append(srcs, wrapCoalesce(it, elemBytes, coalesceBytes))
+		arrays = append(arrays, mem.Array{Base: bases[i], Op: mem.Read, Stream: uint8(i)})
 	}
-	wr, err := mem.NewIter(p, bases[0], elems, elemBytes, mem.Write, 0)
+	arrays = append(arrays, mem.Array{Base: bases[0], Op: mem.Write, Stream: 0})
+	w, err := mem.NewKernelWalk(p, elems, elemBytes, coalesceBytes, arrays...)
 	if err != nil {
 		return nil, err
 	}
-	srcs = append(srcs, wrapCoalesce(wr, elemBytes, coalesceBytes))
-	if len(srcs) == 1 {
-		return srcs[0], nil
-	}
-	return mem.NewInterleave(srcs...), nil
-}
-
-func wrapCoalesce(s mem.Source, elemBytes, coalesceBytes uint32) mem.Source {
-	if coalesceBytes <= elemBytes {
-		return s
-	}
-	return mem.NewCoalescer(s, coalesceBytes)
+	return w, nil
 }
 
 // TxnCount predicts exactly how many transactions KernelSource yields
-// after coalescing: address-adjacent walks (effective stride 1) merge up
-// to the window, any larger stride defeats merging entirely.
+// after coalescing: each array's walk emits p.Txns of them.
 func TxnCount(op kernel.Op, elems int, elemBytes uint32, p mem.Pattern, coalesceBytes uint32) uint64 {
-	perStream := uint64(elems)
-	if coalesceBytes > elemBytes && p.EffectiveStrideElems(elems) == 1 {
-		bytes := uint64(elems) * uint64(elemBytes)
-		perStream = (bytes + uint64(coalesceBytes) - 1) / uint64(coalesceBytes)
-	}
-	return perStream * uint64(op.Streams())
+	return uint64(op.Streams()) * p.Txns(elems, elemBytes, coalesceBytes)
 }

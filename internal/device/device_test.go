@@ -187,6 +187,37 @@ func TestTxnCountMatchesSource(t *testing.T) {
 	}
 }
 
+// TxnCount must equal the drained count of every small kernel stream,
+// including the strided walks whose last passes hold one element each
+// and the one-row column-major shapes, which merge although their
+// stride is not one.
+func TestTxnCountMatchesSmallKernels(t *testing.T) {
+	for elems := 1; elems <= 64; elems++ {
+		patterns := []mem.Pattern{
+			mem.ContiguousPattern(),
+			mem.StridedPattern(2),
+			mem.StridedPattern(7),
+			mem.StridedPattern(40),
+			mem.ColMajorPattern(),
+			{Kind: mem.ColMajor2D, Rows: 1, Cols: elems},
+		}
+		for _, op := range []kernel.Op{kernel.Copy, kernel.Triad} {
+			for _, p := range patterns {
+				for _, window := range []uint32{2, 4, 8, 64} {
+					src, err := KernelSource(op, elems, 4, p, window)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if n, want := len(drain(src)), TxnCount(op, elems, 4, p, window); uint64(n) != want {
+						t.Errorf("%v over %d elems, pattern %+v, window %d: source yields %d, TxnCount says %d",
+							op, elems, p, window, n, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestWattsAt(t *testing.T) {
 	info := Info{PeakMemGBps: 100, IdleWatts: 20, PeakWatts: 120}
 	if got := info.WattsAt(0); got != 20 {

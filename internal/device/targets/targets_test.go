@@ -106,3 +106,31 @@ func TestBoardContract(t *testing.T) {
 		})
 	}
 }
+
+// Two patterns that visit the same addresses in the same order, a
+// one-row column-major shape and a stride of the whole array, cost the
+// same on every target, and a sampled run of either finds windows its
+// predicted transaction count fits: the count follows the merged stream.
+func TestSameStreamPatternsAgree(t *testing.T) {
+	const bytes = 4 << 20
+	for _, d := range All() {
+		k := kernel.Kernel{Op: kernel.Copy, VecWidth: 1, Loop: d.Info().OptimalLoop}
+		plan, err := d.Compile(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		elems := int(bytes / int64(k.ElemBytes()))
+		var secs []float64
+		for _, p := range []mem.Pattern{{Kind: mem.ColMajor2D, Rows: 1, Cols: elems}, mem.StridedPattern(elems)} {
+			d.Reset()
+			s, err := plan.Seconds(device.Exec{ArrayBytes: bytes, Pattern: p})
+			if err != nil {
+				t.Fatalf("%s %+v: %v", d.Info().ID, p, err)
+			}
+			secs = append(secs, s)
+		}
+		if secs[0] != secs[1] {
+			t.Errorf("%s: one-row column-major %g s, whole-array stride %g s", d.Info().ID, secs[0], secs[1])
+		}
+	}
+}

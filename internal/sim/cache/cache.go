@@ -20,6 +20,7 @@ package cache
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/bits"
 
 	"mpstream/internal/sim/mem"
@@ -166,6 +167,13 @@ type Cache struct {
 	wcLine  [8]uint64
 	wcBytes [8]uint32
 	wcValid [8]bool
+
+	// lo and hi bound the line IDs the miss path has allocated since
+	// Reset (lo > hi while it has allocated none). Only the miss path
+	// makes a way valid, so no line outside [lo, hi] can be present, and
+	// invalidate returns without probing for one: a non-temporal store
+	// to an array the kernel never reads costs no set probe.
+	lo, hi uint64
 }
 
 // Metadata block layout, in bytes: the MRU and LRU way, padding to
@@ -193,6 +201,7 @@ func New(cfg Config) *Cache {
 	c.meta = make([]byte, c.sets*c.stride)
 	c.valid = make([]uint64, c.sets)
 	c.dirty = make([]uint64, c.sets)
+	c.lo = math.MaxUint64
 	return c
 }
 
@@ -209,6 +218,7 @@ func (c *Cache) Reset() {
 	c.wcLine = [8]uint64{}
 	c.wcBytes = [8]uint32{}
 	c.wcValid = [8]bool{}
+	c.lo, c.hi = math.MaxUint64, 0
 }
 
 // Access presents one request. It appends to out (and returns the extended
@@ -319,6 +329,7 @@ func (c *Cache) Access(r mem.Request, out []mem.Request) []mem.Request {
 			})
 		}
 		c.tags[base+uint64(victim)] = lineID
+		c.lo, c.hi = min(c.lo, lineID), max(c.hi, lineID)
 		m[metaFP+uint64(victim)] = fingerprint(lineID)
 		if full {
 			c.rotate(m, victim)
@@ -380,8 +391,12 @@ func (c *Cache) pendingWC(out []mem.Request) []mem.Request {
 // invalidate drops a line if present (without writeback: used by
 // non-temporal stores which overwrite the whole line). The dropped way
 // leaves the valid mask and the recency list; its stale tag,
-// fingerprint and links stay behind, untrusted.
+// fingerprint and links stay behind, untrusted. A line outside the
+// allocated range [lo, hi] cannot be present and is not probed for.
 func (c *Cache) invalidate(lineID uint64) {
+	if lineID < c.lo || lineID > c.hi {
+		return
+	}
 	set := c.setIndex(lineID)
 	m := c.block(set)
 	vmask, base := c.valid[set], set*uint64(c.ways)

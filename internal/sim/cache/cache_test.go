@@ -173,6 +173,42 @@ func TestNonTemporalWriteInvalidates(t *testing.T) {
 	}
 }
 
+// A non-temporal store skips its probe for a line outside the range the
+// cache has allocated since Reset, so the range must be exact at both
+// ends: a store to a held line at either end still drops it, and a
+// store just outside leaves every held line in place.
+func TestNonTemporalWriteInvalidatesAtRangeEdges(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.NonTemporalWrites = true
+	c := New(cfg)
+	access(c, 0, 4, mem.Read, 0)
+	access(c, 100*64, 4, mem.Read, 0)
+	c.Reset()
+	const lo, hi = 10, 12
+	access(c, lo*64, 4, mem.Read, 1)
+	access(c, hi*64, 4, mem.Read, 1) // allocated range [lo, hi]
+	access(c, (lo-1)*64, 64, mem.Write, 0)
+	access(c, (hi+1)*64, 64, mem.Write, 0)
+	// Streams 2 and 3 have touched neither line: no L1 shortcut.
+	if outs := access(c, lo*64, 4, mem.Read, 2); len(outs) != 0 {
+		t.Errorf("line %d dropped by a store outside the range, traffic %+v", lo, outs)
+	}
+	if outs := access(c, hi*64, 4, mem.Read, 3); len(outs) != 0 {
+		t.Errorf("line %d dropped by a store outside the range, traffic %+v", hi, outs)
+	}
+	access(c, lo*64, 64, mem.Write, 0)
+	access(c, hi*64, 64, mem.Write, 0)
+	for _, r := range []struct {
+		line   uint64
+		stream uint8
+	}{{lo, 3}, {hi, 2}} {
+		outs := access(c, r.line*64, 4, mem.Read, r.stream)
+		if len(outs) != 1 || outs[0].Op != mem.Read {
+			t.Errorf("read of line %d after a store at the range's edge must miss, traffic %+v", r.line, outs)
+		}
+	}
+}
+
 func TestNTWriteSpanningLines(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.NonTemporalWrites = true
@@ -510,9 +546,9 @@ func TestMissFilterPause(t *testing.T) {
 	// A copy of 4-byte words: reads fill lines, stores combine in the
 	// write-combining buffers across several requests per line.
 	build := func() mem.Source {
-		r, _ := mem.NewIter(mem.ContiguousPattern(), 0, elems, 4, mem.Read, 1)
-		w, _ := mem.NewIter(mem.ContiguousPattern(), 1<<31, elems, 4, mem.Write, 0)
-		return mem.NewInterleave(r, w)
+		w, _ := mem.NewKernelWalk(mem.ContiguousPattern(), elems, 4, 4,
+			mem.Array{Base: 0, Op: mem.Read, Stream: 1}, mem.Array{Base: 1 << 31, Op: mem.Write, Stream: 0})
+		return w
 	}
 	for _, at := range []int{0, 1, 2, 31, 32, 33, 127, 128, 129, 2*elems - 1, 2 * elems} {
 		c, short, whole := New(cfg), New(cfg), New(cfg)

@@ -72,6 +72,13 @@ func FuzzAccess(f *testing.F) {
 	f.Add([]byte{63, 2, 2, 1, 60, 0x29, 0, 5, 3, 0x28, 0, 5, 0, 0x29, 0, 5, 7, 0x28, 0, 5, 0, 0x30, 1, 0, 9})
 	f.Add([]byte{0, 0, 0, 2, 200, 0x21, 0, 0, 0, 0x20, 0, 1, 0, 0x20, 0, 0, 0, 0xa0, 0, 0, 0})
 	f.Add([]byte{19, 4, 3, 7, 255, 0x38, 0xff, 0xff, 1, 0x39, 0, 7, 2, 0x2a, 0, 9, 0, 0x2c, 0, 7, 0})
+	// Non-temporal stores to a held line (then read again from another
+	// stream), to lines just outside the allocated range, and, after a
+	// Reset, to a line the cache allocated only before it.
+	f.Add([]byte{3, 2, 2, 1, 255, 0x28, 0, 5, 0, 0x29, 0, 5, 0, 0x2a, 0, 5, 0, 0x28, 0, 7, 0,
+		0x29, 0, 6, 0, 0x29, 0, 8, 0, 0x2c, 0, 7, 0, 0x29, 0, 7, 0, 0x2a, 0, 7, 0})
+	f.Add([]byte{7, 3, 0, 5, 128, 0xa8, 0, 100, 0, 0x28, 0, 3, 0, 0x29, 0, 3, 0, 0x2a, 0, 3, 0,
+		0x28, 0, 100, 0, 0xa9, 0, 100, 0, 0x29, 0, 3, 0, 0x2c, 0, 3, 0, 0x2a, 0, 100, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < fuzzHeader {
 			return

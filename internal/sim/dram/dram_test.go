@@ -171,15 +171,12 @@ func TestTurnaroundBatching(t *testing.T) {
 		cfg.BatchSize = batch
 		cfg.ReorderWin = 2 * batch
 		m := New(cfg)
-		rd, err := mem.NewIter(mem.ContiguousPattern(), 0, 1<<16, 64, mem.Read, 0)
+		w, err := mem.NewKernelWalk(mem.ContiguousPattern(), 1<<16, 64, 64,
+			mem.Array{Base: 0, Op: mem.Read, Stream: 0}, mem.Array{Base: 1 << 30, Op: mem.Write, Stream: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		wr, err := mem.NewIter(mem.ContiguousPattern(), 1<<30, 1<<16, 64, mem.Write, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m.Service(mem.NewInterleave(rd, wr))
+		return m.Service(w)
 	}
 	batched := mk(16)
 	unbatched := mk(1)
@@ -196,15 +193,12 @@ func TestPerStreamPlacementAvoidsTurnaround(t *testing.T) {
 	cfg := testConfig()
 	cfg.InterleaveBytes = 0 // stream tag picks the channel
 	m := New(cfg)
-	rd, err := mem.NewIter(mem.ContiguousPattern(), 0, 1<<16, 64, mem.Read, 0)
+	w, err := mem.NewKernelWalk(mem.ContiguousPattern(), 1<<16, 64, 64,
+		mem.Array{Base: 0, Op: mem.Read, Stream: 0}, mem.Array{Base: 0, Op: mem.Write, Stream: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wr, err := mem.NewIter(mem.ContiguousPattern(), 0, 1<<16, 64, mem.Write, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := m.Service(mem.NewInterleave(rd, wr))
+	res := m.Service(w)
 	if res.Turnarounds != 0 {
 		t.Errorf("per-stream placement saw %d turnarounds, want 0", res.Turnarounds)
 	}

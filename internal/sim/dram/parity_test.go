@@ -60,15 +60,12 @@ func randomStream(rng *rand.Rand, burst uint32) func() mem.Source {
 	seedElems := elems // captured: identical streams per call
 	switch kind {
 	case 0: // interleaved contiguous read/write pair (copy-shaped)
+		return func() mem.Source { return copyWalk(seedElems, burst) }
+	case 1: // coalesced strided reads
 		return func() mem.Source {
-			r, _ := mem.NewIter(mem.ContiguousPattern(), 0, seedElems, burst, mem.Read, 1)
-			w, _ := mem.NewIter(mem.ContiguousPattern(), 1<<31, seedElems, burst, mem.Write, 0)
-			return mem.NewInterleave(r, w)
-		}
-	case 1: // strided reads through a coalescer
-		return func() mem.Source {
-			it, _ := mem.NewIter(mem.StridedPattern(stride), 0, seedElems, 4, mem.Read, 1)
-			return mem.NewCoalescer(it, burst)
+			w, _ := mem.NewKernelWalk(mem.StridedPattern(stride), seedElems, 4, burst,
+				mem.Array{Base: 0, Op: mem.Read, Stream: 1})
+			return w
 		}
 	case 2: // error-diffusion read/write mix
 		return func() mem.Source {
@@ -82,6 +79,14 @@ func randomStream(rng *rand.Rand, burst uint32) func() mem.Source {
 			return c
 		}
 	}
+}
+
+// copyWalk is a copy kernel's contiguous walk of burst-sized elements:
+// reads of b at 0 interleaved with writes of a at 2 GiB.
+func copyWalk(elems int, burst uint32) mem.Source {
+	w, _ := mem.NewKernelWalk(mem.ContiguousPattern(), elems, burst, burst,
+		mem.Array{Base: 0, Op: mem.Read, Stream: 1}, mem.Array{Base: 1 << 31, Op: mem.Write, Stream: 0})
+	return w
 }
 
 func TestServiceBoundedMatchesReference(t *testing.T) {
@@ -122,12 +127,12 @@ func TestServiceBoundedMatchesReference(t *testing.T) {
 		readFrac := rng.Float64()
 		mix := rng.Intn(2) == 0
 		build := func() mem.Source {
+			if !mix {
+				return copyWalk(elems, cfg.BurstBytes)
+			}
 			r, _ := mem.NewIter(mem.ContiguousPattern(), 0, elems, cfg.BurstBytes, mem.Read, 1)
 			w, _ := mem.NewIter(mem.ContiguousPattern(), 1<<31, elems, cfg.BurstBytes, mem.Write, 0)
-			if mix {
-				return mem.NewMix(r, w, readFrac, 0)
-			}
-			return mem.NewInterleave(r, w)
+			return mem.NewMix(r, w, readFrac, 0)
 		}
 		m := New(cfg)
 		total := refServiceBounded(m, build(), 0, ring).Txns

@@ -4,9 +4,9 @@ package mem
 // caller-owned slice with one call. A per-request pull would cost an
 // interface call plus a walk-state switch per request, which dominates
 // on streams of millions of requests; a batch pays the dispatch once and
-// runs one monomorphic loop per pattern kind. Combinators (Interleave,
-// Coalescer, Limit, Mix, and cache.MissFilter downstream) pull their
-// inputs the same way, so a whole generator chain moves in batches.
+// runs one monomorphic loop per pattern kind. Combinators (Limit, Mix,
+// and cache.MissFilter downstream) pull their inputs the same way, so a
+// whole generator chain moves in batches.
 
 // Fill pulls up to len(dst) requests from s. A short count means the
 // source is exhausted.
@@ -67,6 +67,65 @@ func (it *Iter) NextBatch(dst []Request) int {
 		}
 	}
 	return n
+}
+
+// NextBatch emits the walk round by round, finishing first a round the
+// previous batch cut short.
+func (w *KernelWalk) NextBatch(dst []Request) int {
+	n := 0
+	for ; w.arr < w.k && n < len(dst); w.arr, n = w.arr+1, n+1 {
+		dst[n] = w.request(w.arr)
+	}
+	for n < len(dst) && w.step() {
+		m := min(w.k, len(dst)-n)
+		for i := range m {
+			dst[n+i] = w.request(i)
+		}
+		n += m
+		w.arr = m
+	}
+	return n
+}
+
+// request is array i's copy of the current span.
+func (w *KernelWalk) request(i int) Request {
+	a := &w.arrays[i]
+	return Request{Addr: a.Base + w.off, Size: w.size, Op: a.Op, Stream: a.Stream}
+}
+
+// step moves the walk to its next span, reporting false at the end: a
+// window of the run, or the next element visited one by one.
+func (w *KernelWalk) step() bool {
+	if w.pos < w.end {
+		take := min(w.per, w.end-w.pos)
+		w.off, w.size = uint64(w.pos)*w.eb, uint32(uint64(take)*w.eb)
+		w.pos += take
+		return true
+	}
+	if w.left == 0 {
+		return false
+	}
+	var e int
+	if w.kind == Strided {
+		e = w.idx
+		if w.idx += w.stride; w.idx >= w.elems {
+			w.lane++
+			w.idx = w.lane
+		}
+	} else {
+		e = w.idx*w.cols + w.lane
+		if w.idx++; w.idx >= w.rows {
+			w.idx = 0
+			w.lane++
+		}
+	}
+	w.off, w.size = uint64(e)*w.eb, uint32(w.eb)
+	if w.left--; w.left == 0 {
+		// What is left is the run, from the next element a strided walk
+		// visits (a column-major walk leaves none).
+		w.pos, w.end = w.idx, w.idx+w.tail
+	}
+	return true
 }
 
 // NextBatch emits chase hops: one LCG step per request, no dispatch.

@@ -1,13 +1,14 @@
 package mem
 
-// Batch parity: every source, across the combinator chains the device
-// models actually build (interleave over coalescers over iterators,
+// Batch parity: every source, across the compositions the device models
+// actually build (kernel walks of every pattern shape, iterators,
 // limits, mixes, chases), must emit exactly its frozen reference stream
 // (reference_test.go) however the pulls are chunked. Chunk lengths are
 // random and often 1, so chunk boundaries land mid-merge, mid-rotation
 // and mid-group.
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -39,12 +40,11 @@ type chain struct {
 }
 
 // chainBuilders returns the compositions under parity test, covering
-// every Source implementation in the package and both Coalescer merge
-// paths (the contiguous-*Iter fast path and the generic loop).
+// every Source implementation in the package and both phases of a
+// kernel walk (elements one by one, then the merging run).
 func chainBuilders(rng *rand.Rand) []chain {
 	elems := 64 + rng.Intn(1500)
 	stride := 1 + rng.Intn(24)
-	window := uint32(1 + rng.Intn(160))
 	mixFrac := rng.Float64()
 	mixGroup := 1 + rng.Intn(32)
 	chaseElems := 1 + rng.Intn(3000)
@@ -69,76 +69,54 @@ func chainBuilders(rng *rand.Rand) []chain {
 		c.name = name
 		return c
 	}
-	contigR := walk(ContiguousPattern(), 0, 4, Read, 1)
-	stridedR := walk(StridedPattern(stride), 0, 4, Read, 1)
-	return []chain{
+	walkN := func(p Pattern, k int, eb, window uint32) Source {
+		w, err := NewKernelWalk(p, elems, eb, window, kernelArrays(k)...)
+		if err != nil {
+			panic(err)
+		}
+		return w
+	}
+	refWalkN := func(p Pattern, k int, eb, window uint32) []Request {
+		return refKernelWalk(p, elems, eb, window, kernelArrays(k))
+	}
+	// One kernel walk per pattern shape the walk tells apart, each over
+	// 1 to MaxArrays arrays, with a window below, at or above the
+	// element size. A stride past half the array ends the walk in
+	// adjacent one-element passes, and a one-row or one-column matrix
+	// walks its elements in address order: the walks that merge.
+	shapes := []struct {
+		name string
+		p    Pattern
+	}{
+		{"contig", ContiguousPattern()},
+		{"strided", StridedPattern(stride)},
+		{"strided-wide", StridedPattern(elems/2 + rng.Intn(elems))},
+		{"colmajor", ColMajorPattern()},
+		{"colmajor-row", Pattern{Kind: ColMajor2D, Rows: 1, Cols: elems}},
+		{"colmajor-col", Pattern{Kind: ColMajor2D, Rows: elems, Cols: 1}},
+	}
+	var walks []chain
+	for _, sh := range shapes {
+		k := 1 + rng.Intn(MaxArrays)
+		eb := uint32(4) << rng.Intn(2)
+		window := []uint32{eb / 2, eb, 2 * eb, 64, 100, uint32(1 + rng.Intn(160))}[rng.Intn(6)]
+		walks = append(walks, chain{
+			name:  fmt.Sprintf("walk-%s-%darrays-eb%d-window%d", sh.name, k, eb, window),
+			build: func() Source { return walkN(sh.p, k, eb, window) },
+			ref:   func() []Request { return refWalkN(sh.p, k, eb, window) },
+		})
+	}
+	return append(walks, []chain{
 		named("iter-contig", walk(ContiguousPattern(), 0, 8, Read, 1)),
 		named("iter-strided", walk(StridedPattern(stride), 0, 4, Write, 0)),
 		named("iter-colmajor", walk(ColMajorPattern(), 1<<20, 8, Read, 2)),
 		{
-			name:  "coalescer-contig",
-			build: func() Source { return NewCoalescer(contigR.build(), window) },
-			ref:   func() []Request { return refCoalesce(contigR.ref(), window) },
-		},
-		{
-			name:  "coalescer-strided",
-			build: func() Source { return NewCoalescer(stridedR.build(), window) },
-			ref:   func() []Request { return refCoalesce(stridedR.ref(), window) },
-		},
-		{
-			// A Limit upstream is not an *Iter, so a contiguous walk
-			// merges through the generic loop.
-			name: "coalescer-generic",
+			name: "limit-walk",
 			build: func() Source {
-				return NewCoalescer(NewLimit(contigR.build(), elems-3), window)
-			},
-			ref: func() []Request { return refCoalesce(refLimit(contigR.ref(), elems-3), window) },
-		},
-		{
-			name: "interleave-coalesced",
-			build: func() Source {
-				return NewInterleave(
-					NewCoalescer(iter(ContiguousPattern(), 1<<31, elems, 8, Read, 1), 64),
-					NewCoalescer(iter(ContiguousPattern(), 2<<31, elems, 8, Read, 2), 64),
-					NewCoalescer(iter(ContiguousPattern(), 0, elems, 8, Write, 0), 64),
-				)
+				return NewLimit(walkN(ContiguousPattern(), 2, 8, 8), elems/2+3)
 			},
 			ref: func() []Request {
-				return refInterleave(
-					refCoalesce(refWalk(ContiguousPattern(), 1<<31, elems, 8, Read, 1), 64),
-					refCoalesce(refWalk(ContiguousPattern(), 2<<31, elems, 8, Read, 2), 64),
-					refCoalesce(refWalk(ContiguousPattern(), 0, elems, 8, Write, 0), 64),
-				)
-			},
-		},
-		{
-			name: "interleave-uneven",
-			build: func() Source {
-				return NewInterleave(
-					iter(ContiguousPattern(), 0, elems/3+1, 8, Read, 1),
-					iter(StridedPattern(stride), 1<<31, elems, 8, Write, 0),
-				)
-			},
-			ref: func() []Request {
-				return refInterleave(
-					refWalk(ContiguousPattern(), 0, elems/3+1, 8, Read, 1),
-					refWalk(StridedPattern(stride), 1<<31, elems, 8, Write, 0),
-				)
-			},
-		},
-		{
-			name: "limit-interleave",
-			build: func() Source {
-				return NewLimit(NewInterleave(
-					iter(ContiguousPattern(), 0, elems, 8, Read, 1),
-					iter(ContiguousPattern(), 1<<31, elems, 8, Write, 0),
-				), elems/2+3)
-			},
-			ref: func() []Request {
-				return refLimit(refInterleave(
-					refWalk(ContiguousPattern(), 0, elems, 8, Read, 1),
-					refWalk(ContiguousPattern(), 1<<31, elems, 8, Write, 0),
-				), elems/2+3)
+				return refLimit(refWalkN(ContiguousPattern(), 2, 8, 8), elems/2+3)
 			},
 		},
 		{
@@ -184,7 +162,17 @@ func chainBuilders(rng *rand.Rand) []chain {
 			},
 			ref: func() []Request { return refChase(3<<31, chaseElems, 64, chaseHops, 3) },
 		},
+	}...)
+}
+
+// kernelArrays lays out k arrays the way a kernel does: k-1 reads, of
+// b and then c, then the write to a, each tagged with its array.
+func kernelArrays(k int) []Array {
+	arrays := make([]Array, 0, k)
+	for i := 1; i < k; i++ {
+		arrays = append(arrays, Array{Base: uint64(i) << 31, Op: Read, Stream: uint8(i)})
 	}
+	return append(arrays, Array{Base: 0, Op: Write, Stream: 0})
 }
 
 func TestFillMatchesReference(t *testing.T) {

@@ -1,14 +1,15 @@
 package mem
 
 // Fuzz coverage for the surface's background and probe generators and
-// for the coalescer. The properties fuzzed here are the ones the
+// for the kernel walk. The properties fuzzed here are the ones the
 // bandwidth–latency methodology leans on: Mix holds its read/write ratio
 // to within one scheduling granule by error diffusion, ChaseIter's LCG
 // walk never leaves its array, both are bit-deterministic for a fixed
-// seed (the whole caching and fleet-merge story rests on that), and the
-// Coalescer's two merge paths emit the same transactions and conserve
-// bytes. Every target also fuzzes the Fill chunk length: a stream must
-// not depend on how its pulls are chunked.
+// seed (the whole caching and fleet-merge story rests on that), and a
+// kernel walk emits the reference coalesced, interleaved stream, as
+// many transactions as Pattern.Txns counts, with its bytes conserved.
+// Every target also fuzzes the Fill chunk length: a stream must not
+// depend on how its pulls are chunked.
 //
 // Run with: go test -fuzz FuzzMix ./internal/sim/mem (etc.); the f.Add
 // seeds below run on every plain `go test`.
@@ -169,10 +170,19 @@ func FuzzChase(f *testing.F) {
 	})
 }
 
-// opaque hides a source's concrete type, so a Coalescer over it cannot
-// take the contiguous-*Iter fast path and runs its generic merge loop.
-type opaque struct{ Source }
+// mustWalk builds a kernel walk or fails the test.
+func mustWalk(t testing.TB, p Pattern, elems int, elemBytes, window uint32, arrays ...Array) *KernelWalk {
+	t.Helper()
+	w, err := NewKernelWalk(p, elems, elemBytes, window, arrays...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
 
+// FuzzCoalesce fuzzes the coalescing rule alone: one contiguous array
+// of any element size under any window, windows at or below the
+// element size and windows that are not a multiple of it included.
 func FuzzCoalesce(f *testing.F) {
 	f.Add(uint32(4), uint32(64), uint16(1024), uint8(0))
 	f.Add(uint32(8), uint32(64), uint16(1000), uint8(36))
@@ -186,35 +196,83 @@ func FuzzCoalesce(f *testing.F) {
 			t.Skip("out of model range")
 		}
 		const base = 1 << 20
-		walk := func() *Iter {
-			it, err := NewIter(ContiguousPattern(), base, elems, elemBytes, Write, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return it
-		}
-		fast := fillChunked(NewCoalescer(walk(), window), elems+1, chunk)
-		generic := fillChunked(NewCoalescer(opaque{walk()}, window), elems+1, chunk)
+		w := mustWalk(t, ContiguousPattern(), elems, elemBytes, window, Array{Base: base, Op: Write, Stream: 2})
+		got := fillChunked(w, elems+1, chunk)
 
-		// Property 1: both merge paths emit the same transactions, and
-		// both match the reference merge.
-		if i := equalStreams(fast, generic); i >= 0 {
-			t.Fatalf("fast path and generic loop diverged at %d (of %d / %d)", i, len(fast), len(generic))
-		}
-		if i := equalStreams(fast, refCoalesce(refWalk(ContiguousPattern(), base, elems, elemBytes, Write, 2), window)); i >= 0 {
+		// Property 1: the walk's arithmetic merge is the reference merge,
+		// and Txns counts it.
+		if i := equalStreams(got, refCoalesce(refWalk(ContiguousPattern(), base, elems, elemBytes, Write, 2), window)); i >= 0 {
 			t.Fatalf("diverged from the reference at %d", i)
+		}
+		if n := ContiguousPattern().Txns(elems, elemBytes, window); uint64(len(got)) != n {
+			t.Fatalf("emitted %d transactions, Txns says %d", len(got), n)
 		}
 
 		// Property 2: coalescing conserves request bytes.
-		want := uint64(elems) * uint64(elemBytes)
-		for name, txns := range map[string][]Request{"fast": fast, "generic": generic} {
-			var bytes uint64
-			for _, r := range txns {
-				bytes += uint64(r.Size)
-			}
-			if bytes != want {
-				t.Fatalf("%s path emitted %d bytes, want %d", name, bytes, want)
-			}
+		var bytes uint64
+		for _, r := range got {
+			bytes += uint64(r.Size)
+		}
+		if want := uint64(elems) * uint64(elemBytes); bytes != want {
+			t.Fatalf("emitted %d bytes, want %d", bytes, want)
+		}
+	})
+}
+
+// fuzzPattern maps a kind selector and a shape word onto a pattern over
+// elems: contiguous, a stride up to twice the array, the automatic
+// column-major shape, or a column-major shape whose row count is the
+// largest divisor of elems not above the shape word's pick.
+func fuzzPattern(kind uint8, shape uint16, elems int) Pattern {
+	switch kind % 4 {
+	case 1:
+		return StridedPattern(1 + int(shape)%(2*elems))
+	case 2:
+		return ColMajorPattern()
+	case 3:
+		rows := 1 + int(shape)%elems
+		for elems%rows != 0 {
+			rows--
+		}
+		return Pattern{Kind: ColMajor2D, Rows: rows, Cols: elems / rows}
+	default:
+		return ContiguousPattern()
+	}
+}
+
+// FuzzKernelWalk holds a kernel walk of any pattern over 1 to MaxArrays
+// arrays to the chain it fuses, each array's reference walk coalesced
+// and the arrays interleaved round-robin, pulled in fuzzed chunk
+// lengths; Txns must count the stream and the bytes must be conserved.
+func FuzzKernelWalk(f *testing.F) {
+	f.Add(uint8(0), uint16(0), uint16(1024), uint32(4), uint32(64), uint8(2), uint8(0))
+	f.Add(uint8(1), uint16(2), uint16(2), uint32(4), uint32(8), uint8(2), uint8(1))
+	f.Add(uint8(1), uint16(40), uint16(64), uint32(4), uint32(64), uint8(3), uint8(4))
+	f.Add(uint8(1), uint16(6), uint16(1000), uint32(8), uint32(64), uint8(1), uint8(36))
+	f.Add(uint8(2), uint16(0), uint16(4096), uint32(4), uint32(64), uint8(2), uint8(96))
+	f.Add(uint8(3), uint16(0), uint16(48), uint32(4), uint32(64), uint8(3), uint8(5))
+	f.Add(uint8(3), uint16(47), uint16(48), uint32(8), uint32(30), uint8(2), uint8(2))
+	f.Add(uint8(0), uint16(0), uint16(300), uint32(16), uint32(8), uint8(3), uint8(6))
+	f.Fuzz(func(t *testing.T, kind uint8, shape, elems16 uint16, elemBytes, window uint32, k8, chunk8 uint8) {
+		elems, chunk, k := int(elems16), int(chunk8)+1, 1+int(k8)%MaxArrays
+		if elems == 0 || elemBytes == 0 || elemBytes > 1<<12 {
+			t.Skip("out of model range")
+		}
+		p := fuzzPattern(kind, shape, elems)
+		arrays := kernelArrays(k)
+		got := fillChunked(mustWalk(t, p, elems, elemBytes, window, arrays...), k*elems+1, chunk)
+		if i := equalStreams(got, refKernelWalk(p, elems, elemBytes, window, arrays)); i >= 0 {
+			t.Fatalf("pattern %+v: diverged from the reference at %d of %d", p, i, len(got))
+		}
+		if n := uint64(k) * p.Txns(elems, elemBytes, window); uint64(len(got)) != n {
+			t.Fatalf("pattern %+v: emitted %d transactions, %d arrays x Txns says %d", p, len(got), k, n)
+		}
+		var bytes uint64
+		for _, r := range got {
+			bytes += uint64(r.Size)
+		}
+		if want := uint64(k*elems) * uint64(elemBytes); bytes != want {
+			t.Fatalf("pattern %+v: emitted %d bytes, want %d", p, bytes, want)
 		}
 	})
 }

@@ -43,9 +43,6 @@ type Request struct {
 	Stream uint8 // logical array stream the request belongs to
 }
 
-// End returns the first byte address past the request.
-func (r Request) End() uint64 { return r.Addr + uint64(r.Size) }
-
 // PatternKind enumerates supported walk orders.
 type PatternKind uint8
 
@@ -255,234 +252,125 @@ type Source interface {
 	NextBatch(dst []Request) int
 }
 
-// Interleave produces requests from several sources round-robin, one from
-// each per turn, skipping exhausted sources. It models a kernel iteration
-// touching each of its array streams once per loop trip (e.g. TRIAD reads
-// b[i], reads c[i], writes a[i]).
-type Interleave struct {
-	srcs []Source
-	next int
-
-	// Per-source prefetch buffers, created on the first NextBatch call
-	// (device models build a kernel's source once just to validate it),
-	// so round-robin emission reads arrays instead of making an interface
-	// call per request. A source whose refill comes back empty is
-	// permanently done (the Source contract: a short NextBatch means
-	// exhausted).
-	bufs [][]Request
-	pos  []int
-	lens []int
-	done []bool
+// Array is one array a KernelWalk walks: where it starts, which way its
+// requests go and the stream tag they carry.
+type Array struct {
+	Base   uint64
+	Op     Op
+	Stream uint8
 }
 
-// interleaveBatch is the per-source prefetch depth.
-const interleaveBatch = 64
+// MaxArrays is the most arrays a KernelWalk walks: TRIAD reads two and
+// writes one.
+const MaxArrays = 3
 
-// NewInterleave builds a round-robin combinator over srcs.
-func NewInterleave(srcs ...Source) *Interleave {
-	return &Interleave{srcs: srcs}
+// KernelWalk is the request stream of one kernel invocation: every
+// array walked with the same pattern, round by round. A round is one
+// transaction per array, in the order the arrays were given (a kernel
+// reads b, then c, then writes a), and every array's transaction in a
+// round covers the same element span: the arrays differ only in base,
+// Op and stream tag, so the walk computes each span once and emits one
+// copy per array.
+//
+// A span merges physically adjacent elements of the walk, in walk
+// order, up to a window of bytes. It models burst-coalescing load/store
+// units (AOCL LSUs, GPU warp coalescers): a contiguous walk turns into
+// full-width bursts, a large-stride walk does not coalesce at all. Only
+// the tail of a walk can merge (see Pattern.head): the walk visits its
+// first head elements one transaction each, then the rest, one
+// ascending run of adjacent elements, a window at a time by address
+// arithmetic.
+type KernelWalk struct {
+	arrays [MaxArrays]Array
+	k      int // arrays walked
+	elems  int
+	eb     uint64
+	per    int // elements per full window
+	kind   PatternKind
+	stride int
+	rows   int
+	cols   int
+
+	// walk state
+	left int // elements still to visit one by one
+	tail int // elements in the run that follows them
+	idx  int // current element index (strided) or row (column-major)
+	lane int // pass number for strided / column number for colmajor
+	pos  int // next element of the run
+	end  int // one past the run's last element
+
+	// the current round: its span and the next array to emit it for
+	off  uint64
+	size uint32
+	arr  int
 }
 
-// NextBatch emits the round-robin stream; sources are pulled a batch at
-// a time.
-func (in *Interleave) NextBatch(dst []Request) int {
-	if in.bufs == nil {
-		in.bufs = make([][]Request, len(in.srcs))
-		for i := range in.bufs {
-			in.bufs[i] = make([]Request, interleaveBatch)
-		}
-		in.pos = make([]int, len(in.srcs))
-		in.lens = make([]int, len(in.srcs))
-		in.done = make([]bool, len(in.srcs))
+// NewKernelWalk builds the walk of 1 to MaxArrays arrays of elems
+// elements of elemBytes each, walked with pattern p and coalesced up to
+// window bytes (a window of at most elemBytes merges nothing).
+func NewKernelWalk(p Pattern, elems int, elemBytes, window uint32, arrays ...Array) (*KernelWalk, error) {
+	if err := p.Validate(elems); err != nil {
+		return nil, err
 	}
-	n := 0
-	for n < len(dst) {
-		emitted := false
-		for tries := 0; tries < len(in.srcs); tries++ {
-			i := in.next
-			if in.next++; in.next == len(in.srcs) {
-				in.next = 0
-			}
-			if in.done[i] {
-				continue
-			}
-			if in.pos[i] >= in.lens[i] {
-				k := Fill(in.srcs[i], in.bufs[i])
-				in.pos[i], in.lens[i] = 0, k
-				if k == 0 {
-					in.done[i] = true
-					continue
-				}
-			}
-			dst[n] = in.bufs[i][in.pos[i]]
-			in.pos[i]++
-			n++
-			emitted = true
-			break
-		}
-		if !emitted {
-			break
-		}
+	if elemBytes == 0 {
+		return nil, fmt.Errorf("mem: element size must be positive")
 	}
-	return n
-}
-
-// Coalescer merges physically consecutive same-op same-stream requests
-// into transactions of up to MaxBytes. It models burst-coalescing
-// load/store units (AOCL LSUs, GPU warp coalescers): a contiguous walk
-// turns into full-width bursts, a large-stride walk does not coalesce at
-// all.
-type Coalescer struct {
-	src      Source
-	maxBytes uint32
-
-	pending  Request
-	havePend bool
-	done     bool
-
-	// Upstream prefetch buffer, created on the first generic-path pull;
-	// the merge loop runs over an array instead of an interface call per
-	// upstream request.
-	buf    []Request
-	bufPos int
-	bufLen int
-}
-
-// coalesceBatch is the upstream prefetch depth.
-const coalesceBatch = 128
-
-// NewCoalescer wraps src with a coalescing window of maxBytes.
-func NewCoalescer(src Source, maxBytes uint32) *Coalescer {
-	if maxBytes == 0 {
-		maxBytes = 1
+	if len(arrays) == 0 || len(arrays) > MaxArrays {
+		return nil, fmt.Errorf("mem: a kernel walks 1 to %d arrays, not %d", MaxArrays, len(arrays))
 	}
-	return &Coalescer{src: src, maxBytes: maxBytes}
+	w := &KernelWalk{k: len(arrays), elems: elems, eb: uint64(elemBytes),
+		per: perWindow(elemBytes, window), kind: p.Kind, stride: p.StrideElems}
+	copy(w.arrays[:], arrays)
+	w.rows, w.cols = p.shape(elems)
+	w.left = p.head(elems)
+	w.tail = elems - w.left
+	w.arr = w.k
+	if w.left == 0 {
+		w.end = w.tail
+	}
+	return w, nil
 }
 
-// NextBatch emits merged transactions. A contiguous *Iter upstream takes
-// the contigBatch fast path; any other source runs the generic merge loop
-// below over a prefetch buffer.
-func (c *Coalescer) NextBatch(dst []Request) int {
-	if c.done && !c.havePend {
+// perWindow is how many elemBytes elements one window-byte transaction
+// holds, at least one.
+func perWindow(elemBytes, window uint32) int {
+	return max(1, int(window/elemBytes))
+}
+
+// head is how many elements a walk of p over elems visits before the
+// rest of it forms one ascending run of adjacent elements, the only
+// elements a coalescer can merge. A contiguous walk, a stride of one or
+// a one-row or one-column matrix is a run from the start. A strided
+// walk ends in passes of one element each, lanes elems-stride up to
+// stride-1 when the stride exceeds half the array, and those are
+// adjacent; every earlier pass steps by the stride. A column-major walk
+// of a matrix with at least two rows and columns never visits adjacent
+// elements in turn.
+func (p Pattern) head(elems int) int {
+	switch p.Kind {
+	case Strided:
+		s := p.StrideElems
+		if s <= 1 || s >= elems {
+			return 0
+		}
+		return elems - max(0, 2*s-elems)
+	case ColMajor2D:
+		rows, cols := p.shape(elems)
+		if rows == 1 || cols == 1 {
+			return 0
+		}
+		return elems
+	default:
 		return 0
 	}
-	if it, ok := c.src.(*Iter); ok && it.pattern.Kind == Contiguous {
-		if n, handled := c.contigBatch(it, dst); handled {
-			return n
-		}
-	}
-	if c.buf == nil {
-		c.buf = make([]Request, coalesceBatch)
-	}
-	n := 0
-	pending, have := c.pending, c.havePend
-	for n < len(dst) {
-		if c.bufPos >= c.bufLen {
-			if c.done {
-				break
-			}
-			c.bufLen = Fill(c.src, c.buf)
-			c.bufPos = 0
-			if c.bufLen == 0 {
-				c.done = true
-				break
-			}
-		}
-		maxBytes := c.maxBytes
-		for c.bufPos < c.bufLen && n < len(dst) {
-			r := c.buf[c.bufPos]
-			c.bufPos++
-			if !have {
-				pending, have = r, true
-				continue
-			}
-			if pending.Op == r.Op &&
-				pending.Stream == r.Stream &&
-				pending.End() == r.Addr &&
-				pending.Size+r.Size <= maxBytes {
-				pending.Size += r.Size
-				continue
-			}
-			dst[n] = pending
-			n++
-			pending = r
-		}
-	}
-	if c.done && have && n < len(dst) {
-		dst[n] = pending
-		n++
-		have = false
-	}
-	c.pending, c.havePend = pending, have
-	return n
 }
 
-// contigBatch is the fast path for a contiguous iterator upstream: the
-// merge of elemBytes-sized requests into maxBytes windows is pure
-// address arithmetic, so transactions are synthesized directly — one
-// loop iteration per emitted transaction instead of one per element.
-// The emitted sequence (including the held-back pending tail, flushed
-// only once the walk is known to be complete) is identical to the
-// generic path's. Returns handled=false when the state doesn't fit the
-// fast path (buffered slow-path input, a foreign pending transaction, or
-// a window smaller than one element).
-func (c *Coalescer) contigBatch(it *Iter, dst []Request) (int, bool) {
-	per := int(c.maxBytes / it.elemBytes)
-	if per < 1 || c.bufPos < c.bufLen || c.done {
-		return 0, false
-	}
-	pendElems := 0
-	if c.havePend {
-		if c.pending.Op != it.op || c.pending.Stream != it.stream ||
-			c.pending.Size%it.elemBytes != 0 ||
-			c.pending.End() != it.base+uint64(it.emitted)*uint64(it.elemBytes) {
-			return 0, false
-		}
-		pendElems = int(c.pending.Size / it.elemBytes)
-		if pendElems >= per {
-			return 0, false
-		}
-	}
-	eb := uint64(it.elemBytes)
-	n := 0
-	for n < len(dst) {
-		rem := it.elems - it.emitted
-		if rem == 0 {
-			// Source dry: flush the tail exactly as the generic path does.
-			c.done = true
-			if c.havePend {
-				c.havePend = false
-				dst[n] = c.pending
-				n++
-			}
-			return n, true
-		}
-		take := per - pendElems
-		if take > rem {
-			take = rem
-		}
-		if pendElems == 0 {
-			c.pending = Request{
-				Addr:   it.base + uint64(it.emitted)*eb,
-				Size:   uint32(take) * it.elemBytes,
-				Op:     it.op,
-				Stream: it.stream,
-			}
-			c.havePend = true
-		} else {
-			c.pending.Size += uint32(take) * it.elemBytes
-		}
-		pendElems += take
-		it.emitted += take
-		if pendElems == per && it.emitted < it.elems {
-			// Full window with a successor that cannot merge: emit.
-			dst[n] = c.pending
-			n++
-			c.havePend = false
-			pendElems = 0
-		}
-	}
-	return n, true
+// Txns is how many transactions one array's walk of p over elems
+// elements of elemBytes emits, coalesced up to window bytes.
+func (p Pattern) Txns(elems int, elemBytes, window uint32) uint64 {
+	head := p.head(elems)
+	per := perWindow(elemBytes, window)
+	return uint64(head + (elems-head+per-1)/per)
 }
 
 // A Pauser is a Source whose stream can pause before its end. A short

@@ -199,10 +199,9 @@ func TestIterRemaining(t *testing.T) {
 }
 
 func TestInterleave(t *testing.T) {
-	a := mustIter(t, ContiguousPattern(), 0, 3, 4, Read, 0)
-	b := mustIter(t, ContiguousPattern(), 0x1000, 3, 4, Write, 1)
-	in := NewInterleave(a, b)
-	got := collect(in)
+	w := mustWalk(t, ContiguousPattern(), 3, 4, 4,
+		Array{Base: 0, Op: Read, Stream: 0}, Array{Base: 0x1000, Op: Write, Stream: 1})
+	got := collect(w)
 	if len(got) != 6 {
 		t.Fatalf("got %d, want 6", len(got))
 	}
@@ -214,25 +213,8 @@ func TestInterleave(t *testing.T) {
 	}
 }
 
-func TestInterleaveUneven(t *testing.T) {
-	a := mustIter(t, ContiguousPattern(), 0, 1, 4, Read, 0)
-	b := mustIter(t, ContiguousPattern(), 0x1000, 4, 4, Write, 1)
-	got := collect(NewInterleave(a, b))
-	if len(got) != 5 {
-		t.Fatalf("got %d, want 5", len(got))
-	}
-	// After a drains, the rest must all come from b.
-	for _, r := range got[2:] {
-		if r.Stream != 1 {
-			t.Errorf("tail request from stream %d, want 1", r.Stream)
-		}
-	}
-}
-
 func TestCoalescerMergesContiguous(t *testing.T) {
-	it := mustIter(t, ContiguousPattern(), 0, 64, 4, Read, 0)
-	co := NewCoalescer(it, 64)
-	got := collect(co)
+	got := collect(mustWalk(t, ContiguousPattern(), 64, 4, 64, Array{Op: Read}))
 	if len(got) != 4 {
 		t.Fatalf("coalesced to %d transactions, want 4 (64x4B into 64B)", len(got))
 	}
@@ -249,35 +231,32 @@ func TestCoalescerMergesContiguous(t *testing.T) {
 }
 
 func TestCoalescerDoesNotMergeStrided(t *testing.T) {
-	it := mustIter(t, StridedPattern(16), 0, 64, 4, Read, 0)
-	co := NewCoalescer(it, 64)
-	got := collect(co)
+	got := collect(mustWalk(t, StridedPattern(16), 64, 4, 64, Array{Op: Read}))
 	if len(got) != 64 {
 		t.Fatalf("strided coalesced to %d transactions, want 64 (no merging)", len(got))
 	}
 }
 
 func TestCoalescerRespectsOpBoundary(t *testing.T) {
-	// Interleaved read/write to adjacent addresses must not merge.
-	a := mustIter(t, ContiguousPattern(), 0, 4, 4, Read, 0)
-	b := mustIter(t, ContiguousPattern(), 16, 4, 4, Write, 0)
-	co := NewCoalescer(NewInterleave(a, b), 64)
-	got := collect(co)
-	if len(got) != 8 {
-		t.Fatalf("mixed-op stream coalesced to %d, want 8", len(got))
+	// A read array ending where a write array starts: each merges on its
+	// own, and the two never merge into each other.
+	got := collect(mustWalk(t, ContiguousPattern(), 4, 4, 64,
+		Array{Base: 0, Op: Read}, Array{Base: 16, Op: Write}))
+	want := []Request{{Addr: 0, Size: 16, Op: Read}, {Addr: 16, Size: 16, Op: Write}}
+	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("read/write arrays coalesced to %+v, want %+v", got, want)
 	}
 }
 
 func TestCoalescerPreservesBytes(t *testing.T) {
-	it := mustIter(t, ContiguousPattern(), 12, 100, 4, Read, 0)
-	n1, b1 := totalBytes(it)
-	it.Reset()
-	n2, b2 := totalBytes(NewCoalescer(it, 32))
+	a := Array{Base: 12, Op: Read}
+	n1, b1 := totalBytes(mustWalk(t, ContiguousPattern(), 100, 4, 4, a))
+	n2, b2 := totalBytes(mustWalk(t, ContiguousPattern(), 100, 4, 32, a))
 	if b1 != b2 {
-		t.Errorf("coalescer changed bytes: %d vs %d", b1, b2)
+		t.Errorf("coalescing changed bytes: %d vs %d", b1, b2)
 	}
 	if n2 >= n1 {
-		t.Errorf("coalescer did not reduce transactions: %d vs %d", n2, n1)
+		t.Errorf("coalescing did not reduce transactions: %d vs %d", n2, n1)
 	}
 	if n2 != 13 { // 400 bytes into 32B txns: 12 full + 1 of 16B
 		t.Errorf("coalesced count = %d, want 13", n2)
@@ -285,11 +264,55 @@ func TestCoalescerPreservesBytes(t *testing.T) {
 }
 
 func TestCoalescerZeroWindow(t *testing.T) {
-	it := mustIter(t, ContiguousPattern(), 0, 4, 4, Read, 0)
-	co := NewCoalescer(it, 0) // clamps to 1: nothing merges
-	got := collect(co)
+	got := collect(mustWalk(t, ContiguousPattern(), 4, 4, 0, Array{Op: Read})) // nothing merges
 	if len(got) != 4 {
 		t.Fatalf("got %d, want 4", len(got))
+	}
+}
+
+// The walk merges exactly the adjacent tail the old chain's coalescer
+// merged: a strided walk whose last passes hold one element each, and a
+// one-row matrix walked column-major.
+func TestKernelWalkMergesAdjacentTail(t *testing.T) {
+	cases := []struct {
+		name  string
+		p     Pattern
+		elems int
+		want  []uint32 // transaction sizes
+	}{
+		{"stride past the array", StridedPattern(2), 2, []uint32{8}},
+		{"one-element passes", StridedPattern(4), 5, []uint32{4, 4, 8, 4}}, // 0 4 | 1 2 | 3
+		{"one-row matrix", Pattern{Kind: ColMajor2D, Rows: 1, Cols: 5}, 5, []uint32{8, 8, 4}},
+		{"one-column matrix", Pattern{Kind: ColMajor2D, Rows: 5, Cols: 1}, 5, []uint32{8, 8, 4}},
+	}
+	for _, c := range cases {
+		elems := c.elems
+		got := collect(mustWalk(t, c.p, elems, 4, 8, Array{Op: Read}))
+		if len(got) != len(c.want) {
+			t.Fatalf("%s: %+v, want sizes %v", c.name, got, c.want)
+		}
+		for i, r := range got {
+			if r.Size != c.want[i] {
+				t.Errorf("%s: txn %d = %+v, want size %d", c.name, i, r, c.want[i])
+			}
+		}
+		if n := c.p.Txns(elems, 4, 8); n != uint64(len(c.want)) {
+			t.Errorf("%s: Txns = %d, want %d", c.name, n, len(c.want))
+		}
+	}
+}
+
+func TestKernelWalkErrors(t *testing.T) {
+	a := Array{Op: Read}
+	for name, build := range map[string]func() (*KernelWalk, error){
+		"no arrays":     func() (*KernelWalk, error) { return NewKernelWalk(ContiguousPattern(), 4, 4, 4) },
+		"four arrays":   func() (*KernelWalk, error) { return NewKernelWalk(ContiguousPattern(), 4, 4, 4, a, a, a, a) },
+		"zero elemsize": func() (*KernelWalk, error) { return NewKernelWalk(ContiguousPattern(), 4, 0, 4, a) },
+		"bad pattern":   func() (*KernelWalk, error) { return NewKernelWalk(StridedPattern(0), 4, 4, 4, a) },
+	} {
+		if _, err := build(); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 }
 
@@ -365,13 +388,9 @@ func TestQuickCoalescerConserves(t *testing.T) {
 		if strided {
 			p = StridedPattern(3)
 		}
-		it, err := NewIter(p, 64, elems, 4, Read, 0)
-		if err != nil {
-			return false
-		}
-		nRaw, bRaw := totalBytes(it)
-		it.Reset()
-		nCo, bCo := totalBytes(NewCoalescer(it, window))
+		a := Array{Base: 64, Op: Read}
+		nRaw, bRaw := totalBytes(mustWalk(t, p, elems, 4, 4, a))
+		nCo, bCo := totalBytes(mustWalk(t, p, elems, 4, window, a))
 		return bRaw == bCo && nCo <= nRaw
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {

@@ -65,7 +65,7 @@ func refCoalesce(in []Request, maxBytes uint32) []Request {
 	for _, r := range in {
 		if k := len(out) - 1; k >= 0 {
 			p := &out[k]
-			if p.Op == r.Op && p.Stream == r.Stream && p.End() == r.Addr && p.Size+r.Size <= maxBytes {
+			if p.Op == r.Op && p.Stream == r.Stream && p.Addr+uint64(p.Size) == r.Addr && p.Size+r.Size <= maxBytes {
 				p.Size += r.Size
 				continue
 			}
@@ -73,6 +73,16 @@ func refCoalesce(in []Request, maxBytes uint32) []Request {
 		out = append(out, r)
 	}
 	return out
+}
+
+// refKernelWalk is a kernel walk as the chain it fuses: each array's
+// walk coalesced on its own, the arrays interleaved round-robin.
+func refKernelWalk(p Pattern, elems int, elemBytes, window uint32, arrays []Array) []Request {
+	streams := make([][]Request, len(arrays))
+	for i, a := range arrays {
+		streams[i] = refCoalesce(refWalk(p, a.Base, elems, elemBytes, a.Op, a.Stream), window)
+	}
+	return refInterleave(streams...)
 }
 
 // refLimit keeps the first n requests.
