@@ -164,8 +164,9 @@ func (p *plan) parallelism() (cores int, threadCap float64) {
 
 // Seconds implements device.Compiled: it predicts one invocation over
 // e. An exact run sees the LLC the previous invocation left warm, so
-// the board simulates every repetition of it; it answers a repeated
-// sampled one without simulating (device.Board.Sample).
+// the board simulates every repetition of it, unless the run flushed
+// the LLC itself; it answers a repeated sampled one without simulating
+// (device.Board.Sample).
 func (p *plan) Seconds(e device.Exec) (float64, error) {
 	k := p.K
 	if err := p.dev.CheckExec(k, e); err != nil {

@@ -198,12 +198,13 @@ type MemorySystem interface {
 // Board is the skeleton every simulated target embeds. It implements
 // Device's Info, LaunchOverheadSeconds, Link and Reset, and
 // MemorySystem, so a back-end adds only Compile and its mechanism model.
-// Its Sample is the one place that decides when a repeated invocation
-// may reuse an answer: besides the on-chip cache the board keeps each
-// kernel's last answer since Reset, and the windows of its sampled
-// contiguous runs, one entry per kernel and coalescing window, a set
-// the design space bounds. A Board is not safe for concurrent use;
-// Sample updates its cache and its memos.
+// Its Sample is the one place that decides when an invocation may reuse
+// an answer: besides the on-chip cache the board keeps each kernel's
+// last answer since Reset, the windows of its contiguous runs, one
+// entry per kernel and coalescing window, a set the design space
+// bounds, and one warm exact run's answer for its identical next call.
+// A Board is not safe for concurrent use; Sample updates its cache and
+// its memos.
 type Board struct {
 	info    Info
 	mem     *dram.Model
@@ -214,7 +215,8 @@ type Board struct {
 	warm    bool                     // exact runs see the cache as earlier invocations left it
 	cache   *cache.Cache             // built from llc on the first Sample
 	answers map[kernel.Kernel]answer // each kernel's last remembered answer since Reset
-	windows map[windowKey]windowPair // sampled windows of contiguous walks, built on first use
+	again   *repeat                  // a self-flushing exact run's answer, for its identical next call; nil when none
+	windows map[windowKey]windowPair // windows of contiguous walks, built on first use
 	owed    func()                   // replays the long window a remembered answer skipped; nil when none
 }
 
@@ -225,7 +227,8 @@ type Board struct {
 // sampled point in one pass: the long window, 2·window transactions,
 // with a checkpoint (dram.Checkpoint) that gives the short window, the
 // first window transactions, as a run that ended there would measure
-// it. The board resets c before every run that must start cold.
+// it; a stream of exactly 2·window requests is its own long window. The
+// board resets c before every run that must start cold.
 type Body func(src mem.Source, window uint64, c *cache.Cache) (short, long sample.Measurement)
 
 // answer is one Sample call's result and the arguments that fixed it.
@@ -234,6 +237,13 @@ type answer struct {
 	window uint32
 	est    sample.Estimate
 	err    error
+}
+
+// repeat is the answer a warm board gives the call that repeats a
+// self-flushing exact run (see Sample).
+type repeat struct {
+	k kernel.Kernel
+	answer
 }
 
 // windowKey names the sampled windows of one contiguous kernel walk:
@@ -251,16 +261,19 @@ type windowPair struct {
 	read        uint64
 }
 
-// countSource counts the requests pulled through it.
+// countSource counts the requests pulled through it and notes whether
+// the reader met the stream's end: a batch that came back short.
 type countSource struct {
-	src mem.Source
-	n   uint64
+	src   mem.Source
+	n     uint64
+	ended bool
 }
 
 // NextBatch implements mem.Source.
 func (c *countSource) NextBatch(dst []mem.Request) int {
 	n := c.src.NextBatch(dst)
 	c.n += uint64(n)
+	c.ended = c.ended || n < len(dst)
 	return n
 }
 
@@ -298,13 +311,13 @@ func (b *Board) LaunchOverheadSeconds() float64 { return b.launch }
 func (b *Board) Link() *link.Link { return b.link }
 
 // Reset implements Device: a cold on-chip cache and no remembered
-// answers. A cache not built yet is cold already, and DRAM state needs
-// no reset: every simulation services its stream from cold. A cold
-// cache owes no long window; the remembered windows stay, since none of
-// them read the cache's state.
+// answers, the repeat answer included. A cache not built yet is cold
+// already, and DRAM state needs no reset: every simulation services its
+// stream from cold. A cold cache owes no long window; the remembered
+// windows stay, since none of them read the cache's state.
 func (b *Board) Reset() {
 	clear(b.answers)
-	b.owed = nil
+	b.again, b.owed = nil, nil
 	if b.cache != nil {
 		b.cache.Reset()
 	}
@@ -361,8 +374,8 @@ func (b *Board) CheckExec(k kernel.Kernel, e Exec) error {
 // the long window leaves it, the state a sequential sample.Run leaves
 // behind; the short window is the long run's checkpoint.
 //
-// A sampled contiguous walk's windows are remembered per (k, window)
-// and serve later sampled calls at other array sizes, which re-run only
+// A contiguous walk's windows are remembered per (k, window) and serve
+// later sampled calls at other array sizes, which re-run only
 // sample.Fit with their own total. That relies on run's measurements of
 // a sampled point being a pure function of the board, k and the
 // requests it pulls from src, true of all four back-ends. The arrays of
@@ -376,12 +389,39 @@ func (b *Board) CheckExec(k kernel.Kernel, e Exec) error {
 // controller's reorder window does). Strided and column-major walks
 // are never remembered: their pass length and shape depend on elems.
 //
+// Two rules let an exact run stand in for a simulation the board would
+// otherwise repeat:
+//
+//   - An exact contiguous run that is one long window (total 2·window,
+//     every coalescing round full) on a cold cache, or a board without
+//     one, runs through the sampled body: its long window is the whole
+//     stream, so its long measurement is the exact answer, and its
+//     windows are those of every larger size, whose streams begin with
+//     its requests. They are remembered unless the body met the
+//     stream's end, which a body that reads ahead of its budget does:
+//     at a larger size it would have read on.
+//   - An exact contiguous run on a warm board that starts on a cold
+//     cache and leaves it self-flushed (cache.SelfFlushed) answers the
+//     very next call if that call is identical. The arrays at
+//     StreamBases share no line, so the walk probes no line twice;
+//     with no hit, writeback, dirty line or dropped line, and an
+//     eviction in every set it filled, each set holds its last Ways
+//     insertions at the LRU end of the repeat, each evicted before its
+//     only access. The repeat meets every access as the first run did,
+//     takes its seconds and leaves the same lines in the same recency
+//     order. Its answer sits in one slot, which every other call and
+//     Reset clear.
+//
 // A sampled answer given without simulating, by either memo, skips the
 // long window the cache would have seen. Only a warm board's next exact
 // run can tell, so only a warm board owes the long window, and that run
 // replays it first; Reset and a sampled run that simulates clear the
 // debt.
 func (b *Board) Sample(k kernel.Kernel, e Exec, window uint32, run Body) (sample.Estimate, error) {
+	if r := b.again; r != nil && r.k == k && r.e == e && r.window == window {
+		return r.est, r.err
+	}
+	b.again = nil
 	if a, ok := b.answers[k]; ok && a.e == e && a.window == window {
 		if a.est.Sampled {
 			b.owe(k, e, window, run)
@@ -398,7 +438,7 @@ func (b *Board) Sample(k kernel.Kernel, e Exec, window uint32, run Body) (sample
 	return est, err
 }
 
-// estimate is Sample without its answer memo.
+// estimate is Sample without its answer memos.
 func (b *Board) estimate(k kernel.Kernel, e Exec, window uint32, run Body) (sample.Estimate, error) {
 	elems, elemB := e.Elems(k), k.ElemBytes()
 	if _, err := KernelSource(k.Op, elems, elemB, e.Pattern, window); err != nil {
@@ -408,18 +448,30 @@ func (b *Board) estimate(k kernel.Kernel, e Exec, window uint32, run Body) (samp
 	if b.cache == nil && b.llc != nil {
 		b.cache = cache.New(*b.llc)
 	}
+	key, memo := windowKey{k, window}, e.Pattern.Kind == mem.Contiguous
 	if sample.Exact(total, b.window) {
 		if b.owed != nil {
 			b.owed()
 			b.owed = nil
 		}
-		_, m, _ := b.simulate(k, e, window, run, 0)
-		return sample.Estimate{Seconds: m.Seconds}, nil
+		cold := b.cache == nil || !b.warm || b.cache.Stats().Accesses == 0
+		var sampleWindow uint64
+		if memo && cold && total == 2*b.window && elems%max(1, int(window/elemB)) == 0 {
+			sampleWindow = b.window
+		}
+		w, ended := b.simulate(k, e, window, run, sampleWindow)
+		if sampleWindow > 0 && !ended {
+			b.remember(key, w)
+		}
+		est := sample.Estimate{Seconds: w.long.Seconds}
+		if memo && cold && b.warm && b.cache.SelfFlushed() {
+			b.again = &repeat{k: k, answer: answer{e: e, window: window, est: est}}
+		}
+		return est, nil
 	}
 	// fits reports whether a prefix of read requests is the same at
 	// this size as at every other that fits it.
 	fits := func(read uint64) bool { return read+uint64(k.Op.Streams()) <= total }
-	key, memo := windowKey{k, window}, e.Pattern.Kind == mem.Contiguous
 	if memo {
 		if w, ok := b.windows[key]; ok && fits(w.read) {
 			b.owe(k, e, window, run)
@@ -427,29 +479,36 @@ func (b *Board) estimate(k kernel.Kernel, e Exec, window uint32, run Body) (samp
 		}
 	}
 	b.owed = nil
-	short, long, read := b.simulate(k, e, window, run, b.window)
-	if memo && fits(read) {
-		if b.windows == nil {
-			b.windows = make(map[windowKey]windowPair)
-		}
-		b.windows[key] = windowPair{short: short, long: long, read: read}
+	w, _ := b.simulate(k, e, window, run, b.window)
+	if memo && fits(w.read) {
+		b.remember(key, w)
 	}
-	return b.fit(k, short, long, total)
+	return b.fit(k, w.short, w.long, total)
+}
+
+// remember keeps a contiguous walk's windows for later sizes.
+func (b *Board) remember(key windowKey, w windowPair) {
+	if b.windows == nil {
+		b.windows = make(map[windowKey]windowPair)
+	}
+	b.windows[key] = w
 }
 
 // simulate runs run over a fresh stream of k over a checked e,
 // coalesced up to window bytes, on the board's cache, with sampling
-// window sampleWindow (0 = the whole stream), and reports how many
-// requests of the stream it pulled. The cache starts cold unless the
-// run is exact on a warm board.
-func (b *Board) simulate(k kernel.Kernel, e Exec, window uint32, run Body, sampleWindow uint64) (short, long sample.Measurement, read uint64) {
+// window sampleWindow (0 = the whole stream). It reports the run's
+// windows with how many requests of the stream it pulled, and whether
+// it met the stream's end. The cache starts cold unless the run is one
+// of the whole stream on a warm board.
+func (b *Board) simulate(k kernel.Kernel, e Exec, window uint32, run Body, sampleWindow uint64) (w windowPair, ended bool) {
 	if b.cache != nil && (sampleWindow > 0 || !b.warm) {
 		b.cache.Reset()
 	}
 	src, _ := KernelSource(k.Op, e.Elems(k), k.ElemBytes(), e.Pattern, window) // checked by Sample
 	cs := countSource{src: src}
-	short, long = run(&cs, sampleWindow, b.cache)
-	return short, long, cs.n
+	w.short, w.long = run(&cs, sampleWindow, b.cache)
+	w.read = cs.n
+	return w, cs.ended
 }
 
 // owe records that a sampled run of k over a checked e was answered

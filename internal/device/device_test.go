@@ -253,6 +253,14 @@ func TestMBPerJoule(t *testing.T) {
 	}
 }
 
+// measuredCache is b.ServiceCache measured by the cache's accesses and
+// the DRAM seconds.
+func measuredCache(b *Board, src mem.Source, window uint64, c *cache.Cache) (short, long sample.Measurement) {
+	s, l := b.ServiceCache(src, window, c)
+	return sample.Measurement{Txns: s.Cache.Accesses, Seconds: s.DRAM.Seconds},
+		sample.Measurement{Txns: l.Cache.Accesses, Seconds: l.DRAM.Seconds}
+}
+
 // testBoard is a small cached board sampling with a 256-transaction
 // window, so a 1 MiB copy is sampled and a 4 KiB one runs exactly. Its
 // exact runs see the cache warm, like the CPU's.
@@ -270,7 +278,9 @@ func cachedBoard(warm bool) *Board {
 // A board builds its cache on the first Sample and keeps it: before
 // then a Reset is harmless and nothing is allocated, afterwards every
 // run, exact or sampled, sees the same cache and no other. A board
-// without a cache passes run nil.
+// without a cache passes run nil. The body streams through the cache:
+// a cache no run touched would stay empty, trivially self-flushed, and
+// the board would answer the repeated exact call instead of running it.
 func TestCacheBuiltOnFirstSample(t *testing.T) {
 	b := testBoard()
 	if b.cache != nil {
@@ -289,7 +299,10 @@ func TestCacheBuiltOnFirstSample(t *testing.T) {
 			t.Error("the first run's cache is not a cold cache of the board's configuration")
 		}
 		seen = append(seen, c)
-		return b.ServiceDRAM(src, window, c)
+		if c == nil {
+			return b.ServiceDRAM(src, window, c)
+		}
+		return measuredCache(b, src, window, c)
 	}
 	for _, e := range []Exec{exact, exact, sampled} {
 		if _, err := b.Sample(k, e, 64, run); err != nil {
@@ -369,9 +382,7 @@ func TestSampleAnswersRepeats(t *testing.T) {
 			if c.Stats() != (cache.Stats{}) {
 				warmRuns++
 			}
-			s, l := b.ServiceCache(src, window, c)
-			return sample.Measurement{Txns: s.Cache.Accesses, Seconds: s.DRAM.Seconds},
-				sample.Measurement{Txns: l.Cache.Accesses, Seconds: l.DRAM.Seconds}
+			return measuredCache(b, src, window, c)
 		}
 		// runs[warm] counts the runs so far; warmRuns those that saw a
 		// warm cache, which only a warm board's exact runs do.
@@ -509,6 +520,167 @@ func totalBytes(s mem.Source) (n int, bytes uint64) {
 		n += k
 		if k < len(buf) {
 			return n, bytes
+		}
+	}
+}
+
+// An exact run that is one long window, 2·window requests in full
+// coalescing rounds, seeds the window memo when the body reads no
+// further than its window: the next sampled size simulates nothing and
+// equals a fresh board's. One whose last round is partial, or whose
+// body read to the stream's end (the DRAM controller's reorder window
+// does), remembers nothing.
+func TestLongWindowSeedsMemo(t *testing.T) {
+	k := kernel.Kernel{Op: kernel.Copy, VecWidth: 1}
+	full := Exec{ArrayBytes: 256 * 64, Pattern: mem.ContiguousPattern()}      // 512 txns
+	partial := Exec{ArrayBytes: 255*64 + 4, Pattern: mem.ContiguousPattern()} // 512 txns, the last round 4 bytes
+	large := Exec{ArrayBytes: 1 << 20, Pattern: mem.ContiguousPattern()}      // sampled
+	viaCache := func(b *Board) Body {
+		return func(src mem.Source, window uint64, c *cache.Cache) (short, long sample.Measurement) {
+			return measuredCache(b, src, window, c)
+		}
+	}
+	viaDRAM := func(b *Board) Body { return b.ServiceDRAM }
+	for _, c := range []struct {
+		name   string
+		exact  Exec
+		body   func(*Board) Body
+		seeded bool
+	}{
+		{"full rounds", full, viaCache, true},
+		{"partial last round", partial, viaCache, false},
+		{"read ahead to the end", full, viaDRAM, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if n := TxnCount(k.Op, c.exact.Elems(k), k.ElemBytes(), c.exact.Pattern, 64); n != 512 {
+				t.Fatalf("%d txns, want 512", n)
+			}
+			ref := testBoard()
+			want, err := ref.Sample(k, large, 64, c.body(ref))
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := testBoard()
+			runs := 0
+			body := c.body(b)
+			counted := func(src mem.Source, window uint64, cc *cache.Cache) (short, long sample.Measurement) {
+				runs++
+				return body(src, window, cc)
+			}
+			if est, err := b.Sample(k, c.exact, 64, counted); err != nil || est.Sampled {
+				t.Fatalf("the long-window Exec: %+v, %v; want an exact answer", est, err)
+			}
+			runs = 0
+			got, err := b.Sample(k, large, 64, counted)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Errorf("%d bytes after the long window: %+v, a fresh board %+v", large.ArrayBytes, got, want)
+			}
+			if seeded := runs == 0; seeded != c.seeded {
+				t.Errorf("the sampled size made %d runs: seeded %v, want %v", runs, seeded, c.seeded)
+			}
+		})
+	}
+}
+
+// flushBoard is a warm board with a 64 KiB LLC of 128 sets whose exact
+// runs reach 64Ki-transaction streams.
+func flushBoard(nonTemporal bool) *Board {
+	llc := &cache.Config{Name: "flush-llc", CapacityBytes: 64 << 10, LineBytes: 64, Ways: 8, NonTemporalWrites: nonTemporal}
+	b := NewBoard(Info{ID: "flush"}, 1<<30, testBoard().mem.Config(), link.Config{Name: "l", GBps: 1}, 0, 1<<16, llc, true)
+	return &b
+}
+
+// tailSource yields src's stream, then tail.
+type tailSource struct {
+	src  mem.Source
+	tail []mem.Request
+}
+
+func (s *tailSource) NextBatch(dst []mem.Request) int {
+	n := s.src.NextBatch(dst)
+	k := copy(dst[n:], s.tail)
+	s.tail = s.tail[k:]
+	return n + k
+}
+
+// A warm board answers the identical call after an exact contiguous run
+// that started cold and left its cache self-flushed, and only then:
+// each case below breaks one condition, and the repeat simulates.
+func TestSelfFlushedRunAnswersRepeat(t *testing.T) {
+	k := kernel.Kernel{Op: kernel.Copy, VecWidth: 1}
+	contig := func(n int64) Exec { return Exec{ArrayBytes: n, Pattern: mem.ContiguousPattern()} }
+	big := contig(256 << 10) // 32 lines of b per set
+	b0, bLast := StreamBases(2)[1], StreamBases(2)[1]+(256<<10)-64
+	for _, c := range []struct {
+		name        string
+		nonTemporal bool
+		e           Exec
+		tail        []mem.Request // requests the body adds after the walk
+		answered    bool
+	}{
+		{"self-flushing copy", true, big, nil, true},
+		{"not contiguous", true, Exec{ArrayBytes: 256 << 10, Pattern: mem.StridedPattern(16)}, nil, false},
+		{"a set with no eviction", true, contig(16 << 10), nil, false},
+		{"writebacks and dirty lines", false, big, nil, false},
+		{"LLC hits", true, big, []mem.Request{{Addr: bLast - 64, Size: 64, Op: mem.Read, Stream: 5}, {Addr: bLast, Size: 64, Op: mem.Read, Stream: 5}}, false},
+		{"writebacks, no dirty line left", false, big, []mem.Request{{Addr: 3 << 31, Size: 256 << 10, Op: mem.Read, Stream: 7}}, false},
+		{"an invalidate that drops a line", true, big, []mem.Request{{Addr: bLast, Size: 64, Op: mem.Write, Stream: 6}}, false},
+		{"a read stream ending on its first line", true, big, []mem.Request{{Addr: b0, Size: 64, Op: mem.Read, Stream: 1}}, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			b := flushBoard(c.nonTemporal)
+			runs := 0
+			body := func(src mem.Source, window uint64, cc *cache.Cache) (short, long sample.Measurement) {
+				runs++
+				tail := append([]mem.Request(nil), c.tail...)
+				return measuredCache(b, &tailSource{src: src, tail: tail}, window, cc)
+			}
+			first, err := b.Sample(k, c.e, 64, body)
+			if err != nil || first.Sampled {
+				t.Fatalf("first call: %+v, %v; want an exact answer", first, err)
+			}
+			again, err := b.Sample(k, c.e, 64, body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if answered := runs == 1; answered != c.answered {
+				t.Fatalf("%d runs for two calls: answered %v, want %v", runs, answered, c.answered)
+			}
+			if c.answered && again != first {
+				t.Errorf("the repeat answered %+v, the first run %+v", again, first)
+			}
+		})
+	}
+
+	// The answer serves only the very next identical calls: another
+	// call or a Reset between them clears it.
+	b := flushBoard(true)
+	runs := 0
+	body := func(src mem.Source, window uint64, cc *cache.Cache) (short, long sample.Measurement) {
+		runs++
+		return measuredCache(b, src, window, cc)
+	}
+	for i, step := range []struct {
+		e     Exec
+		reset bool
+		runs  int
+	}{
+		{big, false, 1}, {big, false, 1}, {big, false, 1}, // answered twice
+		{contig(16 << 10), false, 2}, {big, false, 3}, // another call in between
+		{big, true, 4}, // a Reset in between: cold again, so the run self-flushes anew
+		{big, false, 4},
+	} {
+		if step.reset {
+			b.Reset()
+		}
+		if _, err := b.Sample(k, step.e, 64, body); err != nil {
+			t.Fatal(err)
+		}
+		if runs != step.runs {
+			t.Errorf("step %d: %d runs, want %d", i, runs, step.runs)
 		}
 	}
 }

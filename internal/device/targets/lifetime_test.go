@@ -1,6 +1,7 @@
 package targets
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -88,5 +89,59 @@ func TestCPUWarmRepetitions(t *testing.T) {
 		if !k.Verified {
 			t.Errorf("%v: not verified", k.Op)
 		}
+	}
+}
+
+// A contiguous copy too large for the LLC flushes it itself: its first
+// repetition evicts every line a second could hit, so the board answers
+// the second and third without simulating. A copy that fits reads the
+// lines its first repetition left and simulates every repetition. The
+// times are the ones the model has always produced, repetition by
+// repetition (the queue's clock rounds the identical seconds of the
+// 16 MB copy differently the third time).
+func TestCPUSelfFlushingRepetitions(t *testing.T) {
+	cases := []struct {
+		bytes    int64
+		answered bool // the repetitions after the first simulate nothing
+		times    []float64
+	}{
+		{4 << 20, false, []float64{0.0003891150647818328, 0.000300144, 0.0003001440000000001}},
+		{16 << 20, true, []float64{0.0014423296891768575, 0.0014423296891768575, 0.001442329689176858}},
+	}
+	for _, c := range cases {
+		t.Run(fmt.Sprint(c.bytes), func(t *testing.T) {
+			dev, err := ByID("cpu")
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := core.DefaultConfig()
+			cfg.Ops = []kernel.Op{kernel.Copy}
+			cfg.ArrayBytes = c.bytes
+			cfg.NTimes = 1
+			before := dramRequests()
+			if _, err := core.Run(dev, cfg); err != nil {
+				t.Fatal(err)
+			}
+			once := dramRequests() - before
+			cfg.NTimes = 3
+			before = dramRequests()
+			res, err := core.Run(dev, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := dramRequests() - before; c.answered != (n == once) {
+				t.Errorf("3 repetitions simulated %d DRAM requests, the first alone %d: answered %v, want %v", n, once, n == once, c.answered)
+			}
+			got := res.Kernel(kernel.Copy).Times
+			if len(got) != len(c.times) {
+				t.Fatalf("Times = %v, want %v", got, c.times)
+			}
+			for i := range got {
+				if got[i] != c.times[i] {
+					t.Errorf("Times = %v, want %v", got, c.times)
+					break
+				}
+			}
+		})
 	}
 }

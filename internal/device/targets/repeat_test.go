@@ -62,7 +62,9 @@ func seconds(t *testing.T, dev device.Device, k kernel.Kernel, e device.Exec) fl
 
 // A repeated invocation of a plan whose answer cannot depend on device
 // state returns the first answer without simulating again; an exact CPU
-// run, whose repetitions see the LLC warm, simulates every time.
+// run that leaves lines its repetition can hit in the LLC, as every
+// exact size here does, simulates every time
+// (TestCPUSelfFlushingRepetitions covers one that flushes the LLC).
 func TestRepeatParity(t *testing.T) {
 	patterns := []mem.Pattern{mem.ContiguousPattern(), mem.StridedPattern(16), mem.ColMajorPattern()}
 	for i, id := range IDs() {

@@ -9,6 +9,7 @@ import (
 	"mpstream/internal/device/aocl"
 	"mpstream/internal/device/cpusim"
 	"mpstream/internal/device/gpusim"
+	"mpstream/internal/device/sdaccel"
 	"mpstream/internal/kernel"
 	"mpstream/internal/sim/cache"
 	"mpstream/internal/sim/dram"
@@ -24,18 +25,22 @@ type parityTarget struct {
 	new  func() device.Device
 	llc  *cache.Config // the board's cache; nil when it has none
 	warm bool          // the board's exact runs see the cache earlier runs left
+	copy uint32        // the coalescing window of a vec-1 copy at the target's optimal loop
 }
 
 func parityTargets() []parityTarget {
 	var out []parityTarget
 	cpuLLC, gpuL2 := cpusim.DefaultConfig().LLC, gpusim.DefaultConfig().L2
 	llc := map[string]*cache.Config{"cpu": &cpuLLC, "gpu": &gpuL2}
+	copyWindow := map[string]uint32{"aocl": aocl.DefaultConfig().LSUBurstBytes, "sdaccel": sdaccel.DefaultConfig().BurstBytes,
+		"cpu": cpuLLC.LineBytes, "gpu": gpusim.DefaultConfig().CoalesceBytes}
 	for i, id := range IDs() {
-		out = append(out, parityTarget{name: id, new: func() device.Device { return repeatTargets()[i] }, llc: llc[id], warm: id == "cpu"})
+		out = append(out, parityTarget{name: id, new: func() device.Device { return repeatTargets()[i] },
+			llc: llc[id], warm: id == "cpu", copy: copyWindow[id]})
 	}
 	hmc := aocl.HMCConfig()
 	hmc.SampleWindowTxns = repeatWindow
-	return append(out, parityTarget{name: "aocl-hmc", new: func() device.Device { return aocl.NewWithConfig(hmc) }})
+	return append(out, parityTarget{name: "aocl-hmc", new: func() device.Device { return aocl.NewWithConfig(hmc) }, copy: hmc.LSUBurstBytes})
 }
 
 // sampler is the part of device.Board the parity tests drive.

@@ -20,9 +20,21 @@ import (
 // one.
 var memoSizes = []int64{repeatLarge, 2 * repeatLarge, 3*repeatLarge + 4, 4 * repeatLarge}
 
-// A sampled contiguous walk on a board that sampled the same kernel
-// before answers from the remembered windows without simulating, and
-// its seconds equal, bit for bit, a fresh board's at every size.
+// longWindowBytes is the array size of a copy whose stream is exactly
+// one long window, 2·repeatWindow requests of coalesce bytes each: the
+// largest exact copy, in full coalescing rounds.
+func longWindowBytes(coalesce uint32) int64 { return repeatWindow * int64(coalesce) }
+
+// A contiguous walk on a board that ran the same kernel before answers
+// from the remembered windows without simulating, and its seconds
+// equal, bit for bit, a fresh board's at every size. A copy's series
+// starts with the exact size that is one long window: on a board with
+// a cache it seeds the windows, so the first sampled size simulates
+// nothing either. A board without one services its stream straight
+// into the DRAM controller, whose reorder window reads to the stream's
+// end there, so it remembers nothing and the first sampled size
+// simulates. (Three arrays never make a stream of exactly
+// 2·repeatWindow requests, so a triad's series has no such size.)
 func TestWindowMemoMatchesFreshBoards(t *testing.T) {
 	for _, tg := range parityTargets() {
 		for _, op := range []kernel.Op{kernel.Copy, kernel.Triad} {
@@ -30,7 +42,16 @@ func TestWindowMemoMatchesFreshBoards(t *testing.T) {
 				dev := tg.new()
 				k := kernel.Kernel{Op: op, VecWidth: 1}
 				k.Loop = dev.Info().OptimalLoop
-				for i, size := range memoSizes {
+				// Sizes from index free on simulate nothing; the one at
+				// index replay, if any, must simulate.
+				sizes, free, replay := memoSizes, 1, -1
+				if op == kernel.Copy {
+					sizes = append([]int64{longWindowBytes(tg.copy)}, memoSizes...)
+					if tg.llc == nil {
+						free, replay = 2, 1
+					}
+				}
+				for i, size := range sizes {
 					e := device.Exec{ArrayBytes: size, Pattern: mem.ContiguousPattern()}
 					want := seconds(t, tg.new(), k, e)
 					before := dramRequests()
@@ -38,12 +59,76 @@ func TestWindowMemoMatchesFreshBoards(t *testing.T) {
 					if math.Float64bits(got) != math.Float64bits(want) {
 						t.Errorf("%d bytes after %d smaller sizes: %v, a fresh board %v", size, i, got, want)
 					}
-					if simulated := dramRequests() - before; i > 0 && simulated != 0 {
+					simulated := dramRequests() - before
+					if i >= free && simulated != 0 {
 						t.Errorf("%d bytes after %d smaller sizes simulated %d DRAM requests, want 0", size, i, simulated)
+					}
+					if i == replay && simulated == 0 {
+						t.Errorf("%d bytes after the exact long window simulated nothing; its windows were remembered", size)
 					}
 				}
 			})
 		}
+	}
+}
+
+// An exact copy that is one long window runs through the board's
+// sampled body, and its answer equals, bit for bit, the body run over
+// the whole stream with window 0, as every other exact run is. The next
+// size's estimate equals a fresh board's too: on sdaccel it would not,
+// were a DRAM-only body's windows remembered after it read to the end
+// of the long window's stream.
+func TestLongWindowRunIsExact(t *testing.T) {
+	for _, tg := range parityTargets() {
+		t.Run(tg.name, func(t *testing.T) {
+			k := kernel.Kernel{Op: kernel.Copy, VecWidth: 1}
+			e := device.Exec{ArrayBytes: longWindowBytes(tg.copy), Pattern: mem.ContiguousPattern()}
+			if n := device.TxnCount(k.Op, e.Elems(k), k.ElemBytes(), e.Pattern, tg.copy); n != 2*repeatWindow {
+				t.Fatalf("%d bytes make %d requests, want %d", e.ArrayBytes, n, 2*repeatWindow)
+			}
+			bodyOf := func(board sampler) device.Body {
+				if tg.llc != nil {
+					return cacheBody(board)
+				}
+				return board.ServiceDRAM
+			}
+			board := tg.new().(sampler)
+			body := bodyOf(board)
+			var c *cache.Cache
+			if tg.llc != nil {
+				c = cache.New(*tg.llc)
+			}
+			var windows []uint64
+			counted := func(src mem.Source, window uint64, c *cache.Cache) (short, long sample.Measurement) {
+				windows = append(windows, window)
+				return body(src, window, c)
+			}
+			got, err := board.Sample(k, e, tg.copy, counted)
+			if err != nil {
+				t.Fatal(err)
+			}
+			src, err := device.KernelSource(k.Op, e.Elems(k), k.ElemBytes(), e.Pattern, tg.copy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, want := body(src, 0, c)
+			if got.Sampled || math.Float64bits(got.Seconds) != math.Float64bits(want.Seconds) {
+				t.Errorf("Sample = %+v, the exact body %v seconds", got, want.Seconds)
+			}
+			if len(windows) != 1 || windows[0] != repeatWindow {
+				t.Errorf("the body ran with windows %v, want one run with %d", windows, repeatWindow)
+			}
+
+			next := device.Exec{ArrayBytes: 2 * e.ArrayBytes, Pattern: mem.ContiguousPattern()}
+			fresh := tg.new().(sampler)
+			wantNext, err := fresh.Sample(k, next, tg.copy, bodyOf(fresh))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotNext, err := board.Sample(k, next, tg.copy, counted); err != nil || gotNext != wantNext {
+				t.Errorf("%d bytes after the long window: %+v, %v; a fresh board %+v", next.ArrayBytes, gotNext, err, wantNext)
+			}
+		})
 	}
 }
 

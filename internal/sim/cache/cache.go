@@ -174,6 +174,16 @@ type Cache struct {
 	// invalidate returns without probing for one: a non-temporal store
 	// to an array the kernel never reads costs no set probe.
 	lo, hi uint64
+
+	// What SelfFlushed reads, all since Reset: a bitmap of the sets
+	// that evicted a line, how many sets a line entered empty, each
+	// stream slot's first line on the L1-tracked path (first, valid
+	// per bit of firstSet) and how many invalidates dropped a line.
+	evicted  []uint64
+	filled   int
+	first    [8]uint64
+	firstSet uint8
+	dropped  uint64
 }
 
 // Metadata block layout, in bytes: the MRU and LRU way, padding to
@@ -201,6 +211,7 @@ func New(cfg Config) *Cache {
 	c.meta = make([]byte, c.sets*c.stride)
 	c.valid = make([]uint64, c.sets)
 	c.dirty = make([]uint64, c.sets)
+	c.evicted = make([]uint64, (c.sets+63)/64)
 	c.lo = math.MaxUint64
 	return c
 }
@@ -219,6 +230,8 @@ func (c *Cache) Reset() {
 	c.wcBytes = [8]uint32{}
 	c.wcValid = [8]bool{}
 	c.lo, c.hi = math.MaxUint64, 0
+	clear(c.evicted)
+	c.filled, c.firstSet, c.dropped = 0, 0, 0
 }
 
 // Access presents one request. It appends to out (and returns the extended
@@ -271,9 +284,14 @@ func (c *Cache) Access(r mem.Request, out []mem.Request) []mem.Request {
 
 		// L1 residency: repeated touches of the same line by the same
 		// stream cost no inner-level transfer.
-		if c.lastValid[slot] && c.lastLine[slot] == lineID {
-			c.stats.Hits++
-			continue
+		if c.lastValid[slot] {
+			if c.lastLine[slot] == lineID {
+				c.stats.Hits++
+				continue
+			}
+		} else {
+			c.first[slot] = lineID
+			c.firstSet |= 1 << slot
 		}
 		c.lastLine[slot], c.lastValid[slot] = lineID, true
 
@@ -333,7 +351,11 @@ func (c *Cache) Access(r mem.Request, out []mem.Request) []mem.Request {
 		m[metaFP+uint64(victim)] = fingerprint(lineID)
 		if full {
 			c.rotate(m, victim)
+			c.evicted[set>>6] |= 1 << (set & 63)
 		} else {
+			if vmask == 0 {
+				c.filled++
+			}
 			c.push(m, victim, vmask == 0)
 			c.valid[set] = vmask | vbit
 		}
@@ -408,6 +430,54 @@ func (c *Cache) invalidate(lineID uint64) {
 	c.valid[set] &^= bit
 	c.dirty[set] &^= bit
 	c.unlink(m, uint8(i))
+	c.dropped++
+}
+
+// SelfFlushed reports whether the accesses since Reset, presented again
+// to the cache as they left it, would make the same memory-side
+// requests and add the same statistics, and leave the same lines, clean,
+// in the same recency order per set (only way indices may differ, and
+// nothing reads them). The accesses must probe no line twice, as a
+// contiguous walk of disjoint arrays with one stream tag each does; the
+// cache cannot check that. The other conditions it checks:
+//
+//   - no probe hit, no writeback and no invalidate that found its line,
+//     so every access missed and inserted, clean, or bypassed;
+//   - no write-combining buffer is open;
+//   - no stream slot's first L1-tracked line is the one its tracking
+//     holds now, which would make the repeat's first access an L1 hit;
+//   - every set that holds a line evicted at least once, and no line is
+//     dirty.
+//
+// Then each set holds the last Ways lines inserted into it, at the LRU
+// end of the repeat, and each is evicted by an insertion that comes
+// before its only access: every access meets what it met the first
+// time. The statistics checks come first and the eviction bitmap's
+// count next, so the dirty scan runs only after accesses that evicted
+// in every set they touched.
+func (c *Cache) SelfFlushed() bool {
+	s := c.stats
+	if s.L1Transfers != s.Fills+s.Validates || s.Writebacks != 0 || c.dropped != 0 {
+		return false
+	}
+	for slot, open := range c.wcValid {
+		if open || c.firstSet>>slot&1 != 0 && c.first[slot] == c.lastLine[slot] {
+			return false
+		}
+	}
+	evicted := 0
+	for _, w := range c.evicted {
+		evicted += bits.OnesCount64(w)
+	}
+	if evicted != c.filled {
+		return false
+	}
+	for _, d := range c.dirty {
+		if d != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // block returns a set's metadata block.
@@ -538,8 +608,8 @@ type MissFilter struct {
 	flushed bool
 
 	// Upstream prefetch buffer (created on the first NextBatch call):
-	// requests are pulled a batch at a time through mem.Fill so the
-	// generator chain above runs its own batched paths.
+	// requests are pulled a batch at a time so the generator chain above
+	// runs its own batched paths.
 	in    []mem.Request
 	inPos int
 	inLen int
@@ -577,7 +647,7 @@ func (f *MissFilter) NextBatch(dst []mem.Request) int {
 			if f.in == nil {
 				f.in = make([]mem.Request, missFilterBatch)
 			}
-			f.inLen = mem.Fill(f.src, f.in)
+			f.inLen = f.src.NextBatch(f.in)
 			f.inPos = 0
 			if f.inLen == 0 {
 				if f.upstream != nil && f.upstream.Paused() {

@@ -515,7 +515,7 @@ func (m *Model) PrerouteInto(p *Prerouted, src mem.Source, max int) *Prerouted {
 		if want > len(buf) {
 			want = len(buf)
 		}
-		k := mem.Fill(src, buf[:want])
+		k := src.NextBatch(buf[:want])
 		if k == 0 {
 			break
 		}
@@ -906,7 +906,7 @@ func (m *Model) fill(st *svcState) {
 	win := m.cfg.ReorderWin
 	buf := st.buf
 	for len(buf) < win {
-		n := mem.Fill(st.src, buf[len(buf):win])
+		n := st.src.NextBatch(buf[len(buf):win])
 		if n == 0 {
 			if st.pauser == nil || !st.pauser.Paused() {
 				break

@@ -159,7 +159,7 @@ func (l *Limit) NextBatch(dst []Request) int {
 	if l.left < len(dst) {
 		dst = dst[:l.left]
 	}
-	n := Fill(l.src, dst)
+	n := l.src.NextBatch(dst)
 	l.left -= n
 	return n
 }
@@ -187,12 +187,12 @@ func (m *Mix) NextBatch(dst []Request) int {
 			if room := len(dst) - n; want > room {
 				want = room
 			}
-			got := Fill(m.reads, dst[n:n+want])
+			got := m.reads.NextBatch(dst[n : n+want])
 			n += got
 			m.readLeft -= got
 			if got < want {
 				m.readLeft = 0
-				if Fill(m.writes, dst[n:n+1]) == 0 {
+				if m.writes.NextBatch(dst[n:n+1]) == 0 {
 					return n
 				}
 				n++
@@ -203,12 +203,12 @@ func (m *Mix) NextBatch(dst []Request) int {
 		if room := len(dst) - n; want > room {
 			want = room
 		}
-		got := Fill(m.writes, dst[n:n+want])
+		got := m.writes.NextBatch(dst[n : n+want])
 		n += got
 		m.writeLeft -= got
 		if got < want {
 			m.writeLeft = 0
-			if Fill(m.reads, dst[n:n+1]) == 0 {
+			if m.reads.NextBatch(dst[n:n+1]) == 0 {
 				return n
 			}
 			n++
